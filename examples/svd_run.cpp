@@ -119,7 +119,9 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
   return true;
 }
 
-void runOnce(const isa::Program &P, const Options &O, uint64_t Seed,
+/// Runs \p P once and prints its outcome; false when a replayed
+/// schedule diverged from the program (diagnosed on stderr).
+bool runOnce(const isa::Program &P, const Options &O, uint64_t Seed,
              const vm::RecordedSchedule *Replay) {
   vm::MachineConfig MC;
   MC.SchedSeed = Seed;
@@ -146,6 +148,10 @@ void runOnce(const isa::Program &P, const Options &O, uint64_t Seed,
     M.addObserver(&Lockset);
 
   vm::StopReason R = M.run();
+  if (R == vm::StopReason::ReplayDiverged) {
+    std::fprintf(stderr, "error: %s\n", M.stopDiagnostic().c_str());
+    return false;
+  }
   const char *Why = R == vm::StopReason::AllHalted  ? "all threads halted"
                     : R == vm::StopReason::Deadlock ? "DEADLOCK"
                     : R == vm::StopReason::Paused   ? "replay exhausted"
@@ -192,6 +198,7 @@ void runOnce(const isa::Program &P, const Options &O, uint64_t Seed,
       std::fprintf(stderr, "error: cannot write '%s'\n",
                    O.RecordFile.c_str());
   }
+  return true;
 }
 
 } // namespace
@@ -242,8 +249,7 @@ int main(int Argc, char **Argv) {
     }
     std::printf("replaying %zu recorded scheduling decisions from %s\n",
                 Rec.Schedule.size(), O.ReplayFile.c_str());
-    runOnce(P, O, O.Seed, &Rec);
-    return 0;
+    return runOnce(P, O, O.Seed, &Rec) ? 0 : 1;
   }
 
   for (unsigned I = 0; I < O.Runs; ++I)

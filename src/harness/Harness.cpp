@@ -13,12 +13,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace svd;
 using namespace svd::harness;
-using detect::Violation;
 using workloads::Workload;
 
 const detect::DetectorRegistry &harness::detectorRegistry() {
@@ -43,40 +41,6 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        T0)
       .count();
-}
-
-/// Classifies \p Reports against \p W's ground truth into the dynamic
-/// and static counters of \p M.
-void classify(const Workload &W, const std::vector<Violation> &Reports,
-              SampleMetrics &M) {
-  M.DynamicReports = Reports.size();
-  // A static key's classification is stable (same code locations), so
-  // one map from key to truth suffices.
-  std::unordered_map<uint64_t, bool> StaticSeen;
-  for (const Violation &V : Reports) {
-    bool True_ = W.isTrueReport(V);
-    if (True_) {
-      ++M.DynamicTrue;
-      M.DetectedBug = true;
-    } else {
-      ++M.DynamicFalse;
-    }
-    StaticSeen.emplace(V.staticKey(), True_);
-  }
-  M.StaticReports = StaticSeen.size();
-  for (const auto &[Key, True_] : StaticSeen) {
-    if (True_) {
-      ++M.StaticTrue;
-      M.StaticTrueKeys.push_back(Key);
-    } else {
-      ++M.StaticFalse;
-      M.StaticFalseKeys.push_back(Key);
-    }
-  }
-  // Key order would otherwise leak hash-map iteration order; sorted
-  // vectors make equal samples memberwise-equal.
-  std::sort(M.StaticTrueKeys.begin(), M.StaticTrueKeys.end());
-  std::sort(M.StaticFalseKeys.begin(), M.StaticFalseKeys.end());
 }
 
 } // namespace
@@ -127,7 +91,7 @@ SampleMetrics harness::runSample(const Workload &W,
   M.DegradedReason = H.Reason;
   M.DetectorEvictions = H.Evictions;
 
-  classify(W, D->reports(), M);
+  workloads::classifyReports(W, D->reports(), M);
   M.CusFormed = D->numCusFormed();
   M.LogEntries = D->cuLog().size();
   if (!D->cuLog().empty()) {

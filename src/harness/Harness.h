@@ -93,11 +93,12 @@ inline constexpr uint64_t RndSeedSalt = 0xABCDEF12345ULL;
 /// sample anymore (the pre-PR-4 table1 instruction-count drift).
 vm::MachineConfig machineConfigFor(const SampleConfig &C);
 
-/// Everything measured from one (workload, detector, seed) sample.
+/// Everything measured from one (workload, detector, seed) sample; the
+/// report classification comes from the workloads::ReportTally base.
 /// A plain value: producing one sample writes no state outside this
 /// struct, and all derived rates (perMillion) are computed from its own
 /// fields, so concurrent collection into distinct slots is safe.
-struct SampleMetrics {
+struct SampleMetrics : workloads::ReportTally {
   uint64_t Steps = 0;  ///< executed instructions
   /// Why the machine's run loop stopped (AllHalted on clean runs).
   vm::StopReason Stop = vm::StopReason::AllHalted;
@@ -108,26 +109,15 @@ struct SampleMetrics {
   std::string DegradedReason;
   uint64_t DetectorEvictions = 0;
   bool Manifested = false;       ///< did the known bug manifest?
-  bool DetectedBug = false;      ///< any true dynamic report?
   bool LogFoundBug = false;      ///< any true a-posteriori log entry?
-  size_t DynamicReports = 0;
-  size_t DynamicTrue = 0;
-  size_t DynamicFalse = 0;
-  size_t StaticReports = 0;
-  size_t StaticTrue = 0;
-  size_t StaticFalse = 0;
   size_t CusFormed = 0;          ///< SVD only
   size_t LogEntries = 0;         ///< SVD only (dynamic)
   size_t StaticLogEntries = 0;   ///< SVD only (deduped)
   size_t DetectorBytes = 0;
   double DetectorSeconds = 0.0;
   double BareSeconds = 0.0;      ///< only when MeasureOverhead
-  /// Static identities of the false / true reports and of the CU-log
-  /// entries (for cross-sample unions in the Table 2 bench). Sorted
-  /// ascending, so equal samples compare equal memberwise regardless of
-  /// detector-internal hash iteration order.
-  std::vector<uint64_t> StaticFalseKeys;
-  std::vector<uint64_t> StaticTrueKeys;
+  /// Static identities of the CU-log entries (for cross-sample unions
+  /// in the Table 2 bench), sorted ascending like the report keys.
   std::vector<uint64_t> StaticLogKeys;
 
   /// Reports (rates) per million executed instructions.

@@ -17,7 +17,6 @@
 #include <map>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 using namespace svd;
 using namespace svd::serve;
@@ -75,39 +74,6 @@ struct WatchdogTrip {
   uint64_t Ticks;
 };
 
-/// Classifies \p Reports against \p W's ground truth — the exact logic
-/// of the harness classifier, replicated here (and differentially
-/// pinned against harness::runSample in tests/ServeTest.cpp) so serve
-/// does not depend on src/harness.
-void classifyReports(const Workload &W,
-                     const std::vector<detect::Violation> &Reports,
-                     SessionReport &R) {
-  R.DynamicReports = Reports.size();
-  std::unordered_map<uint64_t, bool> StaticSeen;
-  for (const detect::Violation &V : Reports) {
-    bool True_ = W.isTrueReport(V);
-    if (True_) {
-      ++R.DynamicTrue;
-      R.DetectedBug = true;
-    } else {
-      ++R.DynamicFalse;
-    }
-    StaticSeen.emplace(V.staticKey(), True_);
-  }
-  R.StaticReports = StaticSeen.size();
-  for (const auto &[Key, True_] : StaticSeen) {
-    if (True_) {
-      ++R.StaticTrue;
-      R.StaticTrueKeys.push_back(Key);
-    } else {
-      ++R.StaticFalse;
-      R.StaticFalseKeys.push_back(Key);
-    }
-  }
-  std::sort(R.StaticTrueKeys.begin(), R.StaticTrueKeys.end());
-  std::sort(R.StaticFalseKeys.begin(), R.StaticFalseKeys.end());
-}
-
 /// Shared degraded-reason formatting: the serve path and the batch
 /// twin build the string through the same helpers, so budgeted parity
 /// is byte-exact.
@@ -130,7 +96,7 @@ void finishDetection(const Workload &W, const trace::ProgramTrace &T,
   pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
   cu::CuPartition CUs = cu::CuPartition::compute(T, G);
   R.CusFormed = CUs.units().size();
-  classifyReports(W, detect::detectOffline(T, CUs), R);
+  workloads::classifyReports(W, detect::detectOffline(T, CUs), R);
 }
 
 /// Derives the final outcome and degraded reason from the stream

@@ -148,8 +148,10 @@ struct ServeConfig {
   obs::Registry *Obs = nullptr;
 };
 
-/// Everything measured and decided for one session.
-struct SessionReport {
+/// Everything measured and decided for one session. The report
+/// classification comes from the workloads::ReportTally base, filled by
+/// the same classifyReports() as harness::SampleMetrics.
+struct SessionReport : workloads::ReportTally {
   uint32_t SessionId = 0;
   std::string Workload;
   uint64_t Seed = 0;
@@ -183,18 +185,9 @@ struct SessionReport {
   // differentially pinned against runSample in tests/ServeTest.cpp).
   uint64_t Steps = 0;
   bool Manifested = false;
-  bool DetectedBug = false;
   bool DetectorDegraded = false;
   std::string DegradedReason;
-  size_t DynamicReports = 0;
-  size_t DynamicTrue = 0;
-  size_t DynamicFalse = 0;
-  size_t StaticReports = 0;
-  size_t StaticTrue = 0;
-  size_t StaticFalse = 0;
   size_t CusFormed = 0;
-  std::vector<uint64_t> StaticTrueKeys;
-  std::vector<uint64_t> StaticFalseKeys;
 
   /// Canonical one-line encoding of everything detection produced, for
   /// byte-identity checks against the batch pipeline (the "fault-free

@@ -1,14 +1,18 @@
-//===- vm/DispatchLoop.cpp - Translation-cached run loop ------------------===//
+//===- vm/DispatchLoop.cpp - The ISA semantics and both run loops ---------===//
 //
-// run() body of machines with MachineConfig::Translate set: whole
-// timeslices execute as block-chained micro-op bursts out of the
-// TransCache instead of per-step fetch/decode. Determinism contract
-// (DESIGN.md section 16): every scheduling decision, PRNG draw, event,
-// counter, and piece of architectural state is bit-identical to the
-// interpreter's stepOnce() loop. The decision logic below mirrors
-// scheduleNext() draw for draw; modes that consult something on every
-// single step (replay, fault hooks, OS migration) simply fall back to
-// stepOnce(), sharing the interpreter's code instead of duplicating it.
+// The mini-ISA's semantics live here exactly once, in stepInstr(), and
+// both engines execute through it (DESIGN.md section 16):
+//
+//  * the per-step interpreter (execute(), reached via stepOnce()) fetches
+//    Prog.Threads[Cur].Code[Pc] and steps it with a zero hint byte;
+//  * the translated engine (runTranslated() and executeBurst()) steps
+//    decoded micro-ops out of the TransCache, running whole timeslices as
+//    block-chained bursts with the register file hoisted into a local.
+//
+// Scheduling is shared too: runTranslated() takes every decision through
+// scheduleNext() and only turns the decision into a burst length. Modes
+// that consult something on every single step (replay, fault hooks, OS
+// migration) run the translated machine through stepOnce() wholesale.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,82 +32,425 @@ using isa::ThreadId;
 using isa::Word;
 using support::formatString;
 
+// Defined here, inline, so runTranslated() pays no call per decision.
+[[gnu::always_inline]] inline bool
+Machine::scheduleNext(StopReason &WhyStopped) {
+  if (Steps >= Cfg.MaxSteps) {
+    WhyStopped = StopReason::StepBudget;
+    return false;
+  }
+
+  if (Replaying) {
+    if (ReplayPos >= Replay.size()) {
+      // Prefer the natural verdict when the recording covered the whole
+      // run; Paused means the recording ended mid-execution.
+      WhyStopped = finished() ? StopReason::AllHalted
+                              : StopReason::Paused;
+      return false;
+    }
+    // A recording is untrusted input: one naming a thread that cannot
+    // run here ends the run with a classified stop, never an abort.
+    ThreadId Tid = Replay[ReplayPos];
+    if (Tid >= Threads.size() || Threads[Tid].State != ThreadState::Ready) {
+      const char *Why = Tid >= Threads.size() ? "does not exist"
+                        : Threads[Tid].State == ThreadState::Blocked
+                            ? "is blocked"
+                            : "has halted";
+      StopDiagnostic = formatString(
+          "replay diverged at step %llu: the schedule names thread %u, "
+          "which %s",
+          static_cast<unsigned long long>(Steps), Tid, Why);
+      WhyStopped = StopReason::ReplayDiverged;
+      return false;
+    }
+    ++ReplayPos;
+    CurThread = Tid;
+    return true;
+  }
+
+  // Every scheduling decision consults forcePreempt — continuations,
+  // fresh slice draws, and serial-mode stays alike — so a preemption
+  // storm perturbs the whole schedule, not just mid-slice steps, and
+  // fault.preemptions counts every slice the plan cut short. At most one
+  // preemption is charged per decision: a continuation cut short below
+  // falls through to a fresh draw that is not consulted again.
+  bool AlreadyPreempted = false;
+
+  // Continue the current timeslice if possible — unless an injected
+  // preemption cuts it short (a fresh seeded draw happens below, so the
+  // perturbation stays a pure function of the step count).
+  if (SliceLeft > 0 && Threads[CurThread].State == ThreadState::Ready) {
+    if (Cfg.Faults && Cfg.Faults->forcePreempt(Steps, CurThread)) {
+      ++Counters.FaultPreemptions;
+      SliceLeft = 0;
+      AlreadyPreempted = true;
+    } else {
+      --SliceLeft;
+      return true;
+    }
+  }
+
+  // The ready list only changes when a thread blocks, wakes, or halts;
+  // every such path raises ReadyStale, so steady-state decisions reuse
+  // the buffer as-is.
+  if (ReadyStale) {
+    ReadyBuf.clear();
+    for (ThreadId Tid = 0; Tid < Threads.size(); ++Tid)
+      if (Threads[Tid].State == ThreadState::Ready)
+        ReadyBuf.push_back(Tid);
+    ReadyStale = false;
+  }
+  if (ReadyBuf.empty()) {
+    WhyStopped = finished() ? StopReason::AllHalted : StopReason::Deadlock;
+    return false;
+  }
+
+  if (Cfg.SerialMode) {
+    // Stay on the current thread while it can run — unless an injected
+    // preemption forces the round-robin advance early — otherwise move
+    // to the next runnable thread in round-robin order.
+    if (Threads[CurThread].State == ThreadState::Ready) {
+      if (!AlreadyPreempted && Cfg.Faults &&
+          Cfg.Faults->forcePreempt(Steps, CurThread)) {
+        ++Counters.FaultPreemptions;
+      } else {
+        SliceLeft = 0;
+        return true;
+      }
+    }
+    for (ThreadId Off = 1; Off <= Threads.size(); ++Off) {
+      // The wrap back to CurThread itself keeps a preempted thread
+      // running when it is the only runnable one.
+      ThreadId Tid = (CurThread + Off) % Threads.size();
+      if (Threads[Tid].State == ThreadState::Ready) {
+        CurThread = Tid;
+        SliceLeft = 0;
+        return true;
+      }
+    }
+    SVD_UNREACHABLE("the ready list was nonempty");
+  }
+
+  CurThread = ReadyBuf[Sched.nextBelow(ReadyBuf.size())];
+  uint32_t Range = Cfg.MaxTimeslice - Cfg.MinTimeslice + 1;
+  SliceLeft =
+      Cfg.MinTimeslice + static_cast<uint32_t>(Sched.nextBelow(Range)) - 1;
+  // A plan firing on the first step of a fresh slice truncates it to
+  // this single step (the draw above is still taken, so the scheduler's
+  // PRNG stream stays aligned with the fault-free run).
+  if (!AlreadyPreempted && Cfg.Faults &&
+      Cfg.Faults->forcePreempt(Steps, CurThread)) {
+    ++Counters.FaultPreemptions;
+    SliceLeft = 0;
+  }
+  return true;
+}
+
+bool Machine::stepOnce(StopReason &WhyStopped) {
+  WhyStopped = StopReason::AllHalted;
+  if (!scheduleNext(WhyStopped))
+    return false;
+  // OS-style thread migration: occasionally rebind a thread to another
+  // CPU (Section 4.3's "threads may migrate from one processor to
+  // another", which per-processor detectors cannot see).
+  if (Cfg.NumCpus != 0 && Cfg.MigrationInterval != 0 && Steps != 0 &&
+      Steps % Cfg.MigrationInterval == 0) {
+    ThreadId T =
+        static_cast<ThreadId>(Migration.nextBelow(Threads.size()));
+    CpuBinding[T] = static_cast<uint32_t>(Migration.nextBelow(Cfg.NumCpus));
+  }
+  Schedule.push_back(CurThread);
+  // Injected stall: the scheduled thread burns its step without
+  // executing (the schedule entry above keeps replays aligned).
+  if (Cfg.Faults && Cfg.Faults->stallThread(Steps, CurThread)) {
+    ++Counters.FaultStalls;
+    ++Steps;
+    return true;
+  }
+  execute();
+  ++Steps;
+  return true;
+}
+
+template <bool HasObs, typename OpT>
+[[gnu::always_inline]] inline void
+Machine::stepInstr(Thread &T, Word *Regs, const OpT &U, const EventCtx &Ctx) {
+  const uint32_t Pc = Ctx.Pc;
+  const Word A = Regs[U.Ra];
+  const Word B = Regs[U.Rb];
+
+  // Observer fan-out, erased entirely from the HasObs = false build.
+  auto Notify = [&](auto &&F) {
+    if constexpr (HasObs)
+      notifyObservers(F);
+  };
+  // Register write honouring the hardwired zero register.
+  auto SetReg = [&](Word V) {
+    if (U.Rd != isa::ZeroReg)
+      Regs[U.Rd] = V;
+  };
+  // Every executed instruction yields an event, so observers tracking
+  // control-flow reconvergence see every pc.
+  auto Next = [&] {
+    ++Counters.Alu;
+    Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
+    T.Pc = Pc + 1;
+  };
+  auto Alu = [&](Word V) {
+    SetReg(V);
+    Next();
+  };
+  auto Branch = [&](bool Taken, uint32_t Target) {
+    ++Counters.Branches;
+    Notify([&](ExecutionObserver &O) { O.onBranch(Ctx, Taken, Target); });
+    T.Pc = Target;
+  };
+  // Runtime faults are contained: classified, thread halted, rest of the
+  // run unaffected.
+  auto Fault = [&](const std::string &Msg) {
+    recordError(Ctx, Msg);
+    haltThread(Ctx);
+  };
+
+  switch (U.Op) {
+  case Opcode::Nop:
+  case Opcode::Yield:
+    return Next();
+
+  case Opcode::Li:
+    return Alu(U.Imm);
+  case Opcode::Mov:
+    return Alu(A);
+  case Opcode::Tid:
+    return Alu(Ctx.Tid);
+  case Opcode::Rnd: {
+    uint64_t V = T.Rnd.next();
+    if (U.Imm > 0)
+      V %= static_cast<uint64_t>(U.Imm);
+    return Alu(static_cast<Word>(V));
+  }
+
+  case Opcode::Add:
+    return Alu(A + B);
+  case Opcode::Sub:
+    return Alu(A - B);
+  case Opcode::Mul:
+    return Alu(A * B);
+  case Opcode::Div:
+    // INT64_MIN / -1 overflows (UB in C++); the machine defines it to
+    // wrap to INT64_MIN, consistent with its wrapping Add/Mul.
+    return Alu(B == 0                        ? 0
+               : A == INT64_MIN && B == -1 ? INT64_MIN
+                                           : A / B);
+  case Opcode::Rem:
+    return Alu(B == 0 || (A == INT64_MIN && B == -1) ? 0 : A % B);
+  case Opcode::And:
+    return Alu(A & B);
+  case Opcode::Or:
+    return Alu(A | B);
+  case Opcode::Xor:
+    return Alu(A ^ B);
+  case Opcode::Shl:
+    return Alu(A << (B & 63));
+  case Opcode::Shr:
+    return Alu(static_cast<Word>(static_cast<uint64_t>(A) >> (B & 63)));
+  case Opcode::Slt:
+    return Alu(A < B ? 1 : 0);
+  case Opcode::Sle:
+    return Alu(A <= B ? 1 : 0);
+  case Opcode::Seq:
+    return Alu(A == B ? 1 : 0);
+  case Opcode::Sne:
+    return Alu(A != B ? 1 : 0);
+
+  case Opcode::Addi:
+    return Alu(A + U.Imm);
+  case Opcode::Muli:
+    return Alu(A * U.Imm);
+  case Opcode::Andi:
+    return Alu(A & U.Imm);
+  case Opcode::Slti:
+    return Alu(A < U.Imm ? 1 : 0);
+
+  case Opcode::Ld: {
+    int64_t EA = A + U.Imm;
+    if (EA < 0 || EA >= static_cast<int64_t>(Memory.size()))
+      return Fault(formatString("fault: load from out-of-range address %lld",
+                                static_cast<long long>(EA)));
+    Word V = Memory[static_cast<Addr>(EA)];
+    SetReg(V);
+    ++Counters.Loads;
+    Notify([&](ExecutionObserver &O) {
+      O.onLoad(Ctx, static_cast<Addr>(EA), V);
+    });
+    T.Pc = Pc + 1;
+    return;
+  }
+  case Opcode::St: {
+    int64_t EA = A + U.Imm;
+    if (EA < 0 || EA >= static_cast<int64_t>(Memory.size()))
+      return Fault(formatString("fault: store to out-of-range address %lld",
+                                static_cast<long long>(EA)));
+    Memory[static_cast<Addr>(EA)] = B;
+    ++Counters.Stores;
+    Notify([&](ExecutionObserver &O) {
+      O.onStore(Ctx, static_cast<Addr>(EA), B);
+    });
+    T.Pc = Pc + 1;
+    return;
+  }
+
+  case Opcode::Cas: {
+    // The address is always absolute (validated); A holds the expected
+    // value, B the replacement.
+    Addr EA = static_cast<Addr>(U.Imm);
+    Word Cur = Memory[EA];
+    ++Counters.Loads;
+    Notify([&](ExecutionObserver &O) { O.onLoad(Ctx, EA, Cur); });
+    if (Cur == A) {
+      Memory[EA] = B;
+      SetReg(1);
+      ++Counters.Stores;
+      Notify([&](ExecutionObserver &O) { O.onStore(Ctx, EA, B); });
+    } else {
+      SetReg(0);
+    }
+    T.Pc = Pc + 1;
+    return;
+  }
+
+  case Opcode::Beqz:
+  case Opcode::Bnez: {
+    bool Taken = (U.Op == Opcode::Beqz) ? (A == 0) : (A != 0);
+    return Branch(Taken, Taken ? static_cast<uint32_t>(U.Imm) : Pc + 1);
+  }
+  case Opcode::Jmp:
+    return Branch(true, static_cast<uint32_t>(U.Imm));
+  case Opcode::Call:
+    if (T.CallStack.size() >= Cfg.MaxCallDepth)
+      return Fault(formatString("fault: call stack overflow (depth limit %u)",
+                                Cfg.MaxCallDepth));
+    // The return address Pc+1 is always in range: validation guarantees
+    // a Call is never a thread's last instruction.
+    T.CallStack.push_back(Pc + 1);
+    return Branch(true, static_cast<uint32_t>(U.Imm));
+  case Opcode::Ret: {
+    if (T.CallStack.empty())
+      return Fault("fault: ret with an empty call stack");
+    uint32_t Target = T.CallStack.back();
+    T.CallStack.pop_back();
+    return Branch(true, Target);
+  }
+
+  case Opcode::Lock: {
+    uint32_t M = static_cast<uint32_t>(U.Imm);
+    int32_t Owner = MutexOwner[M];
+    if (Owner == static_cast<int32_t>(Ctx.Tid))
+      return Fault(formatString("fault: recursive lock of mutex '%s'",
+                                Prog.Mutexes[M].c_str()));
+    if (Owner >= 0) {
+      // Contended: block; the step is consumed (a spin on the lock).
+      ++Counters.LockSpins;
+      T.State = ThreadState::Blocked;
+      ReadyStale = true;
+      MutexWaiters[M].push_back(Ctx.Tid);
+      return;
+    }
+    if (Cfg.Faults && Cfg.Faults->failLockAcquire(Ctx.Seq, Ctx.Tid, M)) {
+      // Spurious acquire failure: the step is consumed, the pc does not
+      // advance, and the thread stays Ready to retry (no owner exists
+      // to wake it from the wait queue).
+      ++Counters.FaultLockFailures;
+      return;
+    }
+    MutexOwner[M] = static_cast<int32_t>(Ctx.Tid);
+    ++Counters.LockAcquires;
+    Notify([&](ExecutionObserver &O) { O.onLock(Ctx, M); });
+    T.Pc = Pc + 1;
+    return;
+  }
+  case Opcode::Unlock: {
+    uint32_t M = static_cast<uint32_t>(U.Imm);
+    if (MutexOwner[M] != static_cast<int32_t>(Ctx.Tid))
+      return Fault(formatString("fault: unlock of mutex '%s' not held by "
+                                "thread %u",
+                                Prog.Mutexes[M].c_str(), Ctx.Tid));
+    MutexOwner[M] = -1;
+    // Wake all waiters; they re-attempt the lock when next scheduled.
+    if (!MutexWaiters[M].empty()) {
+      for (ThreadId W : MutexWaiters[M])
+        if (Threads[W].State == ThreadState::Blocked)
+          Threads[W].State = ThreadState::Ready;
+      MutexWaiters[M].clear();
+      ReadyStale = true;
+    }
+    ++Counters.Unlocks;
+    Notify([&](ExecutionObserver &O) { O.onUnlock(Ctx, M); });
+    T.Pc = Pc + 1;
+    return;
+  }
+
+  case Opcode::Assert:
+    if (A == 0)
+      return Fault(Prog.Messages[static_cast<size_t>(U.Imm)]);
+    return Next();
+  case Opcode::Print:
+    Prints.push_back({Ctx.Seq, Ctx.Tid, A});
+    ++Counters.Alu;
+    Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
+    Notify([&](ExecutionObserver &O) { O.onPrint(Ctx, A); });
+    T.Pc = Pc + 1;
+    return;
+
+  case Opcode::Halt:
+    return haltThread(Ctx);
+  }
+  SVD_UNREACHABLE("unhandled opcode");
+}
+
+void Machine::execute() {
+  Thread &T = Threads[CurThread];
+  assert(T.State == ThreadState::Ready && "scheduled a non-ready thread");
+  const isa::Instruction &I = Prog.Threads[CurThread].Code[T.Pc];
+  stepInstr<true>(T, T.Regs.data(), I,
+                  EventCtx{.Seq = Steps,
+                           .Tid = CurThread,
+                           .Cpu = CpuBinding[CurThread],
+                           .Pc = T.Pc,
+                           .Instr = &I});
+}
+
 StopReason Machine::runTranslated() {
   assert(TC && "runTranslated without a translation cache");
   StopReason R = StopReason::AllHalted;
   for (;;) {
-    // Per-step-consultation modes: take the interpreter's step, which is
-    // identical by construction (same scheduleNext/execute code paths).
-    // Replay can end mid-run via clearReplaySchedule, so this is checked
-    // every iteration, not just on entry.
+    // Per-step-consultation modes take the interpreter's step. Replay
+    // can end mid-run via clearReplaySchedule, so this is checked every
+    // iteration, not just on entry.
     if (Replaying || Cfg.Faults ||
         (Cfg.NumCpus != 0 && Cfg.MigrationInterval != 0)) {
       if (!stepOnce(R))
         return R;
       continue;
     }
+    if (!scheduleNext(R))
+      return R;
 
-    if (Steps >= Cfg.MaxSteps)
-      return StopReason::StepBudget;
-
-    // --- one scheduling decision (mirrors scheduleNext) ---------------
-    // Budget is the number of steps the decision grants before the
-    // MaxSteps cap; Unclamped keeps the slice arithmetic exact when the
-    // step budget truncates a burst (the interpreter stops mid-slice
-    // without consuming the remaining continuation decrements).
-    uint64_t Budget;
-    bool SerialBurst = false;
-    if (SliceLeft > 0 && Threads[CurThread].State == ThreadState::Ready) {
-      // Mid-slice entry (a restored checkpoint, or a mode flip while the
-      // slice was live): the continuation path grants SliceLeft more
-      // steps, decrementing one per step.
-      Budget = SliceLeft;
-    } else {
-      // The ready list only changes when a thread blocks, wakes, or
-      // halts; every such path raises ReadyStale, so steady-state
-      // decisions reuse the buffer as-is.
-      if (ReadyStale) {
-        ReadyBuf.clear();
-        for (ThreadId Tid = 0; Tid < Threads.size(); ++Tid)
-          if (Threads[Tid].State == ThreadState::Ready)
-            ReadyBuf.push_back(Tid);
-        ReadyStale = false;
-      }
-      if (ReadyBuf.empty())
-        return finished() ? StopReason::AllHalted : StopReason::Deadlock;
-      if (Cfg.SerialMode) {
-        if (Threads[CurThread].State != ThreadState::Ready) {
-          for (ThreadId Off = 1; Off <= Threads.size(); ++Off) {
-            ThreadId Tid = (CurThread + Off) % Threads.size();
-            if (Threads[Tid].State == ThreadState::Ready) {
-              CurThread = Tid;
-              break;
-            }
-          }
-        }
-        // Serial decisions deterministically stay on the running thread
-        // until it blocks or halts, so the whole stretch is one burst
-        // and SliceLeft pins at 0 exactly as the interpreter keeps it.
-        SliceLeft = 0;
-        SerialBurst = true;
-        Budget = Cfg.MaxSteps - Steps;
-      } else {
-        CurThread = ReadyBuf[Sched.nextBelow(ReadyBuf.size())];
-        uint32_t Range = Cfg.MaxTimeslice - Cfg.MinTimeslice + 1;
-        SliceLeft = Cfg.MinTimeslice +
-                    static_cast<uint32_t>(Sched.nextBelow(Range)) - 1;
-        // A fresh slice of SliceLeft = S runs S + 1 steps: one for the
-        // draw decision itself plus S continuations.
-        Budget = static_cast<uint64_t>(SliceLeft) + 1;
-      }
-    }
-
-    uint64_t Unclamped = Budget;
-    Budget = std::min(Budget, Cfg.MaxSteps - Steps);
+    // The decision covers this step; grant the rest of it as one burst.
+    // A fresh slice of SliceLeft = S runs S + 1 steps, and a continuation
+    // (decremented to L - 1) runs its remaining L. A serial decision
+    // (SliceLeft pinned at 0) stays on the thread until it blocks or
+    // halts, so the whole stretch is one burst.
+    bool Serial = Cfg.SerialMode && SliceLeft == 0;
+    uint64_t Grant = Serial ? Cfg.MaxSteps - Steps
+                            : static_cast<uint64_t>(SliceLeft) + 1;
+    uint64_t Budget = std::min(Grant, Cfg.MaxSteps - Steps);
     uint64_t N = Observers.empty() ? executeBurst<false>(Budget)
                                    : executeBurst<true>(Budget);
-    if (!SerialBurst)
-      SliceLeft = static_cast<uint32_t>(Unclamped - N);
+    // The interpreter decrements once per continuation step; a burst
+    // cut short by MaxSteps keeps the decrements it did not consume.
+    if (!Serial)
+      SliceLeft = static_cast<uint32_t>(Grant - N);
   }
 }
 
@@ -116,370 +463,21 @@ template <bool HasObs> uint64_t Machine::executeBurst(uint64_t Budget) {
   const uint32_t *BlockOf = TT.BlockOf.data();
   const TransBlock *B = Blocks + BlockOf[T.Pc];
   uint32_t EndPc = B->StartPc + B->NumOps;
-  const uint32_t Cpu = CpuBinding[CurThread];
   Word *Regs = T.Regs.data();
-  Word *Mem = Memory.data();
-  const int64_t MemSize = static_cast<int64_t>(Memory.size());
+  EventCtx Ctx;
+  Ctx.Tid = CurThread;
+  Ctx.Cpu = CpuBinding[CurThread];
   uint64_t N = 0;
-
-  // Register write helper honouring the hardwired zero register.
-  auto SetReg = [&](isa::Reg Rd, Word V) {
-    if (Rd != isa::ZeroReg)
-      Regs[Rd] = V;
-  };
-  // Observer fan-out, erased entirely from the HasObs = false build.
-  auto Notify = [&](auto &&F) {
-    if constexpr (HasObs)
-      notifyObservers(F);
-  };
 
   while (N < Budget) {
     const uint32_t Pc = T.Pc;
     const MicroOp &U = Ops[Pc];
     Schedule.push_back(CurThread);
-
-    EventCtx Ctx;
     Ctx.Seq = Steps;
-    Ctx.Tid = CurThread;
-    Ctx.Cpu = Cpu;
     Ctx.Pc = Pc;
     Ctx.Instr = U.Instr;
     Ctx.StaticHint = U.Hints;
-
-    const Word A = Regs[U.Ra];
-    const Word Bv = Regs[U.Rb];
-
-    switch (U.Op) {
-    case Opcode::Nop:
-    case Opcode::Yield:
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-
-    case Opcode::Li:
-      SetReg(U.Rd, U.Imm);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Mov:
-      SetReg(U.Rd, A);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Tid:
-      SetReg(U.Rd, CurThread);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Rnd: {
-      uint64_t V = T.Rnd.next();
-      if (U.Imm > 0)
-        V %= static_cast<uint64_t>(U.Imm);
-      SetReg(U.Rd, static_cast<Word>(V));
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    }
-
-    case Opcode::Add:
-      SetReg(U.Rd, A + Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Sub:
-      SetReg(U.Rd, A - Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Mul:
-      SetReg(U.Rd, A * Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Div:
-      // Same wrap rule as the interpreter: INT64_MIN / -1 == INT64_MIN.
-      SetReg(U.Rd, Bv == 0                       ? 0
-                   : A == INT64_MIN && Bv == -1 ? INT64_MIN
-                                                : A / Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Rem:
-      SetReg(U.Rd, Bv == 0 || (A == INT64_MIN && Bv == -1) ? 0 : A % Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::And:
-      SetReg(U.Rd, A & Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Or:
-      SetReg(U.Rd, A | Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Xor:
-      SetReg(U.Rd, A ^ Bv);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Shl:
-      SetReg(U.Rd, A << (Bv & 63));
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Shr:
-      SetReg(U.Rd,
-             static_cast<Word>(static_cast<uint64_t>(A) >> (Bv & 63)));
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Slt:
-      SetReg(U.Rd, A < Bv ? 1 : 0);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Sle:
-      SetReg(U.Rd, A <= Bv ? 1 : 0);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Seq:
-      SetReg(U.Rd, A == Bv ? 1 : 0);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Sne:
-      SetReg(U.Rd, A != Bv ? 1 : 0);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-
-    case Opcode::Addi:
-      SetReg(U.Rd, A + U.Imm);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Muli:
-      SetReg(U.Rd, A * U.Imm);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Andi:
-      SetReg(U.Rd, A & U.Imm);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Slti:
-      SetReg(U.Rd, A < U.Imm ? 1 : 0);
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-
-    case Opcode::Ld: {
-      int64_t EA = A + U.Imm;
-      if (EA < 0 || EA >= MemSize) {
-        recordError(Ctx,
-                    formatString("fault: load from out-of-range address "
-                                 "%lld",
-                                 static_cast<long long>(EA)));
-        haltThread(Ctx);
-        break;
-      }
-      Word V = Mem[static_cast<Addr>(EA)];
-      SetReg(U.Rd, V);
-      ++Counters.Loads;
-      Notify([&](ExecutionObserver &O) {
-        O.onLoad(Ctx, static_cast<Addr>(EA), V);
-      });
-      T.Pc = Pc + 1;
-      break;
-    }
-    case Opcode::St: {
-      int64_t EA = A + U.Imm;
-      if (EA < 0 || EA >= MemSize) {
-        recordError(Ctx,
-                    formatString("fault: store to out-of-range address "
-                                 "%lld",
-                                 static_cast<long long>(EA)));
-        haltThread(Ctx);
-        break;
-      }
-      Mem[static_cast<Addr>(EA)] = Bv;
-      ++Counters.Stores;
-      Notify([&](ExecutionObserver &O) {
-        O.onStore(Ctx, static_cast<Addr>(EA), Bv);
-      });
-      T.Pc = Pc + 1;
-      break;
-    }
-
-    case Opcode::Cas: {
-      Addr EA = static_cast<Addr>(U.Imm);
-      Word Cur = Mem[EA];
-      ++Counters.Loads;
-      Notify(
-          [&](ExecutionObserver &O) { O.onLoad(Ctx, EA, Cur); });
-      if (Cur == A) {
-        Mem[EA] = Bv;
-        SetReg(U.Rd, 1);
-        ++Counters.Stores;
-        Notify(
-            [&](ExecutionObserver &O) { O.onStore(Ctx, EA, Bv); });
-      } else {
-        SetReg(U.Rd, 0);
-      }
-      T.Pc = Pc + 1;
-      break;
-    }
-
-    case Opcode::Beqz:
-    case Opcode::Bnez: {
-      bool Taken = (U.Op == Opcode::Beqz) ? (A == 0) : (A != 0);
-      uint32_t Target = Taken ? static_cast<uint32_t>(U.Imm) : Pc + 1;
-      ++Counters.Branches;
-      Notify(
-          [&](ExecutionObserver &O) { O.onBranch(Ctx, Taken, Target); });
-      T.Pc = Target;
-      break;
-    }
-    case Opcode::Jmp: {
-      uint32_t Target = static_cast<uint32_t>(U.Imm);
-      ++Counters.Branches;
-      Notify(
-          [&](ExecutionObserver &O) { O.onBranch(Ctx, true, Target); });
-      T.Pc = Target;
-      break;
-    }
-    case Opcode::Call: {
-      if (T.CallStack.size() >= Cfg.MaxCallDepth) {
-        recordError(Ctx,
-                    formatString("fault: call stack overflow (depth "
-                                 "limit %u)",
-                                 Cfg.MaxCallDepth));
-        haltThread(Ctx);
-        break;
-      }
-      uint32_t Target = static_cast<uint32_t>(U.Imm);
-      T.CallStack.push_back(Pc + 1);
-      ++Counters.Branches;
-      Notify(
-          [&](ExecutionObserver &O) { O.onBranch(Ctx, true, Target); });
-      T.Pc = Target;
-      break;
-    }
-    case Opcode::Ret: {
-      if (T.CallStack.empty()) {
-        recordError(Ctx, "fault: ret with an empty call stack");
-        haltThread(Ctx);
-        break;
-      }
-      uint32_t Target = T.CallStack.back();
-      T.CallStack.pop_back();
-      ++Counters.Branches;
-      Notify(
-          [&](ExecutionObserver &O) { O.onBranch(Ctx, true, Target); });
-      T.Pc = Target;
-      break;
-    }
-
-    case Opcode::Lock: {
-      uint32_t M = static_cast<uint32_t>(U.Imm);
-      int32_t Owner = MutexOwner[M];
-      if (Owner == static_cast<int32_t>(CurThread)) {
-        recordError(Ctx,
-                    formatString("fault: recursive lock of mutex '%s'",
-                                 Prog.Mutexes[M].c_str()));
-        haltThread(Ctx);
-        break;
-      }
-      if (Owner >= 0) {
-        ++Counters.LockSpins;
-        T.State = ThreadState::Blocked;
-        ReadyStale = true;
-        MutexWaiters[M].push_back(CurThread);
-        break;
-      }
-      // Bursts never run with fault hooks attached (the loop above falls
-      // back to stepOnce), so the failLockAcquire consultation of the
-      // interpreter path is vacuous here.
-      MutexOwner[M] = static_cast<int32_t>(CurThread);
-      ++Counters.LockAcquires;
-      Notify([&](ExecutionObserver &O) { O.onLock(Ctx, M); });
-      T.Pc = Pc + 1;
-      break;
-    }
-    case Opcode::Unlock: {
-      uint32_t M = static_cast<uint32_t>(U.Imm);
-      if (MutexOwner[M] != static_cast<int32_t>(CurThread)) {
-        recordError(Ctx,
-                    formatString("fault: unlock of mutex '%s' not held "
-                                 "by thread %u",
-                                 Prog.Mutexes[M].c_str(), CurThread));
-        haltThread(Ctx);
-        break;
-      }
-      MutexOwner[M] = -1;
-      if (!MutexWaiters[M].empty()) {
-        for (ThreadId W : MutexWaiters[M])
-          if (Threads[W].State == ThreadState::Blocked)
-            Threads[W].State = ThreadState::Ready;
-        MutexWaiters[M].clear();
-        ReadyStale = true;
-      }
-      ++Counters.Unlocks;
-      Notify([&](ExecutionObserver &O) { O.onUnlock(Ctx, M); });
-      T.Pc = Pc + 1;
-      break;
-    }
-
-    case Opcode::Assert:
-      if (A == 0) {
-        recordError(Ctx, Prog.Messages[static_cast<size_t>(U.Imm)]);
-        haltThread(Ctx);
-        break;
-      }
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      T.Pc = Pc + 1;
-      break;
-    case Opcode::Print:
-      Prints.push_back({Ctx.Seq, CurThread, A});
-      ++Counters.Alu;
-      Notify([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-      Notify([&](ExecutionObserver &O) { O.onPrint(Ctx, A); });
-      T.Pc = Pc + 1;
-      break;
-
-    case Opcode::Halt:
-      haltThread(Ctx);
-      break;
-    }
-
+    stepInstr<HasObs>(T, Regs, U, Ctx);
     ++Steps;
     ++N;
 
@@ -502,6 +500,3 @@ template <bool HasObs> uint64_t Machine::executeBurst(uint64_t Budget) {
   }
   return N;
 }
-
-template uint64_t Machine::executeBurst<false>(uint64_t);
-template uint64_t Machine::executeBurst<true>(uint64_t);

@@ -5,19 +5,12 @@
 #include "obs/Obs.h"
 #include "vm/Translate.h"
 #include "support/Error.h"
-#include "support/StringUtils.h"
-
-#include <algorithm>
-#include <cassert>
 
 using namespace svd;
 using namespace svd::vm;
 using isa::Addr;
-using isa::Instruction;
-using isa::Opcode;
 using isa::ThreadId;
 using isa::Word;
-using support::formatString;
 
 FaultHooks::~FaultHooks() = default;
 
@@ -98,140 +91,7 @@ bool Machine::finished() const {
   return true;
 }
 
-EventCtx Machine::makeCtx(ThreadId Tid, uint32_t Pc,
-                          const Instruction &I) const {
-  EventCtx Ctx;
-  Ctx.Seq = Steps;
-  Ctx.Tid = Tid;
-  Ctx.Cpu = CpuBinding[Tid];
-  Ctx.Pc = Pc;
-  Ctx.Instr = &I;
-  return Ctx;
-}
-
-bool Machine::scheduleNext(StopReason &WhyStopped) {
-  if (Steps >= Cfg.MaxSteps) {
-    WhyStopped = StopReason::StepBudget;
-    return false;
-  }
-
-  if (Replaying) {
-    if (ReplayPos >= Replay.size()) {
-      // Prefer the natural verdict when the recording covered the whole
-      // run; Paused means the recording ended mid-execution.
-      WhyStopped = finished() ? StopReason::AllHalted
-                              : StopReason::Paused;
-      return false;
-    }
-    ThreadId Tid = Replay[ReplayPos++];
-    if (Tid >= Threads.size() || Threads[Tid].State != ThreadState::Ready)
-      support::fatalError(formatString(
-          "replay schedule names thread %u which is not runnable", Tid));
-    CurThread = Tid;
-    return true;
-  }
-
-  // Every scheduling decision consults forcePreempt — continuations,
-  // fresh slice draws, and serial-mode stays alike — so a preemption
-  // storm perturbs the whole schedule, not just mid-slice steps, and
-  // fault.preemptions counts every slice the plan cut short. At most one
-  // preemption is charged per decision: a continuation cut short below
-  // falls through to a fresh draw that is not consulted again.
-  bool AlreadyPreempted = false;
-
-  // Continue the current timeslice if possible — unless an injected
-  // preemption cuts it short (a fresh seeded draw happens below, so the
-  // perturbation stays a pure function of the step count).
-  if (SliceLeft > 0 && Threads[CurThread].State == ThreadState::Ready) {
-    if (Cfg.Faults && Cfg.Faults->forcePreempt(Steps, CurThread)) {
-      ++Counters.FaultPreemptions;
-      SliceLeft = 0;
-      AlreadyPreempted = true;
-    } else {
-      --SliceLeft;
-      return true;
-    }
-  }
-
-  std::vector<ThreadId> Ready;
-  for (ThreadId Tid = 0; Tid < Threads.size(); ++Tid)
-    if (Threads[Tid].State == ThreadState::Ready)
-      Ready.push_back(Tid);
-  if (Ready.empty()) {
-    WhyStopped = finished() ? StopReason::AllHalted : StopReason::Deadlock;
-    return false;
-  }
-
-  if (Cfg.SerialMode) {
-    // Stay on the current thread while it can run — unless an injected
-    // preemption forces the round-robin advance early — otherwise move
-    // to the next runnable thread in round-robin order.
-    if (Threads[CurThread].State == ThreadState::Ready) {
-      if (!AlreadyPreempted && Cfg.Faults &&
-          Cfg.Faults->forcePreempt(Steps, CurThread)) {
-        ++Counters.FaultPreemptions;
-      } else {
-        SliceLeft = 0;
-        return true;
-      }
-    }
-    for (ThreadId Off = 1; Off <= Threads.size(); ++Off) {
-      // The wrap back to CurThread itself keeps a preempted thread
-      // running when it is the only runnable one.
-      ThreadId Tid = (CurThread + Off) % Threads.size();
-      if (Threads[Tid].State == ThreadState::Ready) {
-        CurThread = Tid;
-        SliceLeft = 0;
-        return true;
-      }
-    }
-    SVD_UNREACHABLE("Ready was nonempty");
-  }
-
-  CurThread = Ready[Sched.nextBelow(Ready.size())];
-  uint32_t Range = Cfg.MaxTimeslice - Cfg.MinTimeslice + 1;
-  SliceLeft =
-      Cfg.MinTimeslice + static_cast<uint32_t>(Sched.nextBelow(Range)) - 1;
-  // A plan firing on the first step of a fresh slice truncates it to
-  // this single step (the draw above is still taken, so the scheduler's
-  // PRNG stream stays aligned with the fault-free run).
-  if (!AlreadyPreempted && Cfg.Faults &&
-      Cfg.Faults->forcePreempt(Steps, CurThread)) {
-    ++Counters.FaultPreemptions;
-    SliceLeft = 0;
-  }
-  return true;
-}
-
-bool Machine::stepOnce(StopReason &WhyStopped) {
-  ReadyStale = true; // may change thread states behind the burst loop
-  WhyStopped = StopReason::AllHalted;
-  if (!scheduleNext(WhyStopped))
-    return false;
-  // OS-style thread migration: occasionally rebind a thread to another
-  // CPU (Section 4.3's "threads may migrate from one processor to
-  // another", which per-processor detectors cannot see).
-  if (Cfg.NumCpus != 0 && Cfg.MigrationInterval != 0 && Steps != 0 &&
-      Steps % Cfg.MigrationInterval == 0) {
-    ThreadId T =
-        static_cast<ThreadId>(Migration.nextBelow(Threads.size()));
-    CpuBinding[T] = static_cast<uint32_t>(Migration.nextBelow(Cfg.NumCpus));
-  }
-  Schedule.push_back(CurThread);
-  // Injected stall: the scheduled thread burns its step without
-  // executing (the schedule entry above keeps replays aligned).
-  if (Cfg.Faults && Cfg.Faults->stallThread(Steps, CurThread)) {
-    ++Counters.FaultStalls;
-    ++Steps;
-    return true;
-  }
-  execute();
-  ++Steps;
-  return true;
-}
-
 bool Machine::stepThread(ThreadId Tid, StopReason &WhyStopped) {
-  ReadyStale = true; // may change thread states behind the burst loop
   WhyStopped = StopReason::AllHalted;
   if (Steps >= Cfg.MaxSteps) {
     WhyStopped = StopReason::StepBudget;
@@ -303,338 +163,6 @@ void Machine::haltThread(const EventCtx &Ctx) {
   notifyObservers([&](ExecutionObserver &O) { O.onThreadFinished(Ctx); });
 }
 
-void Machine::execute() {
-  Thread &T = Threads[CurThread];
-  assert(T.State == ThreadState::Ready && "scheduled a non-ready thread");
-  uint32_t Pc = T.Pc;
-  const Instruction &I = Prog.Threads[CurThread].Code[Pc];
-  EventCtx Ctx = makeCtx(CurThread, Pc, I);
-
-  // Register write helper honouring the hardwired zero register.
-  auto SetReg = [&](isa::Reg R, Word V) {
-    if (R != isa::ZeroReg)
-      T.Regs[R] = V;
-  };
-  auto NotifyAlu = [&]() {
-    ++Counters.Alu;
-    notifyObservers([&](ExecutionObserver &O) { O.onAlu(Ctx); });
-  };
-
-  Word A = T.Regs[I.Ra];
-  Word B = T.Regs[I.Rb];
-
-  switch (I.Op) {
-  case Opcode::Nop:
-  case Opcode::Yield:
-    // Every executed instruction yields an event so observers tracking
-    // control-flow reconvergence see every pc.
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-
-  case Opcode::Li:
-    SetReg(I.Rd, I.Imm);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Mov:
-    SetReg(I.Rd, A);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Tid:
-    SetReg(I.Rd, CurThread);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Rnd: {
-    uint64_t V = T.Rnd.next();
-    if (I.Imm > 0)
-      V %= static_cast<uint64_t>(I.Imm);
-    SetReg(I.Rd, static_cast<Word>(V));
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  }
-
-  case Opcode::Add:
-    SetReg(I.Rd, A + B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Sub:
-    SetReg(I.Rd, A - B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Mul:
-    SetReg(I.Rd, A * B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Div:
-    // INT64_MIN / -1 overflows (UB in C++); the machine defines it to
-    // wrap to INT64_MIN, consistent with its wrapping Add/Mul.
-    SetReg(I.Rd, B == 0                          ? 0
-                 : A == INT64_MIN && B == -1 ? INT64_MIN
-                                             : A / B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Rem:
-    SetReg(I.Rd, B == 0 || (A == INT64_MIN && B == -1) ? 0 : A % B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::And:
-    SetReg(I.Rd, A & B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Or:
-    SetReg(I.Rd, A | B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Xor:
-    SetReg(I.Rd, A ^ B);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Shl:
-    SetReg(I.Rd, A << (B & 63));
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Shr:
-    SetReg(I.Rd,
-           static_cast<Word>(static_cast<uint64_t>(A) >> (B & 63)));
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Slt:
-    SetReg(I.Rd, A < B ? 1 : 0);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Sle:
-    SetReg(I.Rd, A <= B ? 1 : 0);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Seq:
-    SetReg(I.Rd, A == B ? 1 : 0);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Sne:
-    SetReg(I.Rd, A != B ? 1 : 0);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-
-  case Opcode::Addi:
-    SetReg(I.Rd, A + I.Imm);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Muli:
-    SetReg(I.Rd, A * I.Imm);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Andi:
-    SetReg(I.Rd, A & I.Imm);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Slti:
-    SetReg(I.Rd, A < I.Imm ? 1 : 0);
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-
-  case Opcode::Ld: {
-    int64_t EA = A + I.Imm;
-    if (EA < 0 || EA >= static_cast<int64_t>(Memory.size())) {
-      recordError(Ctx, formatString("fault: load from out-of-range address "
-                                    "%lld",
-                                    static_cast<long long>(EA)));
-      haltThread(Ctx);
-      return;
-    }
-    Word V = Memory[static_cast<Addr>(EA)];
-    SetReg(I.Rd, V);
-    ++Counters.Loads;
-    notifyObservers(
-        [&](ExecutionObserver &O) { O.onLoad(Ctx, static_cast<Addr>(EA), V); });
-    T.Pc = Pc + 1;
-    return;
-  }
-  case Opcode::St: {
-    int64_t EA = A + I.Imm;
-    if (EA < 0 || EA >= static_cast<int64_t>(Memory.size())) {
-      recordError(Ctx, formatString("fault: store to out-of-range address "
-                                    "%lld",
-                                    static_cast<long long>(EA)));
-      haltThread(Ctx);
-      return;
-    }
-    Memory[static_cast<Addr>(EA)] = B;
-    ++Counters.Stores;
-    notifyObservers(
-        [&](ExecutionObserver &O) { O.onStore(Ctx, static_cast<Addr>(EA), B); });
-    T.Pc = Pc + 1;
-    return;
-  }
-
-  case Opcode::Cas: {
-    // The address is always absolute (validated); A holds the expected
-    // value, B the replacement.
-    Addr EA = static_cast<Addr>(I.Imm);
-    Word Cur = Memory[EA];
-    ++Counters.Loads;
-    notifyObservers([&](ExecutionObserver &O) { O.onLoad(Ctx, EA, Cur); });
-    if (Cur == A) {
-      Memory[EA] = B;
-      SetReg(I.Rd, 1);
-      ++Counters.Stores;
-      notifyObservers([&](ExecutionObserver &O) { O.onStore(Ctx, EA, B); });
-    } else {
-      SetReg(I.Rd, 0);
-    }
-    T.Pc = Pc + 1;
-    return;
-  }
-
-  case Opcode::Beqz:
-  case Opcode::Bnez: {
-    bool Taken = (I.Op == Opcode::Beqz) ? (A == 0) : (A != 0);
-    uint32_t Target = Taken ? static_cast<uint32_t>(I.Imm) : Pc + 1;
-    ++Counters.Branches;
-    notifyObservers(
-        [&](ExecutionObserver &O) { O.onBranch(Ctx, Taken, Target); });
-    T.Pc = Target;
-    return;
-  }
-  case Opcode::Jmp: {
-    uint32_t Target = static_cast<uint32_t>(I.Imm);
-    ++Counters.Branches;
-    notifyObservers(
-        [&](ExecutionObserver &O) { O.onBranch(Ctx, true, Target); });
-    T.Pc = Target;
-    return;
-  }
-  case Opcode::Call: {
-    if (T.CallStack.size() >= Cfg.MaxCallDepth) {
-      // Contained like any other runtime fault: classified, thread
-      // halted, rest of the run unaffected.
-      recordError(Ctx, formatString("fault: call stack overflow (depth "
-                                    "limit %u)",
-                                    Cfg.MaxCallDepth));
-      haltThread(Ctx);
-      return;
-    }
-    // The return address Pc+1 is always in range: validation guarantees
-    // a Call is never a thread's last instruction.
-    uint32_t Target = static_cast<uint32_t>(I.Imm);
-    T.CallStack.push_back(Pc + 1);
-    ++Counters.Branches;
-    notifyObservers(
-        [&](ExecutionObserver &O) { O.onBranch(Ctx, true, Target); });
-    T.Pc = Target;
-    return;
-  }
-  case Opcode::Ret: {
-    if (T.CallStack.empty()) {
-      recordError(Ctx, "fault: ret with an empty call stack");
-      haltThread(Ctx);
-      return;
-    }
-    uint32_t Target = T.CallStack.back();
-    T.CallStack.pop_back();
-    ++Counters.Branches;
-    notifyObservers(
-        [&](ExecutionObserver &O) { O.onBranch(Ctx, true, Target); });
-    T.Pc = Target;
-    return;
-  }
-
-  case Opcode::Lock: {
-    uint32_t M = static_cast<uint32_t>(I.Imm);
-    int32_t Owner = MutexOwner[M];
-    if (Owner == static_cast<int32_t>(CurThread)) {
-      recordError(Ctx, formatString("fault: recursive lock of mutex '%s'",
-                                    Prog.Mutexes[M].c_str()));
-      haltThread(Ctx);
-      return;
-    }
-    if (Owner >= 0) {
-      // Contended: block; the step is consumed (a spin on the lock).
-      ++Counters.LockSpins;
-      T.State = ThreadState::Blocked;
-      MutexWaiters[M].push_back(CurThread);
-      return;
-    }
-    if (Cfg.Faults &&
-        Cfg.Faults->failLockAcquire(Steps, CurThread, M)) {
-      // Spurious acquire failure: the step is consumed, the pc does not
-      // advance, and the thread stays Ready to retry (no owner exists
-      // to wake it from the wait queue).
-      ++Counters.FaultLockFailures;
-      return;
-    }
-    MutexOwner[M] = static_cast<int32_t>(CurThread);
-    ++Counters.LockAcquires;
-    notifyObservers([&](ExecutionObserver &O) { O.onLock(Ctx, M); });
-    T.Pc = Pc + 1;
-    return;
-  }
-  case Opcode::Unlock: {
-    uint32_t M = static_cast<uint32_t>(I.Imm);
-    if (MutexOwner[M] != static_cast<int32_t>(CurThread)) {
-      recordError(Ctx,
-                  formatString("fault: unlock of mutex '%s' not held by "
-                               "thread %u",
-                               Prog.Mutexes[M].c_str(), CurThread));
-      haltThread(Ctx);
-      return;
-    }
-    MutexOwner[M] = -1;
-    // Wake all waiters; they re-attempt the lock when next scheduled.
-    for (ThreadId W : MutexWaiters[M])
-      if (Threads[W].State == ThreadState::Blocked)
-        Threads[W].State = ThreadState::Ready;
-    MutexWaiters[M].clear();
-    ++Counters.Unlocks;
-    notifyObservers([&](ExecutionObserver &O) { O.onUnlock(Ctx, M); });
-    T.Pc = Pc + 1;
-    return;
-  }
-
-  case Opcode::Assert:
-    if (A == 0) {
-      recordError(Ctx, Prog.Messages[static_cast<size_t>(I.Imm)]);
-      haltThread(Ctx);
-      return;
-    }
-    NotifyAlu();
-    T.Pc = Pc + 1;
-    return;
-  case Opcode::Print:
-    Prints.push_back({Ctx.Seq, CurThread, A});
-    NotifyAlu();
-    notifyObservers([&](ExecutionObserver &O) { O.onPrint(Ctx, A); });
-    T.Pc = Pc + 1;
-    return;
-
-  case Opcode::Halt:
-    haltThread(Ctx);
-    return;
-  }
-  SVD_UNREACHABLE("unhandled opcode");
-}
-
 void Machine::setReplaySchedule(std::vector<ThreadId> S) {
   if (Steps != 0)
     support::fatalError("replay schedule must be set before execution");
@@ -701,5 +229,6 @@ void Machine::restore(const Checkpoint &C) {
   Replay = C.Replay;
   ReplayPos = C.ReplayPos;
   Replaying = C.Replaying;
+  StopDiagnostic.clear();
   RunEndNotified = false;
 }

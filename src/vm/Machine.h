@@ -49,6 +49,9 @@ enum class StopReason : uint8_t {
   Deadlock,    ///< all live threads are blocked on mutexes
   StepBudget,  ///< MaxSteps reached
   Paused,      ///< runUntil() predicate asked to stop
+  /// A replay schedule named a thread that cannot run at that step (see
+  /// Machine::stopDiagnostic()); recordings are untrusted input.
+  ReplayDiverged,
 };
 
 /// Scheduling and input parameters of one execution.
@@ -88,9 +91,9 @@ struct MachineConfig {
   /// re-inject identical faults.
   const FaultHooks *Faults = nullptr;
   /// Execute run() through the decode-once translation cache
-  /// (vm/Translate.h, DESIGN.md section 16) instead of the per-step
-  /// decode switch. Semantics are bit-identical to the interpreter —
-  /// same schedule, events, counters, and checkpoints — only faster.
+  /// (vm/Translate.h, DESIGN.md section 16) instead of per-step fetch.
+  /// Both engines run the same instruction step and scheduling decision,
+  /// so the schedule, events, counters, and checkpoints are identical.
   bool Translate = false;
   /// Optional pre-built translation cache to execute from (not owned;
   /// must be built over the same Program and outlive the machine).
@@ -251,13 +254,18 @@ public:
 
   /// Replays \p S: the scheduler follows the recorded choices instead of
   /// drawing random ones, then stops scheduling (run() returns). Must be
-  /// set before the first step.
+  /// set before the first step. A choice naming a thread that is not
+  /// Ready at its step stops the run with StopReason::ReplayDiverged.
   void setReplaySchedule(std::vector<isa::ThreadId> S);
 
   /// Leaves replay mode; subsequent steps use the seeded scheduler.
   /// Useful to drive a specific interleaving prefix and then finish the
   /// run normally.
   void clearReplaySchedule() { Replaying = false; }
+
+  /// Why the last run stopped with StopReason::ReplayDiverged: the step
+  /// and the thread the schedule named. Empty otherwise.
+  const std::string &stopDiagnostic() const { return StopDiagnostic; }
 
   // --- checkpoints (BER substrate) ----------------------------------------
   /// Snapshots all mutable state.
@@ -285,23 +293,33 @@ private:
     support::Xoshiro256 Rnd{0};
   };
 
-  /// Picks the next thread to run; returns false on deadlock/completion.
+  /// The one scheduling decision of both engines: picks the thread for
+  /// the next step and updates SliceLeft; returns false (setting
+  /// \p WhyStopped) on completion, deadlock, budget, or replay end.
   bool scheduleNext(StopReason &WhyStopped);
-  /// Executes one instruction of Threads[CurThread].
+  /// The interpreter's step: fetches Threads[CurThread]'s instruction
+  /// from the program and runs it through stepInstr() with a zero hint.
   void execute();
+  /// The ISA semantics, defined once (vm/DispatchLoop.cpp): executes
+  /// \p U — an isa::Instruction or a decoded vm::MicroOp — as thread
+  /// \p T's instruction at event context \p Ctx, with \p Regs hoisted
+  /// from T.Regs. Marks the ready list stale on block, wake, and halt.
+  template <bool HasObs, typename OpT>
+  void stepInstr(Thread &T, isa::Word *Regs, const OpT &U,
+                 const EventCtx &Ctx);
   /// run() body when executing through the translation cache
-  /// (vm/DispatchLoop.cpp). Bit-identical to the stepOnce() loop.
+  /// (vm/DispatchLoop.cpp): takes every decision through scheduleNext()
+  /// and runs the steps it grants as one executeBurst().
   StopReason runTranslated();
-  /// Executes up to \p Budget translated micro-ops of CurThread, stopping
-  /// early when the thread leaves the Ready state. Returns the number of
-  /// steps executed. Compiled twice: the HasObs = false instantiation
-  /// drops every observer fan-out at compile time, so bare machines (the
-  /// harness's overhead baseline) pay nothing for observability.
+  /// Executes up to \p Budget translated micro-ops of CurThread through
+  /// stepInstr(), chaining blocks, and stopping early when the thread
+  /// leaves the Ready state. Returns the number of steps executed.
+  /// Compiled twice: the HasObs = false instantiation drops every
+  /// observer fan-out at compile time, so bare machines (the harness's
+  /// overhead baseline) pay nothing for observability.
   template <bool HasObs> uint64_t executeBurst(uint64_t Budget);
   void recordError(const EventCtx &Ctx, const std::string &Msg);
   void haltThread(const EventCtx &Ctx);
-  EventCtx makeCtx(isa::ThreadId Tid, uint32_t Pc,
-                   const isa::Instruction &I) const;
   /// Fans an event out to every registered observer via the member
   /// cursor, so removeObserver() from inside a callback (an observer
   /// detaching itself, as BER does on violation) cannot skip a sibling
@@ -343,15 +361,15 @@ private:
   /// dispatch); removeObserver() adjusts it so in-callback removal of
   /// any observer keeps the fan-out loop consistent.
   ptrdiff_t NotifyCursor = -1;
+  /// Set with StopReason::ReplayDiverged; see stopDiagnostic().
+  std::string StopDiagnostic;
   /// Translation-cache execution state (null unless Cfg.Translate).
   const TransCache *TC = nullptr;
   std::unique_ptr<TransCache> OwnedCache;
-  /// Reused ready-list buffer of the translated scheduling loop.
-  /// Ready-thread ids in ascending order, reused across the translated
-  /// loop's scheduling decisions. Valid only while ReadyStale is false;
-  /// every path that changes any thread's state (or runs code that
-  /// might — the single-step fallbacks) marks it stale and the next
-  /// decision rebuilds it.
+  /// Ready-thread ids in ascending order, reused across scheduleNext()
+  /// decisions. Valid only while ReadyStale is false; every path that
+  /// changes any thread's state (stepInstr() on block, wake, and halt;
+  /// restore()) marks it stale and the next decision rebuilds it.
   std::vector<isa::ThreadId> ReadyBuf;
   bool ReadyStale = true;
 };

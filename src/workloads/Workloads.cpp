@@ -6,7 +6,9 @@
 #include "support/Rng.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
 using namespace svd;
 using namespace svd::workloads;
@@ -27,6 +29,38 @@ bool Workload::isTrueLogEntry(const detect::CuLogEntry &E) const {
   };
   return OnBugLine(E.Tid, E.Pc) || OnBugLine(E.RemoteTid, E.RemotePc) ||
          OnBugLine(E.Tid, E.LocalPc);
+}
+
+void workloads::classifyReports(const Workload &W,
+                                const std::vector<detect::Violation> &Reports,
+                                ReportTally &Out) {
+  Out.DynamicReports = Reports.size();
+  // A static key's classification is stable (same code locations), so
+  // one map from key to truth suffices.
+  std::unordered_map<uint64_t, bool> StaticSeen;
+  for (const detect::Violation &V : Reports) {
+    bool True_ = W.isTrueReport(V);
+    if (True_) {
+      ++Out.DynamicTrue;
+      Out.DetectedBug = true;
+    } else {
+      ++Out.DynamicFalse;
+    }
+    StaticSeen.emplace(V.staticKey(), True_);
+  }
+  Out.StaticReports = StaticSeen.size();
+  for (const auto &[Key, True_] : StaticSeen) {
+    if (True_) {
+      ++Out.StaticTrue;
+      Out.StaticTrueKeys.push_back(Key);
+    } else {
+      ++Out.StaticFalse;
+      Out.StaticFalseKeys.push_back(Key);
+    }
+  }
+  // Key order would otherwise leak hash-map iteration order.
+  std::sort(Out.StaticTrueKeys.begin(), Out.StaticTrueKeys.end());
+  std::sort(Out.StaticFalseKeys.begin(), Out.StaticFalseKeys.end());
 }
 
 namespace {

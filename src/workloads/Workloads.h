@@ -75,6 +75,29 @@ struct Workload {
   bool isTrueLogEntry(const detect::CuLogEntry &E) const;
 };
 
+/// Ground-truth tally of one run's detector reports: how many are true
+/// or false, dynamically and by static key. Both the sample harness and
+/// the serve daemon classify through classifyReports() into it.
+struct ReportTally {
+  bool DetectedBug = false; ///< any true dynamic report?
+  size_t DynamicReports = 0;
+  size_t DynamicTrue = 0;
+  size_t DynamicFalse = 0;
+  size_t StaticReports = 0;
+  size_t StaticTrue = 0;
+  size_t StaticFalse = 0;
+  /// Static identities of the true / false reports, sorted ascending so
+  /// equal runs compare equal memberwise regardless of detector-internal
+  /// hash iteration order.
+  std::vector<uint64_t> StaticTrueKeys;
+  std::vector<uint64_t> StaticFalseKeys;
+};
+
+/// Classifies \p Reports against \p W's ground truth into \p Out.
+void classifyReports(const Workload &W,
+                     const std::vector<detect::Violation> &Reports,
+                     ReportTally &Out);
+
 /// Sizing knobs shared by the workload constructors.
 struct WorkloadParams {
   uint32_t Threads = 4;

@@ -30,6 +30,16 @@ struct CountingObserver : ExecutionObserver {
   void onRunEnd() override { ++RunEnds; }
 };
 
+/// Runs \p Check under \p Cfg once per engine: the per-step interpreter
+/// and the translated burst loop, which share one instruction step.
+template <typename Fn> void onBothEngines(MachineConfig Cfg, Fn Check) {
+  for (bool Translate : {false, true}) {
+    SCOPED_TRACE(Translate ? "translated engine" : "interpreter");
+    Cfg.Translate = Translate;
+    Check(Cfg);
+  }
+}
+
 } // namespace
 
 TEST(Machine, ArithmeticAndPrint) {
@@ -87,13 +97,15 @@ TEST(Machine, AllAluOps) {
   print r3        ; -15
   halt
 )");
-  Machine M(P);
-  M.run();
   std::vector<Word> Want = {17, 2, 2, 4, 13, 9, 384, 0, 1, 1, 0, 1, 1, 4,
                             -15};
-  ASSERT_EQ(M.printed().size(), Want.size());
-  for (size_t I = 0; I < Want.size(); ++I)
-    EXPECT_EQ(M.printed()[I].Value, Want[I]) << "print #" << I;
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    ASSERT_EQ(M.printed().size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      EXPECT_EQ(M.printed()[I].Value, Want[I]) << "print #" << I;
+  });
 }
 
 TEST(Machine, DivisionByZeroYieldsZero) {
@@ -120,9 +132,11 @@ TEST(Machine, ZeroRegisterIsHardwired) {
   print r0
   halt
 )");
-  Machine M(P);
-  M.run();
-  EXPECT_EQ(M.printed()[0].Value, 0);
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    EXPECT_EQ(M.printed()[0].Value, 0);
+  });
 }
 
 TEST(Machine, LoadsAndStores) {
@@ -141,11 +155,13 @@ TEST(Machine, LoadsAndStores) {
   print r5
   halt
 )");
-  Machine M(P);
-  M.run();
-  EXPECT_EQ(M.printed()[0].Value, 11);
-  EXPECT_EQ(M.printed()[1].Value, 55);
-  EXPECT_EQ(M.readMem(P.addressOf("arr", 0, 2)), 55);
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    EXPECT_EQ(M.printed()[0].Value, 11);
+    EXPECT_EQ(M.printed()[1].Value, 55);
+    EXPECT_EQ(M.readMem(P.addressOf("arr", 0, 2)), 55);
+  });
 }
 
 TEST(Machine, TidAndThreadLocals) {
@@ -270,10 +286,12 @@ TEST(Machine, RecursiveLockFaults) {
   lock @m
   halt
 )");
-  Machine M(P);
-  M.run();
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_NE(M.errors()[0].Message.find("recursive"), std::string::npos);
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_NE(M.errors()[0].Message.find("recursive"), std::string::npos);
+  });
 }
 
 TEST(Machine, UnlockNotHeldFaults) {
@@ -283,9 +301,12 @@ TEST(Machine, UnlockNotHeldFaults) {
   unlock @m
   halt
 )");
-  Machine M(P);
-  M.run();
-  ASSERT_EQ(M.errors().size(), 1u);
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_NE(M.errors()[0].Message.find("not held"), std::string::npos);
+  });
 }
 
 TEST(Machine, AssertFailureRecordsErrorAndHaltsThread) {
@@ -296,11 +317,13 @@ TEST(Machine, AssertFailureRecordsErrorAndHaltsThread) {
   print r1      ; never reached
   halt
 )");
-  Machine M(P);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_EQ(M.errors()[0].Message, "boom");
-  EXPECT_TRUE(M.printed().empty());
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    EXPECT_EQ(M.run(), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_EQ(M.errors()[0].Message, "boom");
+    EXPECT_TRUE(M.printed().empty());
+  });
 }
 
 TEST(Machine, AssertPassIsSilent) {
@@ -310,9 +333,11 @@ TEST(Machine, AssertPassIsSilent) {
   assert r1, "fine"
   halt
 )");
-  Machine M(P);
-  M.run();
-  EXPECT_TRUE(M.errors().empty());
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    EXPECT_TRUE(M.errors().empty());
+  });
 }
 
 TEST(Machine, OutOfRangeAccessFaults) {
@@ -323,10 +348,12 @@ TEST(Machine, OutOfRangeAccessFaults) {
   ld r2, [r1]
   halt
 )");
-  Machine M(P);
-  M.run();
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_NE(M.errors()[0].Message.find("out-of-range"), std::string::npos);
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    M.run();
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_NE(M.errors()[0].Message.find("out-of-range"), std::string::npos);
+  });
 }
 
 TEST(Machine, SameSeedSameExecution) {
@@ -630,13 +657,15 @@ TEST(Machine, DivRemByZeroAndOverflow) {
   print r3        ; 0
   halt
 )");
-  Machine M(P);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.printed().size(), 4u);
-  EXPECT_EQ(M.printed()[0].Value, 0);
-  EXPECT_EQ(M.printed()[1].Value, 0);
-  EXPECT_EQ(M.printed()[2].Value, INT64_MIN);
-  EXPECT_EQ(M.printed()[3].Value, 0);
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    EXPECT_EQ(M.run(), StopReason::AllHalted);
+    ASSERT_EQ(M.printed().size(), 4u);
+    EXPECT_EQ(M.printed()[0].Value, 0);
+    EXPECT_EQ(M.printed()[1].Value, 0);
+    EXPECT_EQ(M.printed()[2].Value, INT64_MIN);
+    EXPECT_EQ(M.printed()[3].Value, 0);
+  });
 }
 
 TEST(Machine, RndStreamsIndependentOfSchedule) {
@@ -761,12 +790,14 @@ TEST(Machine, CallRetExecutes) {
   addi r1, r1, 11
   ret
 )");
-  Machine M(P);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.printed().size(), 1u);
-  EXPECT_EQ(M.printed()[0].Value, 42);
-  EXPECT_TRUE(M.errors().empty());
-  EXPECT_TRUE(M.callStack(0).empty());
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    EXPECT_EQ(M.run(), StopReason::AllHalted);
+    ASSERT_EQ(M.printed().size(), 1u);
+    EXPECT_EQ(M.printed()[0].Value, 42);
+    EXPECT_TRUE(M.errors().empty());
+    EXPECT_TRUE(M.callStack(0).empty());
+  });
 }
 
 TEST(Machine, NestedCallsUnwindInOrder) {
@@ -806,16 +837,18 @@ TEST(Machine, CallStackOverflowFaultIsContained) {
   call forever
   ret
 )");
-  MachineConfig Cfg;
-  Cfg.MaxCallDepth = 8;
-  Machine M(P, Cfg);
-  EXPECT_EQ(M.run(), StopReason::AllHalted);
-  ASSERT_EQ(M.errors().size(), 1u);
-  EXPECT_NE(M.errors()[0].Message.find("call stack overflow"),
-            std::string::npos);
-  EXPECT_EQ(M.errors()[0].Tid, 0);
-  ASSERT_EQ(M.printed().size(), 1u);
-  EXPECT_EQ(M.printed()[0].Value, 7);
+  MachineConfig Base;
+  Base.MaxCallDepth = 8;
+  onBothEngines(Base, [&](const MachineConfig &Cfg) {
+    Machine M(P, Cfg);
+    EXPECT_EQ(M.run(), StopReason::AllHalted);
+    ASSERT_EQ(M.errors().size(), 1u);
+    EXPECT_NE(M.errors()[0].Message.find("call stack overflow"),
+              std::string::npos);
+    EXPECT_EQ(M.errors()[0].Tid, 0);
+    ASSERT_EQ(M.printed().size(), 1u);
+    EXPECT_EQ(M.printed()[0].Value, 7);
+  });
 }
 
 TEST(Machine, CheckpointRestoreWithLiveCallStack) {

@@ -221,3 +221,55 @@ loop:
   EXPECT_EQ(Replayed.readMem(P.addressOf("x")),
             Original.readMem(P.addressOf("x")));
 }
+
+TEST(ScheduleFile, UnrunnableThreadEndsReplayOnBothEngines) {
+  // A schedule file is untrusted input. One that names a thread which
+  // does not exist, is blocked, or has halted ends the run with a
+  // classified stop and a diagnostic naming the step and the thread —
+  // never an abort — on both engines.
+  isa::Program P = isa::assembleOrDie(R"(
+.global counter
+.lock ctr_lock
+.thread worker x2
+  li r5, 8
+loop:
+  lock @ctr_lock
+  ld r1, [@counter]
+  addi r1, r1, 1
+  st r1, [@counter]
+  unlock @ctr_lock
+  addi r5, r5, -1
+  bnez r5, loop
+  halt
+)");
+  struct Case {
+    const char *Text;
+    const char *Want;
+  } Cases[] = {
+      {"svd-schedule v1\nrndseed 2\nsteps 3\n0 7 0\n",
+       "replay diverged at step 1: the schedule names thread 7, which "
+       "does not exist"},
+      {"svd-schedule v1\nrndseed 2\nsteps 5\n0*2 1*3\n",
+       "replay diverged at step 4: the schedule names thread 1, which is "
+       "blocked"},
+      {"svd-schedule v1\nrndseed 2\nsteps 200\n0*200\n",
+       "replay diverged at step 58: the schedule names thread 0, which "
+       "has halted"},
+  };
+  for (const Case &C : Cases) {
+    RecordedSchedule R;
+    std::string Error;
+    ASSERT_TRUE(parseSchedule(C.Text, R, Error)) << Error;
+    for (bool Translate : {false, true}) {
+      SCOPED_TRACE(std::string(Translate ? "translated: " : "interpreter: ") +
+                   C.Text);
+      vm::MachineConfig MC;
+      MC.RndSeed = R.RndSeed;
+      MC.Translate = Translate;
+      vm::Machine M(P, MC);
+      M.setReplaySchedule(R.Schedule);
+      EXPECT_EQ(M.run(), vm::StopReason::ReplayDiverged);
+      EXPECT_EQ(M.stopDiagnostic(), C.Want);
+    }
+  }
+}

@@ -76,6 +76,8 @@ const char *stopName(vm::StopReason R) {
     return "step-budget";
   case vm::StopReason::Paused:
     return "paused";
+  case vm::StopReason::ReplayDiverged:
+    return "replay-diverged";
   }
   return "unknown";
 }
