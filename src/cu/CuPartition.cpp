@@ -6,8 +6,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <iterator>
 
 using namespace svd;
 using namespace svd::cu;
@@ -21,10 +20,15 @@ using trace::TraceEvent;
 namespace {
 
 /// Union-find over event indices with per-root CU payload (the `active`
-/// flag and shVars set of Figure 5's CU_T).
+/// flag and shVars set of Figure 5's CU_T). A root's shVars set is a
+/// sorted vector in a pool, allocated when the root's CU first writes a
+/// shared word; most CUs never do.
 class UnionFind {
 public:
-  explicit UnionFind(size_t N) : Parent(N), Active(N, false), ShVars(N) {
+  static constexpr uint32_t NoShVars = UINT32_MAX;
+
+  explicit UnionFind(size_t N)
+      : Parent(N), Active(N, 0), ShVarsOf(N, NoShVars) {
     for (size_t I = 0; I < N; ++I)
       Parent[I] = static_cast<uint32_t>(I);
   }
@@ -44,28 +48,63 @@ public:
     B = find(B);
     if (A == B)
       return A;
-    // Union by shVars size to bound copying.
-    if (ShVars[A].size() < ShVars[B].size())
+    // Union by shVars size to bound copying. The larger set stays with
+    // the root, so when B has a pool entry A has one too.
+    if (shVarCount(A) < shVarCount(B))
       std::swap(A, B);
     Parent[B] = A;
-    Active[A] = Active[A] || Active[B];
-    ShVars[A].insert(ShVars[B].begin(), ShVars[B].end());
-    ShVars[B].clear();
+    Active[A] = Active[A] | Active[B];
+    if (ShVarsOf[B] != NoShVars) {
+      std::vector<isa::Addr> &Into = Pool[ShVarsOf[A]];
+      std::vector<isa::Addr> &From = Pool[ShVarsOf[B]];
+      Merged.clear();
+      std::set_union(Into.begin(), Into.end(), From.begin(), From.end(),
+                     std::back_inserter(Merged));
+      Into.swap(Merged);
+      From = std::vector<isa::Addr>();
+      ShVarsOf[B] = NoShVars;
+    }
     return A;
   }
 
-  bool isActive(uint32_t X) { return Active[find(X)]; }
+  bool isActive(uint32_t X) { return Active[find(X)] != 0; }
   void setActive(uint32_t X, bool V) { Active[find(X)] = V; }
   bool hasShVar(uint32_t X, isa::Addr A) {
-    return ShVars[find(X)].count(A) != 0;
+    uint32_t Idx = ShVarsOf[find(X)];
+    return Idx != NoShVars &&
+           std::binary_search(Pool[Idx].begin(), Pool[Idx].end(), A);
   }
-  void addShVar(uint32_t X, isa::Addr A) { ShVars[find(X)].insert(A); }
-  const std::set<isa::Addr> &shVars(uint32_t Root) { return ShVars[Root]; }
+  void addShVar(uint32_t X, isa::Addr A) {
+    uint32_t &Idx = ShVarsOf[find(X)];
+    if (Idx == NoShVars) {
+      Idx = static_cast<uint32_t>(Pool.size());
+      Pool.push_back({A});
+      return;
+    }
+    std::vector<isa::Addr> &Sh = Pool[Idx];
+    auto It = std::lower_bound(Sh.begin(), Sh.end(), A);
+    if (It == Sh.end() || *It != A)
+      Sh.insert(It, A);
+  }
+  /// Moves the (ascending) shVars set of \p Root out of the pool.
+  std::vector<isa::Addr> takeShVars(uint32_t Root) {
+    uint32_t Idx = ShVarsOf[Root];
+    return Idx == NoShVars ? std::vector<isa::Addr>()
+                           : std::move(Pool[Idx]);
+  }
 
 private:
   std::vector<uint32_t> Parent;
-  std::vector<bool> Active;
-  std::vector<std::set<isa::Addr>> ShVars;
+  std::vector<uint8_t> Active;
+  /// Pool index of each root's shVars set, or NoShVars when empty.
+  std::vector<uint32_t> ShVarsOf;
+  std::vector<std::vector<isa::Addr>> Pool;
+  /// Scratch output of set_union, reused across merges.
+  std::vector<isa::Addr> Merged;
+
+  size_t shVarCount(uint32_t Root) const {
+    return ShVarsOf[Root] == NoShVars ? 0 : Pool[ShVarsOf[Root]].size();
+  }
 };
 
 /// Returns true for events that are dynamic statements (CU members).
@@ -128,29 +167,27 @@ CuPartition CuPartition::compute(const ProgramTrace &T,
       UF.addShVar(E, Ev.Address);
   }
 
-  // Collect the final weakly connected components into CU records.
-  std::map<uint32_t, uint32_t> RootToUnit;
+  // Collect the final weakly connected components into CU records,
+  // numbered by first member event.
+  std::vector<uint32_t> RootToUnit(N, NoUnit);
   for (uint32_t E = 0; E < N; ++E) {
     if (!isStatement(T[E]))
       continue;
     uint32_t Root = UF.find(E);
-    auto [It, Fresh] =
-        RootToUnit.try_emplace(Root, static_cast<uint32_t>(Out.Units.size()));
-    if (Fresh) {
+    uint32_t &UnitId = RootToUnit[Root];
+    if (UnitId == NoUnit) {
+      UnitId = static_cast<uint32_t>(Out.Units.size());
       ComputationalUnit U;
-      U.Id = It->second;
+      U.Id = UnitId;
       U.Tid = T[E].Tid;
       U.BeginSeq = T[E].Seq;
+      U.SharedWrites = UF.takeShVars(Root);
       Out.Units.push_back(std::move(U));
     }
-    ComputationalUnit &U = Out.Units[It->second];
+    ComputationalUnit &U = Out.Units[UnitId];
     U.Events.push_back(E);
     U.EndSeq = std::max(U.EndSeq, T[E].Seq);
     Out.EventUnit[E] = U.Id;
-  }
-  for (auto &[Root, UnitId] : RootToUnit) {
-    const std::set<isa::Addr> &Sh = UF.shVars(Root);
-    Out.Units[UnitId].SharedWrites.assign(Sh.begin(), Sh.end());
   }
   return Out;
 }

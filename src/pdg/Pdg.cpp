@@ -32,10 +32,8 @@ const char *pdg::depKindName(DepKind K) {
 
 void DynamicPdg::addArc(const DepArc &A) {
   assert(A.From < A.To && "arcs must point forward in execution order");
-  uint32_t Idx = static_cast<uint32_t>(Arcs.size());
+  assert(A.To + 1 == InBegin.size() && "arcs must be added in To order");
   Arcs.push_back(A);
-  Incoming[A.To].push_back(Idx);
-  Outgoing[A.From].push_back(Idx);
 }
 
 size_t DynamicPdg::countArcs(DepKind K) const {
@@ -51,8 +49,9 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
   const isa::Program &P = T.program();
   uint32_t NumThreads = P.numThreads();
   size_t N = T.size();
-  G.Incoming.resize(N);
-  G.Outgoing.resize(N);
+  // The traced workloads average about two arcs per event.
+  G.Arcs.reserve(2 * N);
+  G.InBegin.reserve(N + 1);
 
   constexpr int64_t None = -1;
 
@@ -93,6 +92,7 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
   for (uint32_t E = 0; E < N; ++E) {
     const TraceEvent &Ev = T[E];
     uint32_t Tid = Ev.Tid;
+    G.InBegin.push_back(static_cast<uint32_t>(G.Arcs.size()));
 
     if (Ev.Kind == EventKind::Lock || Ev.Kind == EventKind::Unlock ||
         Ev.Kind == EventKind::ThreadEnd)
@@ -165,6 +165,7 @@ DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
     if (isa::writesRd(I.Op) && I.Rd != isa::ZeroReg)
       LastRegWriter[Tid][I.Rd] = E;
   }
+  G.InBegin.push_back(static_cast<uint32_t>(G.Arcs.size()));
 
   return G;
 }

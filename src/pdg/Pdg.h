@@ -19,6 +19,11 @@
 /// Arcs are stored as (From, To) with From executed before To, i.e. the
 /// paper's (a <- b) arc appears here as From = b, To = a.
 ///
+/// Storage is compressed sparse row: build() emits every arc while it
+/// processes the arc's To event, so arcs() is sorted by To and the arcs
+/// ending at one event form a contiguous index range, delimited by one
+/// offset per event.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SVD_PDG_PDG_H
@@ -27,6 +32,7 @@
 #include "trace/Trace.h"
 
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 namespace svd {
@@ -66,25 +72,20 @@ public:
 
   const std::vector<DepArc> &arcs() const { return Arcs; }
 
-  /// Indices into arcs() of the arcs ending at \p Event.
-  const std::vector<uint32_t> &incoming(uint32_t Event) const {
-    return Incoming[Event];
+  /// Indices into arcs() of the arcs ending at \p Event, ascending.
+  std::ranges::iota_view<uint32_t, uint32_t> incoming(uint32_t Event) const {
+    return std::views::iota(InBegin[Event], InBegin[Event + 1]);
   }
-
-  /// Indices into arcs() of the arcs starting at \p Event.
-  const std::vector<uint32_t> &outgoing(uint32_t Event) const {
-    return Outgoing[Event];
-  }
-
-  size_t numEvents() const { return Incoming.size(); }
 
   /// Number of arcs of kind \p K.
   size_t countArcs(DepKind K) const;
 
 private:
+  /// All arcs, sorted by To.
   std::vector<DepArc> Arcs;
-  std::vector<std::vector<uint32_t>> Incoming;
-  std::vector<std::vector<uint32_t>> Outgoing;
+  /// CSR offsets: the arcs ending at event E are
+  /// Arcs[InBegin[E] .. InBegin[E + 1]). Size: events + 1.
+  std::vector<uint32_t> InBegin;
 
   void addArc(const DepArc &A);
 };

@@ -4,6 +4,8 @@
 
 #include "support/StringUtils.h"
 
+#include <cassert>
+
 using namespace svd;
 using namespace svd::serve;
 
@@ -49,20 +51,6 @@ const char *serve::rejectName(Reject R) {
 
 namespace {
 
-void put8(std::vector<uint8_t> &B, uint8_t V) { B.push_back(V); }
-
-void put32(std::vector<uint8_t> &B, uint32_t V) {
-  B.push_back(static_cast<uint8_t>(V));
-  B.push_back(static_cast<uint8_t>(V >> 8));
-  B.push_back(static_cast<uint8_t>(V >> 16));
-  B.push_back(static_cast<uint8_t>(V >> 24));
-}
-
-void put64(std::vector<uint8_t> &B, uint64_t V) {
-  put32(B, static_cast<uint32_t>(V));
-  put32(B, static_cast<uint32_t>(V >> 32));
-}
-
 uint32_t get32(const uint8_t *P) {
   return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
          (static_cast<uint32_t>(P[2]) << 16) |
@@ -74,37 +62,70 @@ uint64_t get64(const uint8_t *P) {
          (static_cast<uint64_t>(get32(P + 4)) << 32);
 }
 
+constexpr uint32_t FnvOffset = 0x811c9dc5u;
+constexpr uint32_t FnvPrime = 0x01000193u;
+
 /// FNV-1a 32-bit over the first 16 header bytes and the payload. The
 /// checksum field itself (header bytes 16..19) is excluded.
 uint32_t frameChecksum(const uint8_t *Frame, size_t Size) {
-  uint32_t H = 0x811c9dc5u;
+  uint32_t H = FnvOffset;
   for (size_t I = 0; I < 16 && I < Size; ++I)
-    H = (H ^ Frame[I]) * 0x01000193u;
+    H = (H ^ Frame[I]) * FnvPrime;
   for (size_t I = FrameCodec::HeaderBytes; I < Size; ++I)
-    H = (H ^ Frame[I]) * 0x01000193u;
+    H = (H ^ Frame[I]) * FnvPrime;
   return H;
 }
 
-void putHeader(std::vector<uint8_t> &B, Opcode Op, uint32_t Session,
-               uint32_t FrameSeq, uint32_t PayloadLen) {
-  put8(B, FrameCodec::Magic0);
-  put8(B, FrameCodec::Magic1);
-  put8(B, FrameCodec::Version);
-  put8(B, static_cast<uint8_t>(Op));
-  put32(B, Session);
-  put32(B, FrameSeq);
-  put32(B, PayloadLen);
-  put32(B, 0); // checksum backpatched by sealFrame once the payload is in
-}
+/// Writes one frame front to back through a raw cursor into a buffer
+/// sized once from the payload length. Every byte except the checksum
+/// field is folded into the FNV-1a checksum as it is written, so the
+/// frame is sealed without a second pass (the value is the one
+/// frameChecksum computes over the finished frame).
+class FrameWriter {
+public:
+  FrameWriter(Opcode Op, uint32_t Session, uint32_t FrameSeq,
+              size_t PayloadLen)
+      : Bytes(FrameCodec::HeaderBytes + PayloadLen), P(Bytes.data()) {
+    put8(FrameCodec::Magic0);
+    put8(FrameCodec::Magic1);
+    put8(FrameCodec::Version);
+    put8(static_cast<uint8_t>(Op));
+    put32(Session);
+    put32(FrameSeq);
+    put32(static_cast<uint32_t>(PayloadLen));
+    P += 4; // the checksum field, filled in by seal()
+  }
 
-/// Backpatches the checksum field after the payload has been appended.
-void sealFrame(std::vector<uint8_t> &B) {
-  uint32_t C = frameChecksum(B.data(), B.size());
-  B[16] = static_cast<uint8_t>(C);
-  B[17] = static_cast<uint8_t>(C >> 8);
-  B[18] = static_cast<uint8_t>(C >> 16);
-  B[19] = static_cast<uint8_t>(C >> 24);
-}
+  void put8(uint8_t V) {
+    *P++ = V;
+    H = (H ^ V) * FnvPrime;
+  }
+  void put32(uint32_t V) {
+    put8(static_cast<uint8_t>(V));
+    put8(static_cast<uint8_t>(V >> 8));
+    put8(static_cast<uint8_t>(V >> 16));
+    put8(static_cast<uint8_t>(V >> 24));
+  }
+  void put64(uint64_t V) {
+    put32(static_cast<uint32_t>(V));
+    put32(static_cast<uint32_t>(V >> 32));
+  }
+
+  /// Stores the checksum and returns the finished frame.
+  std::vector<uint8_t> seal() {
+    assert(P == Bytes.data() + Bytes.size() && "payload length mismatch");
+    Bytes[16] = static_cast<uint8_t>(H);
+    Bytes[17] = static_cast<uint8_t>(H >> 8);
+    Bytes[18] = static_cast<uint8_t>(H >> 16);
+    Bytes[19] = static_cast<uint8_t>(H >> 24);
+    return std::move(Bytes);
+  }
+
+private:
+  std::vector<uint8_t> Bytes;
+  uint8_t *P;
+  uint32_t H = FnvOffset;
+};
 
 constexpr size_t HelloPayloadBytes = 20;
 constexpr size_t ShedPayloadBytes = 16;
@@ -113,62 +134,49 @@ constexpr size_t EndPayloadBytes = 8;
 } // namespace
 
 std::vector<uint8_t> FrameCodec::encodeHello() const {
-  std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + HelloPayloadBytes);
-  putHeader(B, Opcode::Hello, Session, /*FrameSeq=*/0, HelloPayloadBytes);
-  put32(B, Prog->numThreads());
-  put32(B, Prog->MemoryWords);
-  put32(B, static_cast<uint32_t>(Prog->Mutexes.size()));
-  put64(B, Prog->numInstructions());
-  sealFrame(B);
-  return B;
+  FrameWriter W(Opcode::Hello, Session, /*FrameSeq=*/0, HelloPayloadBytes);
+  W.put32(Prog->numThreads());
+  W.put32(Prog->MemoryWords);
+  W.put32(static_cast<uint32_t>(Prog->Mutexes.size()));
+  W.put64(Prog->numInstructions());
+  return W.seal();
 }
 
 std::vector<uint8_t> FrameCodec::encodeEvents(const trace::TraceEvent *Events,
                                               size_t Count,
                                               uint32_t FrameSeq) const {
-  std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + Count * EventBytes);
-  putHeader(B, Opcode::Events, Session, FrameSeq,
-            static_cast<uint32_t>(Count * EventBytes));
+  FrameWriter W(Opcode::Events, Session, FrameSeq, Count * EventBytes);
   for (size_t I = 0; I < Count; ++I) {
     const trace::TraceEvent &E = Events[I];
-    put64(B, E.Seq);
-    put32(B, E.Tid);
-    put32(B, E.Pc);
-    put8(B, static_cast<uint8_t>(E.Kind));
-    put32(B, E.Address);
-    put64(B, static_cast<uint64_t>(E.Value));
-    put8(B, E.Taken ? 1 : 0);
-    put32(B, E.Target);
-    put32(B, E.MutexId);
+    W.put64(E.Seq);
+    W.put32(E.Tid);
+    W.put32(E.Pc);
+    W.put8(static_cast<uint8_t>(E.Kind));
+    W.put32(E.Address);
+    W.put64(static_cast<uint64_t>(E.Value));
+    W.put8(E.Taken ? 1 : 0);
+    W.put32(E.Target);
+    W.put32(E.MutexId);
   }
-  sealFrame(B);
-  return B;
+  return W.seal();
 }
 
 std::vector<uint8_t> FrameCodec::encodeShed(uint32_t FrameSeq,
                                             uint32_t SpanFrames,
                                             uint32_t Epoch,
                                             uint64_t DroppedEvents) const {
-  std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + ShedPayloadBytes);
-  putHeader(B, Opcode::Shed, Session, FrameSeq, ShedPayloadBytes);
-  put32(B, SpanFrames);
-  put32(B, Epoch);
-  put64(B, DroppedEvents);
-  sealFrame(B);
-  return B;
+  FrameWriter W(Opcode::Shed, Session, FrameSeq, ShedPayloadBytes);
+  W.put32(SpanFrames);
+  W.put32(Epoch);
+  W.put64(DroppedEvents);
+  return W.seal();
 }
 
 std::vector<uint8_t> FrameCodec::encodeEnd(uint32_t FrameSeq,
                                            uint64_t TotalEvents) const {
-  std::vector<uint8_t> B;
-  B.reserve(HeaderBytes + EndPayloadBytes);
-  putHeader(B, Opcode::End, Session, FrameSeq, EndPayloadBytes);
-  put64(B, TotalEvents);
-  sealFrame(B);
-  return B;
+  FrameWriter W(Opcode::End, Session, FrameSeq, EndPayloadBytes);
+  W.put64(TotalEvents);
+  return W.seal();
 }
 
 DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,

@@ -165,9 +165,11 @@ struct SessionState {
   const SessionInput *In = nullptr;
   SessionReport R;
   std::optional<fault::FaultPlan> Plan;
-  /// The recorded execution (null if the producer crashed).
+  /// The recorded execution (null if the producer crashed, and released
+  /// once the wire is built).
   std::optional<trace::ProgramTrace> Trace;
   /// The full wire stream, generated once; shedding splices it.
+  /// Released when the admission loop exits.
   std::vector<WireEntry> Wire;
   bool ProducerCrashed = false;
 };
@@ -528,6 +530,9 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
     if (S.ProducerCrashed)
       return;
     buildWire(S, Cfg);
+    // The wire now carries the whole stream; the recorded trace has no
+    // further reader.
+    S.Trace.reset();
 
     // Consumer-side stream accounting is scoped to the attempt that
     // finally drains the wire: an aborted admission's partial counts
@@ -578,7 +583,7 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
           R.Diagnostic = support::formatString(
               "quarantine retry budget exhausted after %u attempts: %s",
               Attempt, E.what());
-          return;
+          break;
         }
         R.Ticks += static_cast<uint64_t>(
                        std::max<uint32_t>(Cfg.QuarantineBaseTicks, 1))
@@ -593,7 +598,7 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
               "quarantine retry budget exhausted after %u attempts: "
               "watchdog tripped at %llu ticks",
               Attempt, static_cast<unsigned long long>(W.Ticks));
-          return;
+          break;
         }
         R.Ticks += static_cast<uint64_t>(
                        std::max<uint32_t>(Cfg.QuarantineBaseTicks, 1))
@@ -601,10 +606,15 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
         ++R.Readmissions;
       }
     }
+    // Re-admissions replay the wire from the start, so it lives until
+    // the admission loop exits.
+    S.Wire = std::vector<WireEntry>();
 
-    if (R.Outcome == SessionOutcome::Poisoned) {
-      // The stream is untrusted past the first malformed frame; the
-      // session is contained, counted, and reported without analysis.
+    if (R.Outcome == SessionOutcome::Failed ||
+        R.Outcome == SessionOutcome::Poisoned) {
+      // Failed: the retry budget ran out. Poisoned: the stream is
+      // untrusted past the first malformed frame. Either way the session
+      // is contained, counted, and reported without analysis.
       return;
     }
     finishDetection(*S.In->Work, A->Trace, R);

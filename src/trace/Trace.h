@@ -99,8 +99,10 @@ private:
   const isa::Program *Prog;
   std::vector<TraceEvent> Events;
   std::vector<std::vector<uint32_t>> PerThread;
-  /// Lazily built: per address, a bitmask of the (first 64) accessing
-  /// threads plus a saturating count for more.
+  /// Lazily built: per address, the number of distinct accessing
+  /// threads saturated at 2 (0, 1, or 2 meaning shared), and in
+  /// LastThread the first accessing thread (-1 before any access), which
+  /// every later access is compared against.
   mutable std::vector<uint8_t> SharedCount;
   mutable std::vector<int32_t> LastThread;
   mutable bool SharedBuilt = false;

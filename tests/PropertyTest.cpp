@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace svd;
 using trace::EventKind;
 using trace::ProgramTrace;
@@ -252,6 +254,50 @@ TEST_P(WorkloadProperty, CuPartitionIsWellFormed) {
         T[E].Kind == EventKind::Load || T[E].Kind == EventKind::Store ||
         T[E].Kind == EventKind::Alu || T[E].Kind == EventKind::Branch;
     EXPECT_EQ(Seen[E], IsStatement);
+  }
+}
+
+TEST_P(WorkloadProperty, PdgIncomingVisitsEachArcOnce) {
+  ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
+  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
+  std::vector<uint32_t> Visits(G.arcs().size(), 0);
+  for (uint32_t E = 0; E < T.size(); ++E)
+    for (uint32_t Idx : G.incoming(E)) {
+      ASSERT_LT(Idx, G.arcs().size());
+      EXPECT_EQ(G.arcs()[Idx].To, E);
+      ++Visits[Idx];
+    }
+  for (size_t Idx = 0; Idx < Visits.size(); ++Idx)
+    ASSERT_EQ(Visits[Idx], 1u) << "arc " << Idx;
+}
+
+TEST_P(WorkloadProperty, CuSharedWritesAreTheUnitsSharedStores) {
+  ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
+  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
+  cu::CuPartition CUs = cu::CuPartition::compute(T, G);
+  for (const cu::ComputationalUnit &U : CUs.units()) {
+    for (size_t I = 1; I < U.SharedWrites.size(); ++I)
+      EXPECT_LT(U.SharedWrites[I - 1], U.SharedWrites[I]) << "CU " << U.Id;
+    std::vector<isa::Addr> Stored;
+    for (uint32_t E : U.Events)
+      if (T[E].Kind == EventKind::Store && T.isSharedAddress(T[E].Address))
+        Stored.push_back(T[E].Address);
+    std::sort(Stored.begin(), Stored.end());
+    Stored.erase(std::unique(Stored.begin(), Stored.end()), Stored.end());
+    EXPECT_EQ(U.SharedWrites, Stored) << "CU " << U.Id;
+  }
+}
+
+TEST_P(WorkloadProperty, NoCuContainsATrueSharedArc) {
+  // Definition 2: a true-shared dependence crosses a CU boundary.
+  ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
+  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
+  cu::CuPartition CUs = cu::CuPartition::compute(T, G);
+  for (const pdg::DepArc &A : G.arcs()) {
+    if (A.Kind == pdg::DepKind::TrueShared) {
+      EXPECT_NE(CUs.unitOf(A.From), CUs.unitOf(A.To))
+          << "seq " << T[A.From].Seq << " -> " << T[A.To].Seq;
+    }
   }
 }
 

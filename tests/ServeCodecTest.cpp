@@ -3,7 +3,8 @@
 // The serve ingestion gate (serve/Frame.h) treats every frame as
 // untrusted input: a malformed frame must produce exactly one
 // classified Reject — never an exception, never out-of-bounds
-// indexing, never a partial decode. This suite walks every Reject
+// indexing, never a partial decode. This suite pins the encoders'
+// exact bytes against a byte-wise reference, walks every Reject
 // reason with a hand-built or mangled frame, then fuzzes the decoder
 // with the fault layer's wire mutators to pin the never-throws
 // contract.
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 
@@ -85,6 +87,59 @@ void put32At(std::vector<uint8_t> &B, size_t Off, uint32_t V) {
   B[Off + 1] = static_cast<uint8_t>(V >> 8);
   B[Off + 2] = static_cast<uint8_t>(V >> 16);
   B[Off + 3] = static_cast<uint8_t>(V >> 24);
+}
+
+/// Appends \p V little-endian in \p Bytes bytes, one byte at a time.
+void putLE(std::vector<uint8_t> &B, uint64_t V, int Bytes) {
+  for (int I = 0; I < Bytes; ++I)
+    B.push_back(static_cast<uint8_t>(V >> (8 * I)));
+}
+
+/// Test-side byte-wise twin of the frame encoder, written from the
+/// layout in serve/Frame.h: header, \p Payload, then the checksum.
+std::vector<uint8_t> referenceFrame(Opcode Op, uint32_t Session,
+                                    uint32_t FrameSeq,
+                                    const std::vector<uint8_t> &Payload) {
+  std::vector<uint8_t> B;
+  putLE(B, 'S', 1);
+  putLE(B, 'V', 1);
+  putLE(B, 1, 1);
+  putLE(B, static_cast<uint8_t>(Op), 1);
+  putLE(B, Session, 4);
+  putLE(B, FrameSeq, 4);
+  putLE(B, Payload.size(), 4);
+  putLE(B, 0, 4);
+  B.insert(B.end(), Payload.begin(), Payload.end());
+  reseal(B);
+  return B;
+}
+
+/// The 38-byte wire records of \p Events, field by field.
+std::vector<uint8_t>
+referenceEventPayload(const std::vector<trace::TraceEvent> &Events) {
+  std::vector<uint8_t> B;
+  for (const trace::TraceEvent &E : Events) {
+    putLE(B, E.Seq, 8);
+    putLE(B, E.Tid, 4);
+    putLE(B, E.Pc, 4);
+    putLE(B, static_cast<uint8_t>(E.Kind), 1);
+    putLE(B, E.Address, 4);
+    putLE(B, static_cast<uint64_t>(E.Value), 8);
+    putLE(B, E.Taken ? 1 : 0, 1);
+    putLE(B, E.Target, 4);
+    putLE(B, E.MutexId, 4);
+  }
+  return B;
+}
+
+/// Expects \p Got == \p Want, naming the first differing byte.
+void expectSameBytes(const std::vector<uint8_t> &Got,
+                     const std::vector<uint8_t> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  auto [G, W] = std::mismatch(Got.begin(), Got.end(), Want.begin());
+  EXPECT_TRUE(G == Got.end())
+      << "first difference at byte " << (G - Got.begin()) << ": got "
+      << static_cast<unsigned>(*G) << ", want " << static_cast<unsigned>(*W);
 }
 
 /// Decodes and asserts the classified reject \p Want with a non-empty
@@ -172,6 +227,61 @@ TEST(ServeCodec, ShedAndEndRoundTrip) {
   ASSERT_TRUE(R.Ok) << R.Detail;
   EXPECT_EQ(Out.Op, Opcode::End);
   EXPECT_EQ(Out.EndTotalEvents, 123456789ull);
+}
+
+TEST(ServeCodec, EncodeEventsMatchesByteReference) {
+  // The encoder does not validate, so every field can take its extreme
+  // value: Seq up to UINT64_MAX, negative Values, both Taken values and
+  // all-ones Tid/Pc/Address/Target/MutexId.
+  isa::Program P = testProgram();
+  FrameCodec C(P, UINT32_MAX);
+  for (size_t Count : {size_t(0), size_t(1), FrameCodec::MaxEventsPerFrame}) {
+    std::vector<trace::TraceEvent> In(Count);
+    for (size_t I = 0; I < Count; ++I) {
+      trace::TraceEvent &E = In[I];
+      uint32_t Lo = static_cast<uint32_t>(I);
+      E.Seq = UINT64_MAX - (Count - 1 - I);
+      E.Tid = UINT32_MAX - Lo % 3;
+      E.Pc = UINT32_MAX - Lo;
+      E.Kind = static_cast<trace::EventKind>(
+          I % (static_cast<size_t>(trace::EventKind::ThreadEnd) + 1));
+      E.Address = UINT32_MAX ^ Lo;
+      E.Value = I % 2 ? INT64_MIN + static_cast<int64_t>(I)
+                      : -1 - static_cast<int64_t>(I);
+      E.Taken = I % 2 == 0;
+      E.Target = UINT32_MAX - 2 * Lo;
+      E.MutexId = UINT32_MAX >> (I % 32);
+    }
+    SCOPED_TRACE(Count);
+    expectSameBytes(C.encodeEvents(In.data(), Count, UINT32_MAX - 1),
+                    referenceFrame(Opcode::Events, UINT32_MAX,
+                                   UINT32_MAX - 1,
+                                   referenceEventPayload(In)));
+  }
+}
+
+TEST(ServeCodec, EncodeControlFramesMatchByteReference) {
+  isa::Program P = testProgram();
+  FrameCodec C(P, 0x01020304);
+  std::vector<uint8_t> Hello;
+  putLE(Hello, P.numThreads(), 4);
+  putLE(Hello, P.MemoryWords, 4);
+  putLE(Hello, P.Mutexes.size(), 4);
+  putLE(Hello, P.numInstructions(), 8);
+  expectSameBytes(C.encodeHello(),
+                  referenceFrame(Opcode::Hello, 0x01020304, 0, Hello));
+
+  std::vector<uint8_t> Shed;
+  putLE(Shed, UINT32_MAX, 4);
+  putLE(Shed, 7, 4);
+  putLE(Shed, UINT64_MAX - 5, 8);
+  expectSameBytes(C.encodeShed(9, UINT32_MAX, 7, UINT64_MAX - 5),
+                  referenceFrame(Opcode::Shed, 0x01020304, 9, Shed));
+
+  std::vector<uint8_t> End;
+  putLE(End, UINT64_MAX, 8);
+  expectSameBytes(C.encodeEnd(UINT32_MAX, UINT64_MAX),
+                  referenceFrame(Opcode::End, 0x01020304, UINT32_MAX, End));
 }
 
 TEST(ServeCodec, DecodeIsDeterministic) {
