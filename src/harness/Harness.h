@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The evaluation harness behind the Table 1/2 benches (Section 6's
+/// The evaluation harness behind the svd-bench suites (Section 6's
 /// methodology): run a workload under one detector for one seed (= one
 /// execution sample, the analog of the paper's execution segments),
 /// classify every dynamic report against the workload's ground truth,
@@ -86,11 +86,10 @@ inline constexpr uint64_t RndSeedSalt = 0xABCDEF12345ULL;
 
 /// THE machine-configuration derivation for an execution sample —
 /// SchedSeed = Seed, RndSeed = Seed ^ RndSeedSalt, timeslices and step
-/// budget copied — used by every path that executes a sample: runSample
-/// (and through it every svd-bench suite) and the legacy per-table
-/// bench wrappers. Table captions quoting "seed N" always mean this
-/// derivation; nothing builds a bare default-configured Machine for a
-/// sample anymore (the pre-PR-4 table1 instruction-count drift).
+/// budget copied — used by every path that executes a sample: runSample,
+/// and every svd-bench suite that builds its own Machine. Captions
+/// quoting "seed N" always mean this derivation; nothing builds a bare
+/// default-configured Machine for a seeded sample.
 vm::MachineConfig machineConfigFor(const SampleConfig &C);
 
 /// Everything measured from one (workload, detector, seed) sample; the
@@ -154,7 +153,7 @@ struct Aggregate {
   double cusPerMillion() const;
 };
 
-/// Minimal fixed-width ASCII table printer for the bench binaries.
+/// Minimal fixed-width ASCII table printer for the suites' text output.
 class TextTable {
 public:
   explicit TextTable(std::vector<std::string> Headers);

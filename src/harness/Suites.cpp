@@ -1,9 +1,9 @@
 //===- harness/Suites.cpp -------------------------------------------------===//
 //
-// Each suite body reproduces the corresponding bench main byte-for-byte
-// at the suite's default seed count: the sample loop is replaced by a
-// ParallelRunner fan-out, and accumulation walks the submission-ordered
-// results exactly as the serial loop did.
+// The table suites: Tables 1 and 2, Section 7.3, Figure 1, interproc,
+// predict, shadow and serve. Each fans its samples through a
+// ParallelRunner and folds the submission-ordered results, so text and
+// JSON output are identical at every --jobs value.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,10 +14,12 @@
 #include "cu/CuPartition.h"
 #include "harness/Harness.h"
 #include "harness/Runner.h"
+#include "harness/Studies.h"
 #include "pdg/Pdg.h"
 #include "predict/Confirm.h"
 #include "serve/Serve.h"
 #include "support/Error.h"
+#include "support/Json.h"
 #include "support/StringUtils.h"
 #include "svd/OnlineSvd.h"
 #include "trace/Trace.h"
@@ -32,45 +34,27 @@
 using namespace svd;
 using namespace svd::harness;
 using support::formatString;
+using support::jsonEscape;
 using workloads::Workload;
 
-namespace {
-
-/// Escapes \p S for inclusion in a JSON string literal.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
-
-RunnerConfig runnerConfig(const SuiteOptions &O) {
+RunnerConfig harness::runnerConfig(const SuiteOptions &O) {
   RunnerConfig RC;
   RC.Jobs = O.Jobs;
   RC.Obs = O.Obs;
   RC.Trace = O.Trace;
   return RC;
 }
+
+SampleConfig harness::sweepSample(const SuiteOptions &O, uint64_t Seed) {
+  SampleConfig C;
+  C.Seed = Seed;
+  C.MinTimeslice = 1;
+  C.MaxTimeslice = 4;
+  C.Translate = O.Translate;
+  return C;
+}
+
+namespace {
 
 // Per-suite workload construction, shared between the suite bodies and
 // suiteWorkloads(). Parameters here are THE suite parameters; the run*
@@ -508,11 +492,7 @@ int runTable2(const SuiteOptions &O) {
     for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
       SampleSpec S;
       S.Workload = &W;
-      S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
-      S.Config.Translate = O.Translate;
-      S.Config.MinTimeslice = 1;
-      S.Config.MaxTimeslice = 4;
+      S.Config = sweepSample(O, Seed);
       S.Detector = "svd";
       Specs.push_back(S);
       S.Detector = "frd";
@@ -569,6 +549,75 @@ int runTable2(const SuiteOptions &O) {
 // sec73 — Section 7.3 false-positive scaling
 //===----------------------------------------------------------------------===//
 
+/// The Section 7.3 overhead workloads (sec73 --perf).
+std::vector<Workload> sec73OverheadWorkloads() {
+  workloads::WorkloadParams P;
+  P.Threads = 4;
+  P.Iterations = 60;
+  P.WorkPadding = 40;
+  P.TouchOneIn = 4;
+  return {workloads::pgsqlOltp(P), workloads::mysqlPrepared(P),
+          workloads::lockedCounters(P), workloads::tidSlab(P)};
+}
+
+/// Section 7.3's time and space overheads on the seed-1 execution of
+/// each workload: the bare rate (best of 3), then per detector
+/// configuration its rate, its slowdown over the paired bare run and
+/// its memory. Serial by design, like the table1 perf section.
+void printSec73Perf(bool Translate) {
+  std::puts("\n== Section 7.3 perf: detector overheads (seed 1) ==\n");
+  TextTable T({"Workload", "Configuration", "Insts/s", "Slowdown",
+               "Detector KiB", "Pruned %"});
+  auto Ratio = [](double A, double B) { return B <= 0.0 ? 0.0 : A / B; };
+  for (const Workload &W : sec73OverheadWorkloads()) {
+    PerfRow R = measurePerfRow(W, Translate);
+    T.addRow({W.Name, "bare",
+              formatString("%.0f",
+                           Translate ? R.XlVmInstsPerSec : R.VmInstsPerSec),
+              "1.0x", "-", "-"});
+    analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
+    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+    detect::OnlineSvdConfig Filtered;
+    Filtered.Access = &Table;
+    detect::OnlineSvdConfig Pruned = Filtered;
+    Pruned.Proofs = &Proofs;
+    struct Config {
+      const char *Name;
+      const char *Detector;
+      const detect::OnlineSvdConfig *Svd; ///< null = detector defaults
+    };
+    const Config Configs[] = {{"svd", "svd", nullptr},
+                              {"svd+access table", "svd", &Filtered},
+                              {"svd+proofs", "svd", &Pruned},
+                              {"frd", "frd", nullptr},
+                              {"lockset", "lockset", nullptr}};
+    for (const Config &K : Configs) {
+      SampleConfig C;
+      C.Translate = Translate;
+      C.MeasureOverhead = true;
+      if (K.Svd)
+        C.Detector = std::make_shared<detect::OnlineSvdDetectorConfig>(*K.Svd);
+      SampleMetrics M = runSample(W, K.Detector, C);
+      T.addRow({W.Name, K.Name,
+                formatString("%.0f", Ratio(static_cast<double>(M.Steps),
+                                           M.DetectorSeconds)),
+                formatString("%.1fx", Ratio(M.DetectorSeconds, M.BareSeconds)),
+                // Lockset does not report its memory.
+                M.DetectorBytes == 0
+                    ? "-"
+                    : formatString("%.1f",
+                                   static_cast<double>(M.DetectorBytes) / 1024),
+                K.Svd == &Pruned ? formatString("%.2f", R.prunedPct()) : "-"});
+    }
+  }
+  std::fputs(T.render().c_str(), stdout);
+  std::puts("\nsvd+access table skips provably thread-local accesses;\n"
+            "svd+proofs also skips the accesses of statically proven\n"
+            "atomic CUs (Pruned %). Reports are identical in every SVD\n"
+            "configuration. Insts/s and Slowdown are wall-clock and vary\n"
+            "from run to run; Detector KiB and Pruned % are deterministic.");
+}
+
 int runSec73(const SuiteOptions &O) {
   unsigned Seeds = O.Seeds ? O.Seeds : 4;
   std::vector<Workload> Ws = sec73SuiteWorkloads();
@@ -579,11 +628,7 @@ int runSec73(const SuiteOptions &O) {
     for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
       SampleSpec S;
       S.Workload = &W;
-      S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
-      S.Config.Translate = O.Translate;
-      S.Config.MinTimeslice = 1;
-      S.Config.MaxTimeslice = 4;
+      S.Config = sweepSample(O, Seed);
       S.Detector = "svd";
       Specs.push_back(S);
       S.Detector = "frd";
@@ -651,6 +696,8 @@ int runSec73(const SuiteOptions &O) {
   std::puts("grows roughly linearly with length (a roughly constant");
   std::puts("per-million rate), and FRD stays at zero on the race-free");
   std::puts("program.");
+  if (O.Perf)
+    printSec73Perf(O.Translate);
   return 0;
 }
 
@@ -741,11 +788,7 @@ int runInterproc(const SuiteOptions &O) {
     for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
       SampleSpec S;
       S.Workload = &W;
-      S.Config.Seed = Seed;
-    S.Config.Translate = O.Translate;
-      S.Config.Translate = O.Translate;
-      S.Config.MinTimeslice = 1;
-      S.Config.MaxTimeslice = 4;
+      S.Config = sweepSample(O, Seed);
       S.Detector = "svd";
       Specs.push_back(S);
       S.Detector = "frd";
@@ -1122,24 +1165,28 @@ int runServeSuite(const SuiteOptions &O) {
 } // namespace
 
 const std::vector<Suite> &harness::suites() {
-  static const std::vector<Suite> Suites = {
-      {"table1", "Table 1 test-program inventory", runTable1},
-      {"table2", "Table 2 SVD-vs-FRD evaluation (the headline table)",
-       runTable2},
-      {"sec73", "Section 7.3 false-positive growth vs execution length",
-       runSec73},
-      {"fig1", "Figure 1 benign table-lock race + CU dump", runFig1},
-      {"interproc", "function-structured workloads (Call/Ret) under "
-                    "SVD and FRD",
-       runInterproc},
-      {"predict", "svd-predict static-vs-confirmed report", runPredict},
-      {"shadow", "large-footprint heaps (millions of addresses) on the "
-                 "paged shadow-state layer",
-       runShadow},
-      {"serve", "streaming detection daemon (svd-serve) throughput vs "
-                "shard count",
-       runServeSuite},
-  };
+  static const std::vector<Suite> Suites = [] {
+    std::vector<Suite> S = {
+        {"table1", "Table 1 test-program inventory", runTable1},
+        {"table2", "Table 2 SVD-vs-FRD evaluation (the headline table)",
+         runTable2},
+        {"sec73", "Section 7.3 FP growth vs length (--perf: overheads)",
+         runSec73},
+        {"fig1", "Figure 1 benign table-lock race + CU dump", runFig1},
+        {"interproc", "function-structured workloads (Call/Ret) under "
+                      "SVD and FRD",
+         runInterproc},
+        {"predict", "svd-predict static-vs-confirmed report", runPredict},
+        {"shadow", "large-footprint heaps (millions of addresses) on the "
+                   "paged shadow-state layer",
+         runShadow},
+        {"serve", "streaming detection daemon (svd-serve) throughput vs "
+                  "shard count",
+         runServeSuite},
+    };
+    S.insert(S.end(), studySuites().begin(), studySuites().end());
+    return S;
+  }();
   return Suites;
 }
 

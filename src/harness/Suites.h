@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper-table benches (Table 1/2, Section 7.3, Figure 1, the
-/// svd-predict report) as named suites behind one entry point, so
-/// svd-bench can select them by name and every suite shares the same
-/// --jobs/--seeds/--json handling. Each suite fans its samples through
-/// harness::ParallelRunner; output is bit-identical for every Jobs
-/// value, and JSON output contains no timing or thread-count fields so
-/// runs at different --jobs diff clean.
+/// Every paper experiment as a named suite behind one entry point,
+/// svd-bench --suite NAME, so all of them share the same
+/// --jobs/--seeds/--json/--translate handling and the same seed
+/// derivation (machineConfigFor). Output is bit-identical for every
+/// Jobs value. The table suites (Suites.cpp) also emit JSON with no
+/// timing or thread-count fields; the paper-study suites (Studies.cpp)
+/// print text only and reject --json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,17 +36,19 @@ struct SuiteOptions {
   /// Worker threads for the sample fan-out; 0 = hardware concurrency.
   unsigned Jobs = 1;
   /// Seeds per row; 0 = the suite's paper-default count. Suites without
-  /// a seed sweep (table1, predict) ignore it.
+  /// a seed sweep (table1, predict, fig4) ignore it.
   unsigned Seeds = 0;
   /// Emit a machine-readable JSON document instead of the text tables.
   bool Json = false;
-  /// table1 only: add a per-row performance section — instructions per
-  /// second under the online detector with both static proofs wired in
-  /// (access table + CU atomicity proofs), plus the deterministic event
-  /// and pruned-event counts. Everything except insts_per_sec is a pure
-  /// function of the workload (tools/bench_diff compares those fields
-  /// exactly against the committed BENCH_table1.json baseline and
-  /// treats the wall-clock rate as advisory).
+  /// table1, shadow, serve, sec73 and exact: add a performance section.
+  /// table1's reports instructions per second under the online detector
+  /// with both static proofs wired in (access table + CU atomicity
+  /// proofs), plus the deterministic event and pruned-event counts.
+  /// Everything except insts_per_sec is a pure function of the workload
+  /// (tools/bench_diff compares those fields exactly against the
+  /// committed BENCH_table1.json baseline and treats the wall-clock rate
+  /// as advisory). sec73's is the Section 7.3 overhead table (text
+  /// only); exact's adds the wall-clock cost of each test.
   bool Perf = false;
   /// Run every execution sample (and the --perf measurements) through
   /// the decode-once translation cache (vm/Translate.h). Deterministic
@@ -69,7 +71,8 @@ struct Suite {
   int (*Run)(const SuiteOptions &O);
 };
 
-/// All registered suites, in display order.
+/// All registered suites, in display order: the table suites, then the
+/// paper studies.
 const std::vector<Suite> &suites();
 
 /// Finds a suite by name; null when unknown.

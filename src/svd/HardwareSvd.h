@@ -17,7 +17,7 @@
 ///  * detector block = cache line; the per-block FSM state and CU
 ///    reference live *in the line* — evicting a line loses its
 ///    metadata, exactly as finite hardware would (a source of missed
-///    detections the bench/hw_svd experiment quantifies);
+///    detections the `svd-bench --suite hwsvd` study quantifies);
 ///  * remote accesses are observed through coherence messages: a CPU
 ///    learns of a remote write from the invalidation that reaches its
 ///    copy and of a remote read from the M/E downgrade — silent remote

@@ -134,7 +134,7 @@ struct OnlineSvdConfig {
   /// threads with processors" — by keying all per-thread state on
   /// EventCtx::Cpu instead; must match MachineConfig::NumCpus. With
   /// migration or CPU sharing, distinct threads' streams then blend in
-  /// one state lane, the approximation error bench/migration_study
+  /// one state lane, the approximation error `--suite migration`
   /// quantifies.
   uint32_t NumCpus = 0;
 

@@ -21,7 +21,7 @@
 ///
 /// Comparing this exact test against the strict-2PL scan (Figure 6)
 /// quantifies how many of the offline algorithm's reports are
-/// 2PL-artifacts (see bench/exact_vs_2pl).
+/// 2PL-artifacts (see `svd-bench --suite exact`).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,6 +1,6 @@
 //===- tools/svd_bench.cpp - Parallel benchmark suite driver --------------===//
 //
-// Runs the paper-table suites (harness/Suites.h) behind one front end,
+// Runs every paper experiment (harness/Suites.h) behind one front end,
 // fanning execution samples across a thread pool:
 //
 //   svd-bench --suite NAME [--jobs N] [--seeds N] [--json]
@@ -14,8 +14,9 @@
 // its "timings" section and the whole --trace-out file are wall-clock
 // and excluded from comparisons (DESIGN.md section 10).
 //
-// Exit status: 0 on success, 2 on usage errors, an unknown suite, or an
-// unwritable output file.
+// Exit status: 0 on success, 1 when fig2/fig3 find no erroneous seed,
+// 2 on usage errors (including --json for a text-only suite), an
+// unknown suite, or an unwritable output file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +27,9 @@
 #include "support/Error.h"
 #include "support/Json.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 using namespace svd;
@@ -42,9 +45,9 @@ const char *Usage =
     "  --seeds N            seeds per table row (default: the suite's\n"
     "                       paper-default count)\n"
     "  --json               emit a JSON document instead of the text tables\n"
-    "  --perf               table1/shadow: add a performance section\n"
-    "                       (insts/s under OnlineSvd, plus deterministic\n"
-    "                       event / pruned-event / shadow-page counts)\n"
+    "  --perf               table1, shadow, serve, sec73, exact: add a\n"
+    "                       performance section (wall-clock rates next to\n"
+    "                       deterministic event / shadow-page counts)\n"
     "  --translate          execute samples through the decode-once\n"
     "                       translation cache (vm/Translate.h); outputs\n"
     "                       are bit-identical, and --perf additionally\n"
@@ -95,8 +98,11 @@ int main(int Argc, char **Argv) {
     return P.usageError();
 
   if (List) {
+    int Width = 0;
     for (const harness::Suite &S : harness::suites())
-      std::printf("%-8s %s\n", S.Name, S.Description);
+      Width = std::max(Width, static_cast<int>(std::strlen(S.Name)));
+    for (const harness::Suite &S : harness::suites())
+      std::printf("%-*s %s\n", Width, S.Name, S.Description);
     return support::ExitClean;
   }
 
