@@ -53,37 +53,7 @@ namespace fault {
 class FaultPlan;
 } // namespace fault
 
-namespace analysis {
-class AccessTable;
-class CuProofs;
-} // namespace analysis
-
 namespace detect {
-
-/// The detector-family-independent state knobs, shared by every
-/// detector that keeps per-address shadow state (shadow/Shadow.h).
-/// Regularizes what used to live as scattered per-config fields: the
-/// PR 5 eviction budget and the PR 6 proof-prune inputs travel together
-/// because the shadow layer consumes all of them.
-struct StateBudget {
-  /// Upper bound on the detector's live state, in detector-defined
-  /// entries (CUs for the SVD family, recorded events for the offline
-  /// path) rather than bytes, so the budget is deterministic across
-  /// hosts and allocators. 0 (default) means unbounded. A detector
-  /// over budget evicts deterministically and raises its Degraded flag
-  /// instead of growing without bound — see Detector::health().
-  uint64_t MaxStateEntries = 0;
-
-  /// Static thread-local access classification; detectors that support
-  /// access filtering skip provably local accesses. Null disables.
-  /// Not owned; must outlive every sample it is handed to.
-  const analysis::AccessTable *Access = nullptr;
-
-  /// Static CU atomicity proofs; detectors that support proof pruning
-  /// skip events inside proven-serializable units. Null disables.
-  /// Not owned; must outlive every sample it is handed to.
-  const analysis::CuProofs *Proofs = nullptr;
-};
 
 /// Opaque per-detector configuration. Concrete configs subclass this in
 /// the detector's own header; consumers pass them around by pointer
@@ -97,22 +67,13 @@ public:
   virtual const char *detectorName() const = 0;
   virtual std::unique_ptr<DetectorConfig> clone() const = 0;
 
-  /// The shared state knobs every shadow-backed detector consumes.
-  StateBudget Budget;
-
-  /// Deprecated alias of Budget.MaxStateEntries, kept so existing CLI
-  /// plumbing and goldens (svd-chaos --budget) keep working. Consumed
-  /// only when Budget.MaxStateEntries is unset; see effectiveBudget().
+  /// Upper bound on the detector's live state, in detector-defined
+  /// entries (CUs for the SVD family, recorded events for the offline
+  /// path) rather than bytes, so the budget is deterministic across
+  /// hosts and allocators. 0 (default) means unbounded. A detector
+  /// over budget evicts deterministically and raises its Degraded flag
+  /// instead of growing without bound — see Detector::health().
   uint64_t MaxStateEntries = 0;
-
-  /// Budget with the deprecated aliases folded in: the new Budget
-  /// fields win when set, the legacy flat fields backfill otherwise.
-  StateBudget effectiveBudget() const {
-    StateBudget B = Budget;
-    if (B.MaxStateEntries == 0)
-      B.MaxStateEntries = MaxStateEntries;
-    return B;
-  }
 };
 
 /// Degradation status of one detector instance (valid after finish()).

@@ -12,6 +12,8 @@
 #include "harness/Harness.h"
 #include "harness/Runner.h"
 #include "isa/Assembler.h"
+#include "svd/HardwareSvd.h"
+#include "svd/OfflineDetector.h"
 #include "svd/OnlineSvd.h"
 #include "trace/Trace.h"
 #include "vm/Machine.h"
@@ -20,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 using namespace svd;
@@ -191,23 +195,33 @@ TEST(FaultPlan, DefaultMatrixCyclesWithFreshSeeds) {
   EXPECT_NE(Seven[5].PlanSeed, Seven[0].PlanSeed);
 }
 
-TEST(DetectorBudget, OnlineSvdDegradesGracefullyAndStays) {
+// DetectorConfig::MaxStateEntries is the one budget knob: every
+// budgeted detector must honour it through its registry factory.
+TEST(DetectorBudget, EveryBudgetedDetectorDegradesGracefullyAndStays) {
   Workload W = smallWorkload();
-  harness::SampleConfig Unbounded;
-  harness::SampleMetrics Clean = harness::runSample(W, "svd", Unbounded);
-  EXPECT_FALSE(Clean.DetectorDegraded);
-  EXPECT_GT(Clean.CusFormed, 4u);
+  const std::pair<const char *, std::shared_ptr<detect::DetectorConfig>>
+      Detectors[] = {
+          {"svd", std::make_shared<detect::OnlineSvdDetectorConfig>()},
+          {"hwsvd", std::make_shared<detect::HardwareSvdDetectorConfig>()},
+          {"offline", std::make_shared<detect::OfflineDetectorConfig>()},
+      };
+  for (const auto &[Name, Cfg] : Detectors) {
+    SCOPED_TRACE(Name);
+    harness::SampleConfig Unbounded;
+    harness::SampleMetrics Clean = harness::runSample(W, Name, Unbounded);
+    EXPECT_FALSE(Clean.DetectorDegraded);
+    EXPECT_GT(Clean.CusFormed, 4u);
 
-  auto Cfg = std::make_shared<detect::OnlineSvdDetectorConfig>();
-  Cfg->MaxStateEntries = 2;
-  harness::SampleConfig Budgeted;
-  Budgeted.Detector = Cfg;
-  harness::SampleMetrics M = harness::runSample(W, "svd", Budgeted);
-  EXPECT_TRUE(M.DetectorDegraded);
-  EXPECT_GT(M.DetectorEvictions, 0u);
-  EXPECT_FALSE(M.DegradedReason.empty());
-  // The budget bounds live state, not the run: execution completes.
-  EXPECT_EQ(M.Steps, Clean.Steps);
+    Cfg->MaxStateEntries = 2;
+    harness::SampleConfig Budgeted;
+    Budgeted.Detector = Cfg;
+    harness::SampleMetrics M = harness::runSample(W, Name, Budgeted);
+    EXPECT_TRUE(M.DetectorDegraded);
+    EXPECT_GT(M.DetectorEvictions, 0u);
+    EXPECT_FALSE(M.DegradedReason.empty());
+    // The budget bounds live state, not the run: execution completes.
+    EXPECT_EQ(M.Steps, Clean.Steps);
+  }
 }
 
 TEST(GuardedRunner, InvalidSpecsAreClassifiedNotFatal) {

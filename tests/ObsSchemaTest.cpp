@@ -91,10 +91,10 @@ TEST(ObsSchema, EveryExportedInstrumentIsDocumented) {
   }
 
   // Degradation counters only appear on degraded samples; force one
-  // with a tiny state budget through the shared StateBudget plumbing.
+  // with a tiny state budget through DetectorConfig::MaxStateEntries.
   {
     auto DC = std::make_shared<detect::OnlineSvdDetectorConfig>();
-    DC->Budget.MaxStateEntries = 2;
+    DC->MaxStateEntries = 2;
     SampleConfig C;
     C.Seed = 3;
     C.Obs = &R;

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 using namespace svd;
 using namespace svd::detect;
 using isa::assembleOrDie;
@@ -71,6 +73,79 @@ const char *RmwSource = R"(
 //===----------------------------------------------------------------------===//
 // Figure 2: erroneous interleavings are detected.
 //===----------------------------------------------------------------------===//
+
+// The Figure 8 transition table documented in svd/OnlineSvd.h, checked
+// cell by cell against the transition functions of the shared core
+// (svd/CuCore.h) that OnlineSvd and HardwareSvd both run.
+TEST(OnlineSvd, SharedFsmMatchesDocumentedTransitionTable) {
+  using F = Fsm;
+  const char *const StateNames[] = {"Idle",         "Loaded",
+                                    "Stored",       "Loaded_Shared",
+                                    "Stored_Shared", "True_Dep"};
+  const char *const AccessNames[] = {"local load", "local store",
+                                     "remote read", "remote write"};
+  // One row per state, in Fsm order; columns as in AccessNames.
+  const FsmStep Table[6][4] = {
+      /* Idle */
+      {{F::Loaded, false, false},
+       {F::Stored, false, false},
+       {F::Idle, false, false},
+       {F::Idle, false, false}},
+      /* Loaded */
+      {{F::Loaded, false, false},
+       {F::Stored, false, false},
+       {F::LoadedShared, false, false},
+       {F::LoadedShared, false, true}},
+      /* Stored */
+      {{F::TrueDep, false, false},
+       {F::Stored, false, false},
+       {F::StoredShared, false, true},
+       {F::StoredShared, false, true}},
+      /* Loaded_Shared */
+      {{F::LoadedShared, false, false},
+       {F::StoredShared, false, false},
+       {F::LoadedShared, false, false},
+       {F::LoadedShared, false, true}},
+      /* Stored_Shared: a local load is a shared dependence */
+      {{F::Loaded, true, false},
+       {F::StoredShared, false, false},
+       {F::StoredShared, false, true},
+       {F::StoredShared, false, true}},
+      /* True_Dep: any remote access is a shared dependence */
+      {{F::TrueDep, false, false},
+       {F::TrueDep, false, false},
+       {F::Idle, true, true},
+       {F::Idle, true, true}},
+  };
+
+  unsigned Endings = 0, Conflicts = 0;
+  for (unsigned S = 0; S < 6; ++S) {
+    F State = static_cast<F>(S);
+    const FsmStep Got[4] = {fsmLocalLoad(State), fsmLocalStore(State),
+                            fsmRemote(State, /*IsWrite=*/false),
+                            fsmRemote(State, /*IsWrite=*/true)};
+    for (unsigned A = 0; A < 4; ++A) {
+      const FsmStep &Want = Table[S][A];
+      SCOPED_TRACE(std::string(StateNames[S]) + " x " + AccessNames[A]);
+      EXPECT_EQ(static_cast<unsigned>(Got[A].Next),
+                static_cast<unsigned>(Want.Next));
+      EXPECT_EQ(Got[A].EndsCu, Want.EndsCu);
+      EXPECT_EQ(Got[A].Conflict, Want.Conflict);
+      // Only remote accesses conflict; local ones never do.
+      if (A < 2) {
+        EXPECT_FALSE(Got[A].Conflict);
+      }
+      Endings += Got[A].EndsCu;
+      Conflicts += Got[A].Conflict;
+    }
+  }
+  // Two shared dependences end a CU: a load on Stored_Shared and a
+  // remote access (read or write) on True_Dep.
+  EXPECT_EQ(Endings, 3u);
+  // Remote writes conflict on all five engaged states; remote reads
+  // only on the three the lane wrote.
+  EXPECT_EQ(Conflicts, 8u);
+}
 
 TEST(OnlineSvd, DetectsInterleavedRmw) {
   isa::Program P = assembleOrDie(RmwSource);

@@ -61,7 +61,6 @@ struct Options {
 bool parseArgs(int Argc, char **Argv, Options &O) {
   support::ArgParser P(Usage);
   P.flag("--dead-stores", &O.Lint.DeadWrites);
-  P.flag("--dead-writes", &O.Lint.DeadWrites); // legacy alias
   P.flag("--no-uninit", &O.Lint.UninitReads, false);
   P.flag("--no-lockset", &O.Lint.Lockset, false);
   P.flag("--escape", &O.Escape);
