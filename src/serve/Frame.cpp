@@ -2,9 +2,12 @@
 
 #include "serve/Frame.h"
 
+#include "support/Crc32c.h"
 #include "support/StringUtils.h"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 using namespace svd;
 using namespace svd::serve;
@@ -51,36 +54,33 @@ const char *serve::rejectName(Reject R) {
 
 namespace {
 
+static_assert(std::endian::native == std::endian::little,
+              "frame fields are stored and loaded as native words");
+
 uint32_t get32(const uint8_t *P) {
-  return static_cast<uint32_t>(P[0]) | (static_cast<uint32_t>(P[1]) << 8) |
-         (static_cast<uint32_t>(P[2]) << 16) |
-         (static_cast<uint32_t>(P[3]) << 24);
+  uint32_t V;
+  std::memcpy(&V, P, sizeof V);
+  return V;
 }
 
 uint64_t get64(const uint8_t *P) {
-  return static_cast<uint64_t>(get32(P)) |
-         (static_cast<uint64_t>(get32(P + 4)) << 32);
+  uint64_t V;
+  std::memcpy(&V, P, sizeof V);
+  return V;
 }
 
-constexpr uint32_t FnvOffset = 0x811c9dc5u;
-constexpr uint32_t FnvPrime = 0x01000193u;
-
-/// FNV-1a 32-bit over the first 16 header bytes and the payload. The
+/// CRC-32C over the first 16 header bytes and the payload. The
 /// checksum field itself (header bytes 16..19) is excluded.
 uint32_t frameChecksum(const uint8_t *Frame, size_t Size) {
-  uint32_t H = FnvOffset;
-  for (size_t I = 0; I < 16 && I < Size; ++I)
-    H = (H ^ Frame[I]) * FnvPrime;
-  for (size_t I = FrameCodec::HeaderBytes; I < Size; ++I)
-    H = (H ^ Frame[I]) * FnvPrime;
-  return H;
+  assert(Size >= FrameCodec::HeaderBytes);
+  uint32_t Header = support::crc32c(Frame, 16);
+  return support::crc32c(Frame + FrameCodec::HeaderBytes,
+                         Size - FrameCodec::HeaderBytes, Header);
 }
 
 /// Writes one frame front to back through a raw cursor into a buffer
-/// sized once from the payload length. Every byte except the checksum
-/// field is folded into the FNV-1a checksum as it is written, so the
-/// frame is sealed without a second pass (the value is the one
-/// frameChecksum computes over the finished frame).
+/// sized once from the payload length, one little-endian word store per
+/// field, then seals it with one frameChecksum pass.
 class FrameWriter {
 public:
   FrameWriter(Opcode Op, uint32_t Session, uint32_t FrameSeq,
@@ -96,35 +96,27 @@ public:
     P += 4; // the checksum field, filled in by seal()
   }
 
-  void put8(uint8_t V) {
-    *P++ = V;
-    H = (H ^ V) * FnvPrime;
-  }
+  void put8(uint8_t V) { *P++ = V; }
   void put32(uint32_t V) {
-    put8(static_cast<uint8_t>(V));
-    put8(static_cast<uint8_t>(V >> 8));
-    put8(static_cast<uint8_t>(V >> 16));
-    put8(static_cast<uint8_t>(V >> 24));
+    std::memcpy(P, &V, sizeof V);
+    P += sizeof V;
   }
   void put64(uint64_t V) {
-    put32(static_cast<uint32_t>(V));
-    put32(static_cast<uint32_t>(V >> 32));
+    std::memcpy(P, &V, sizeof V);
+    P += sizeof V;
   }
 
   /// Stores the checksum and returns the finished frame.
   std::vector<uint8_t> seal() {
     assert(P == Bytes.data() + Bytes.size() && "payload length mismatch");
-    Bytes[16] = static_cast<uint8_t>(H);
-    Bytes[17] = static_cast<uint8_t>(H >> 8);
-    Bytes[18] = static_cast<uint8_t>(H >> 16);
-    Bytes[19] = static_cast<uint8_t>(H >> 24);
+    uint32_t C = frameChecksum(Bytes.data(), Bytes.size());
+    std::memcpy(Bytes.data() + 16, &C, sizeof C);
     return std::move(Bytes);
   }
 
 private:
   std::vector<uint8_t> Bytes;
   uint8_t *P;
-  uint32_t H = FnvOffset;
 };
 
 constexpr size_t HelloPayloadBytes = 20;

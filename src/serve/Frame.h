@@ -15,15 +15,18 @@
 /// detector state. A malformed frame produces exactly one classified
 /// reject — never an exception and never out-of-bounds indexing.
 ///
-/// Frame layout (all integers little-endian):
+/// Frame layout (version 2; all integers little-endian):
 ///
 ///   header (20 bytes): 'S' 'V' version opcode session[4] frameseq[4]
 ///                      payload_len[4] checksum[4]
-///   checksum: FNV-1a over the first 16 header bytes then the payload,
-///             so any in-flight byte flip — including in fields no
-///             analysis pass would otherwise validate, like an event's
-///             Value — downgrades to one classified reject instead of
-///             silently changing detection results.
+///   checksum: CRC-32C (support/Crc32c.h) over the first 16 header
+///             bytes then the payload, so any in-flight bit flip —
+///             including in fields no analysis pass would otherwise
+///             validate, like an event's Value — downgrades to one
+///             classified reject instead of silently changing detection
+///             results. Every one- and two-bit error in a frame is
+///             caught. Version 1 frames carried an FNV-1a checksum and
+///             are rejected as bad-version.
 ///   payload:
 ///     Hello  — threads[4] memory_words[4] mutexes[4] instructions[8]
 ///              (a program fingerprint; mismatch poisons the session)
@@ -128,7 +131,7 @@ class FrameCodec {
 public:
   static constexpr uint8_t Magic0 = 'S';
   static constexpr uint8_t Magic1 = 'V';
-  static constexpr uint8_t Version = 1;
+  static constexpr uint8_t Version = 2;
   static constexpr size_t HeaderBytes = 20;
   static constexpr size_t EventBytes = 38;
   /// Hard frame-size limit: a length prefix admitting more than this

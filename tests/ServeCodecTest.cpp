@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <string>
 
 using namespace svd;
 using namespace svd::serve;
@@ -61,16 +62,23 @@ isa::Program otherProgram() {
 )");
 }
 
-/// Test-side twin of the wire checksum (FNV-1a 32 over header bytes
-/// 0..15 then the payload), so header-mutation tests can re-seal a
-/// frame and reach the post-checksum validation stages.
+/// Test-side twin of the wire checksum: CRC-32C over header bytes
+/// 0..15 then the payload, computed bit by bit from the polynomial
+/// (no table, no library call) so it stays independent of the codec's
+/// implementation. Header-mutation tests use it to re-seal a frame and
+/// reach the post-checksum validation stages.
 uint32_t wireChecksum(const std::vector<uint8_t> &B) {
-  uint32_t H = 0x811c9dc5u;
+  uint32_t C = 0xFFFFFFFFu;
+  auto Fold = [&C](uint8_t Byte) {
+    C ^= Byte;
+    for (int I = 0; I < 8; ++I)
+      C = (C & 1) ? (C >> 1) ^ 0x82F63B78u : C >> 1;
+  };
   for (size_t I = 0; I < 16 && I < B.size(); ++I)
-    H = (H ^ B[I]) * 0x01000193u;
+    Fold(B[I]);
   for (size_t I = FrameCodec::HeaderBytes; I < B.size(); ++I)
-    H = (H ^ B[I]) * 0x01000193u;
-  return H;
+    Fold(B[I]);
+  return ~C;
 }
 
 void reseal(std::vector<uint8_t> &B) {
@@ -103,7 +111,7 @@ std::vector<uint8_t> referenceFrame(Opcode Op, uint32_t Session,
   std::vector<uint8_t> B;
   putLE(B, 'S', 1);
   putLE(B, 'V', 1);
-  putLE(B, 1, 1);
+  putLE(B, FrameCodec::Version, 1);
   putLE(B, static_cast<uint8_t>(Op), 1);
   putLE(B, Session, 4);
   putLE(B, FrameSeq, 4);
@@ -354,6 +362,11 @@ TEST(ServeCodec, RejectsBadVersion) {
   std::vector<uint8_t> B = C.encodeEnd(0, 0);
   B[2] = FrameCodec::Version + 1;
   expectReject(C, B, Reject::BadVersion);
+  // A version 1 frame is turned away on its version byte even when its
+  // checksum verifies: the version check precedes the checksum.
+  B[2] = 1;
+  reseal(B);
+  expectReject(C, B, Reject::BadVersion);
 }
 
 TEST(ServeCodec, RejectsBadOpcode) {
@@ -441,6 +454,50 @@ TEST(ServeCodec, RejectsAnySingleBitFlip) {
   std::vector<uint8_t> B = Orig;
   B[FrameCodec::HeaderBytes + 21] ^= 0x01; // first event's Value
   expectReject(C, B, Reject::BadChecksum);
+}
+
+TEST(ServeCodec, EveryOneAndTwoBitErrorIsRejected) {
+  // CRC-32C has Hamming distance of at least 3 for every message up to
+  // 2^31 bits, so every single-bit and every two-bit error in a frame —
+  // checksum field included — is detected. Sweep them all over a Hello
+  // frame and a two-event Events frame: each mutant must classify as
+  // some reject, never decode Ok.
+  isa::Program P = testProgram();
+  trace::ProgramTrace T = recordRun(P);
+  FrameCodec C(P, 1);
+  trace::TraceEvent Two[2] = {T[0], T[1]};
+  const std::vector<std::vector<uint8_t>> Frames = {
+      C.encodeHello(), C.encodeEvents(Two, 2, 0)};
+
+  for (const std::vector<uint8_t> &Orig : Frames) {
+    const size_t Bits = Orig.size() * 8;
+    std::vector<uint8_t> B = Orig;
+    size_t Accepted = 0;
+    std::string FirstAccepted;
+    auto Flip = [&B](size_t Bit) { B[Bit / 8] ^= uint8_t(1u << (Bit % 8)); };
+    auto Check = [&](size_t I, size_t J) {
+      DecodedFrame Out;
+      DecodeResult R = C.decode(B, 0, Out);
+      if (R.Ok || R.Detail.empty() ||
+          static_cast<size_t>(R.Why) >= RejectCount) {
+        if (Accepted++ == 0)
+          FirstAccepted = "bits " + std::to_string(I) + "," + std::to_string(J);
+      }
+    };
+    for (size_t I = 0; I < Bits; ++I) {
+      Flip(I);
+      Check(I, I);
+      for (size_t J = I + 1; J < Bits; ++J) {
+        Flip(J);
+        Check(I, J);
+        Flip(J);
+      }
+      Flip(I);
+    }
+    ASSERT_EQ(B, Orig);
+    EXPECT_EQ(Accepted, 0u) << "first unclassified mutant: " << FirstAccepted
+                            << " of a " << Orig.size() << "-byte frame";
+  }
 }
 
 TEST(ServeCodec, RejectsBadPayloadShape) {
