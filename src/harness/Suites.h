@@ -40,21 +40,19 @@ struct SuiteOptions {
   unsigned Seeds = 0;
   /// Emit a machine-readable JSON document instead of the text tables.
   bool Json = false;
-  /// table1, shadow, serve, sec73 and exact: add a performance section.
-  /// table1's reports instructions per second under the online detector
-  /// with both static proofs wired in (access table + CU atomicity
-  /// proofs), plus the deterministic event and pruned-event counts.
-  /// Everything except insts_per_sec is a pure function of the workload
-  /// (tools/bench_diff compares those fields exactly against the
-  /// committed BENCH_table1.json baseline and treats the wall-clock rate
-  /// as advisory). sec73's is the Section 7.3 overhead table (text
-  /// only); exact's adds the wall-clock cost of each test.
+  /// table1, shadow, sec73 and exact: add a performance section.
+  /// table1's holds the event, pruned-event and filtered-event counts of
+  /// a seed-1 run under the online detector with both static proofs
+  /// wired in (access table + CU atomicity proofs); shadow's holds the
+  /// shadow-page and budget-eviction counts. Both are pure functions of
+  /// the workload, pinned by goldens (tests/golden/bench_*_perf.json).
+  /// sec73's is the Section 7.3 overhead table (text only, wall-clock);
+  /// exact's adds the wall-clock cost of each test. Rates outside those
+  /// two paper tables are measured by perfbench only.
   bool Perf = false;
-  /// Run every execution sample (and the --perf measurements) through
+  /// Run every execution sample (and the sec73 overhead runs) through
   /// the decode-once translation cache (vm/Translate.h). Deterministic
-  /// outputs are bit-identical to interpreter runs by contract; the
-  /// perf section additionally reports the translated instruction
-  /// rates next to the interpreter's.
+  /// outputs are bit-identical to interpreter runs by contract.
   bool Translate = false;
   /// Observability sink for the sample fan-out (svd-bench
   /// --metrics-json); counters are bit-identical at any Jobs. Not owned.

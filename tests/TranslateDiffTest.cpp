@@ -306,14 +306,21 @@ TEST(TranslateDiff, CheckpointRestoreMidBlock) {
 // shared cache, with the detector trusting the hints, must match an
 // interpreter machine whose detector does the per-event table lookups —
 // same violations AND same filtered/pruned tallies. Also proves cache
-// sharing across machines (two seeds, one cache).
+// sharing across machines (two seeds, one cache). Inputs: two showcase
+// workloads plus table1's PgSQL analog, the one Table 1 workload with
+// both thread-local and proven-CU accesses.
 TEST(TranslateDiff, StaticHintFoldMatchesTableLookups) {
   workloads::WorkloadParams WP;
   WP.Threads = 4;
   WP.Iterations = 20;
   WP.WorkPadding = 8;
-  for (workloads::Workload W :
-       {workloads::lockedCounters(WP), workloads::tidSlab(WP)}) {
+  std::vector<workloads::Workload> Ws = {workloads::lockedCounters(WP),
+                                         workloads::tidSlab(WP)};
+  for (workloads::Workload &W : harness::suiteWorkloads("table1"))
+    if (W.Name == "PgSQL")
+      Ws.push_back(std::move(W));
+  ASSERT_EQ(Ws.size(), 3u);
+  for (const workloads::Workload &W : Ws) {
     analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
     analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
     vm::TransCache Hinted(W.Program, [&](isa::ThreadId Tid, uint32_t Pc) {

@@ -45,13 +45,12 @@ const char *Usage =
     "  --seeds N            seeds per table row (default: the suite's\n"
     "                       paper-default count)\n"
     "  --json               emit a JSON document instead of the text tables\n"
-    "  --perf               table1, shadow, serve, sec73, exact: add a\n"
-    "                       performance section (wall-clock rates next to\n"
-    "                       deterministic event / shadow-page counts)\n"
+    "  --perf               table1, shadow: add the deterministic event /\n"
+    "                       shadow-page counts; sec73: add the Section 7.3\n"
+    "                       overhead table; exact: add each test's cost\n"
     "  --translate          execute samples through the decode-once\n"
     "                       translation cache (vm/Translate.h); outputs\n"
-    "                       are bit-identical, and --perf additionally\n"
-    "                       reports the translated instruction rates\n"
+    "                       are bit-identical\n"
     "  --metrics-json FILE  write the obs registry (deterministic counters\n"
     "                       + timing stats) as svd-metrics-v1 JSON\n"
     "  --trace-out FILE     write a Chrome trace_event JSON of the run\n"
