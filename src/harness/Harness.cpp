@@ -53,7 +53,6 @@ vm::MachineConfig harness::machineConfigFor(const SampleConfig &C) {
   MC.MaxTimeslice = C.MaxTimeslice;
   MC.MaxSteps = C.MaxSteps;
   MC.Faults = C.Faults;
-  MC.Translate = C.Translate;
   return MC;
 }
 

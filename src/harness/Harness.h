@@ -73,10 +73,6 @@ struct SampleConfig {
   /// detector (Detector::injectFaults). Not owned; a plan is immutable
   /// and shareable across concurrently-running samples.
   const fault::FaultPlan *Faults = nullptr;
-  /// Execute the sample through the decode-once translation cache
-  /// (vm/Translate.h). Bit-identical outputs, so any table or JSON
-  /// produced with this set diffs clean against an interpreter run.
-  bool Translate = false;
 };
 
 /// Salt folded into SampleConfig::Seed to derive the `rnd`-stream seed,

@@ -51,13 +51,13 @@ int noJson(const char *Suite) {
   return support::ExitUsage;
 }
 
-/// Runs Fn(sweepSample(O, S)) for seeds S = 1..N on O.Jobs workers and
+/// Runs Fn(sweepSample(S)) for seeds S = 1..N on O.Jobs workers and
 /// returns the results in seed order.
 template <typename R, typename Fn>
 std::vector<R> forSeeds(const SuiteOptions &O, unsigned N, Fn F) {
   std::vector<R> Out(N);
   parallelFor(N, O.Jobs,
-              [&](size_t I) { Out[I] = F(sweepSample(O, I + 1)); });
+              [&](size_t I) { Out[I] = F(sweepSample(I + 1)); });
   return Out;
 }
 
@@ -104,7 +104,7 @@ int runFig2(const SuiteOptions &O) {
 
   std::puts("== Figure 2: the Apache log_config bug ==\n");
   for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-    vm::Machine M(W.Program, machineConfigFor(sweepSample(O, Seed)));
+    vm::Machine M(W.Program, machineConfigFor(sweepSample(Seed)));
     detect::OnlineSvd Svd(W.Program);
     M.addObserver(&Svd);
     M.run();
@@ -161,7 +161,7 @@ int runFig3(const SuiteOptions &O) {
 
   std::puts("== Figure 3: the MySQL prepared-query crash ==\n");
   for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-    vm::Machine M(W.Program, machineConfigFor(sweepSample(O, Seed)));
+    vm::Machine M(W.Program, machineConfigFor(sweepSample(Seed)));
     detect::OnlineSvd Svd(W.Program);
     M.addObserver(&Svd);
     M.run();
@@ -336,7 +336,6 @@ ploop:
       S.Detector = Detector;
       // Per-instruction interleaving (timeslice 1), unlike part (a).
       S.Config.Seed = Seed;
-      S.Config.Translate = O.Translate;
       Specs.push_back(S);
     }
   std::vector<SampleMetrics> Ms = ParallelRunner(runnerConfig(O)).run(Specs);
@@ -515,7 +514,7 @@ skip:
       for (const Workload *W : {&Apache, &Pgsql}) {
         SampleSpec S;
         S.Workload = W;
-        S.Config = sweepSample(O, Seed);
+        S.Config = sweepSample(Seed);
         S.Config.Detector = Cfg;
         Specs.push_back(S);
       }

@@ -28,8 +28,8 @@ const std::vector<Suite> &studySuites();
 RunnerConfig runnerConfig(const SuiteOptions &O);
 
 /// Seed \p Seed of a seed sweep: timeslices 1-4 (coarse preemption, the
-/// paper's 4-CPU SMP) on the engine --translate selects.
-SampleConfig sweepSample(const SuiteOptions &O, uint64_t Seed);
+/// paper's 4-CPU SMP).
+SampleConfig sweepSample(uint64_t Seed);
 
 } // namespace harness
 } // namespace svd

@@ -91,25 +91,6 @@ bool Machine::finished() const {
   return true;
 }
 
-bool Machine::stepThread(ThreadId Tid, StopReason &WhyStopped) {
-  WhyStopped = StopReason::AllHalted;
-  if (Steps >= Cfg.MaxSteps) {
-    WhyStopped = StopReason::StepBudget;
-    return false;
-  }
-  if (Tid >= Threads.size() || Threads[Tid].State != ThreadState::Ready) {
-    if (!finished())
-      WhyStopped = StopReason::Paused;
-    return false;
-  }
-  CurThread = Tid;
-  SliceLeft = 0; // force a fresh scheduling decision on the next stepOnce
-  Schedule.push_back(CurThread);
-  execute();
-  ++Steps;
-  return true;
-}
-
 StopReason Machine::run() {
   StopReason R = StopReason::AllHalted;
   if (TC) {

@@ -249,6 +249,7 @@ TEST(TranslateDiff, ReplayFollowsRecording) {
   workloads::Workload W = workloads::pgsqlOltp(WP);
 
   vm::MachineConfig MC = configFor(99, 1, 4);
+  MC.Translate = false; // the interpreter records
   vm::Machine Rec(W.Program, MC);
   Rec.run();
 
@@ -340,6 +341,7 @@ TEST(TranslateDiff, StaticHintFoldMatchesTableLookups) {
 
     for (uint64_t Seed : {2, 31}) {
       vm::MachineConfig MC = configFor(Seed, 1, 4);
+      MC.Translate = false;
       RunSnap I = runOne(W.Program, MC, Lookup);
 
       MC.Translate = true;

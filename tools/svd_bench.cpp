@@ -48,9 +48,6 @@ const char *Usage =
     "  --perf               table1, shadow: add the deterministic event /\n"
     "                       shadow-page counts; sec73: add the Section 7.3\n"
     "                       overhead table; exact: add each test's cost\n"
-    "  --translate          execute samples through the decode-once\n"
-    "                       translation cache (vm/Translate.h); outputs\n"
-    "                       are bit-identical\n"
     "  --metrics-json FILE  write the obs registry (deterministic counters\n"
     "                       + timing stats) as svd-metrics-v1 JSON\n"
     "  --trace-out FILE     write a Chrome trace_event JSON of the run\n"
@@ -89,7 +86,6 @@ int main(int Argc, char **Argv) {
   P.value("--seeds", &Seeds);
   P.flag("--json", &O.Json);
   P.flag("--perf", &O.Perf);
-  P.flag("--translate", &O.Translate);
   P.flag("--list", &List);
   P.value("--metrics-json", &MetricsPath);
   P.value("--trace-out", &TracePath);
