@@ -7,9 +7,8 @@
 /// \file
 /// A Program bundles the per-thread instruction sequences, the data-symbol
 /// layout (shared globals and per-thread locals), the mutex table, and a
-/// message table used by `assert` diagnostics. Programs are produced either
-/// by the assembler (isa/Assembler.h) or programmatically via
-/// ProgramBuilder (isa/Builder.h), and executed by svd::vm::Machine.
+/// message table used by `assert` diagnostics. Programs are produced by
+/// the assembler (isa/Assembler.h) and executed by svd::vm::Machine.
 ///
 //===----------------------------------------------------------------------===//
 

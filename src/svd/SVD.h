@@ -12,7 +12,7 @@
 /// \code
 ///   #include "svd/SVD.h"
 ///
-///   isa::Program P = isa::assembleOrDie(source);  // or ProgramBuilder
+///   isa::Program P = isa::assembleOrDie(source);  // text assembly
 ///   vm::Machine M(P);                             // deterministic VM
 ///   detect::OnlineSvd Svd(P);                     // the paper's core
 ///   M.addObserver(&Svd);
@@ -27,7 +27,6 @@
 
 // Execution substrate.
 #include "isa/Assembler.h"
-#include "isa/Builder.h"
 #include "isa/Cfg.h"
 #include "isa/Isa.h"
 #include "isa/Program.h"

@@ -1,7 +1,6 @@
 //===- tests/AssemblerTest.cpp - Unit tests for the assembler -------------===//
 
 #include "isa/Assembler.h"
-#include "isa/Builder.h"
 
 #include <gtest/gtest.h>
 
@@ -255,36 +254,28 @@ TEST(Assembler, ErrorsReportAllLines) {
   EXPECT_GE(Errors.size(), 2u);
 }
 
-TEST(Builder, RoundTripsThroughAssembler) {
-  ProgramBuilder B;
-  B.global("counter").local("tmp").lock("m");
-  ThreadBuilder &T = B.thread("worker", 2);
-  T.lockOp("m")
-      .ld(1, 0, "counter")
-      .alui("addi", 1, 1, 1)
-      .st(1, 0, "counter")
-      .unlockOp("m")
-      .halt();
-  Program P = B.build();
+// Replicas of one .thread block are named NAME.K, and only .local
+// symbols are thread-local.
+TEST(Assembler, ReplicaNamesAndThreadLocalSymbols) {
+  Program P = mustAssemble(R"(
+.global counter
+.local tmp
+.lock m
+.thread worker x2
+  lock @m
+  ld r1, [@counter]
+  addi r1, r1, 1
+  st r1, [@counter]
+  unlock @m
+  halt
+)");
   ASSERT_EQ(P.numThreads(), 2u);
   EXPECT_EQ(P.Threads[0].Name, "worker.0");
+  EXPECT_EQ(P.Threads[1].Name, "worker.1");
   EXPECT_EQ(P.Threads[0].Code.size(), 6u);
   EXPECT_EQ(P.Threads[0].Code[0].Op, Opcode::Lock);
-  // The local resolves differently per replica.
   EXPECT_TRUE(P.findSymbol("tmp")->IsThreadLocal);
-}
-
-TEST(Builder, BranchesAndLabels) {
-  ProgramBuilder B;
-  ThreadBuilder &T = B.thread("t");
-  T.li(1, 10)
-      .label("loop")
-      .alui("addi", 1, 1, -1)
-      .bnez(1, "loop")
-      .halt();
-  Program P = B.build();
-  EXPECT_EQ(P.Threads[0].Code[2].Op, Opcode::Bnez);
-  EXPECT_EQ(P.Threads[0].Code[2].Imm, 1);
+  EXPECT_FALSE(P.findSymbol("counter")->IsThreadLocal);
 }
 
 TEST(Program, ValidateRejectsFallOffEnd) {
@@ -411,20 +402,4 @@ TEST(Assembler, ErrorProcRedefinition) {
 
 TEST(Assembler, ErrorEndprocOutsideProc) {
   mustFail(".thread t\n  halt\n.endproc\n");
-}
-
-TEST(Builder, ProcsRoundTripThroughAssembler) {
-  ProgramBuilder B;
-  B.global("g");
-  ThreadBuilder &T = B.thread("t");
-  T.call("bump").call("bump").halt();
-  ThreadBuilder &F = B.proc("bump");
-  F.ld(1, 0, "g").alui("addi", 1, 1, 1).st(1, 0, "g").ret();
-  Program P = B.build();
-  ASSERT_EQ(P.numThreads(), 1u);
-  ASSERT_EQ(P.Threads[0].Procs.size(), 1u);
-  EXPECT_EQ(P.Threads[0].Procs[0].Name, "bump");
-  EXPECT_EQ(P.Threads[0].Code[0].Op, Opcode::Call);
-  EXPECT_EQ(P.Threads[0].Code[0].Imm,
-            static_cast<Word>(P.Threads[0].Procs[0].Entry));
 }

@@ -3,7 +3,6 @@
 #include "support/Cli.h"
 #include "support/Json.h"
 #include "support/Rng.h"
-#include "support/Stats.h"
 #include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
@@ -78,34 +77,6 @@ TEST(Xoshiro256, NextBoolRoughlyCalibrated) {
   for (int I = 0; I < N; ++I)
     Hits += R.nextBool(0.25);
   EXPECT_NEAR(static_cast<double>(Hits) / N, 0.25, 0.01);
-}
-
-TEST(RunningStat, EmptyDefaults) {
-  RunningStat S;
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  EXPECT_EQ(S.variance(), 0.0);
-}
-
-TEST(RunningStat, SingleValue) {
-  RunningStat S;
-  S.add(5.0);
-  EXPECT_EQ(S.count(), 1u);
-  EXPECT_EQ(S.mean(), 5.0);
-  EXPECT_EQ(S.min(), 5.0);
-  EXPECT_EQ(S.max(), 5.0);
-  EXPECT_EQ(S.variance(), 0.0);
-}
-
-TEST(RunningStat, KnownMoments) {
-  RunningStat S;
-  for (double X : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-    S.add(X);
-  EXPECT_DOUBLE_EQ(S.mean(), 5.0);
-  EXPECT_NEAR(S.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(S.min(), 2.0);
-  EXPECT_EQ(S.max(), 9.0);
-  EXPECT_DOUBLE_EQ(S.sum(), 40.0);
 }
 
 TEST(StringUtils, FormatString) {
