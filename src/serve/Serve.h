@@ -97,9 +97,9 @@ struct SessionInput {
 /// mode; every field participates in the pure function that produces a
 /// ServeReport.
 struct ServeConfig {
-  /// Daemon-level seed: the root of every per-session backoff-jitter
-  /// stream (support::Xoshiro256 seeded with ServeSeed ^ session id).
-  uint64_t ServeSeed = 1;
+  /// Events per wire frame (fixed; the other pacing constants live in
+  /// serve/Serve.cpp).
+  static constexpr uint32_t EventsPerFrame = 256;
   /// Number of detector shards. Sessions are assigned round-robin in
   /// canonical session order, then optionally shuffled.
   uint32_t Shards = 2;
@@ -112,19 +112,9 @@ struct ServeConfig {
   unsigned Jobs = 1;
   /// Ring capacity in frames; must be a power of two.
   size_t RingCapacity = 8;
-  /// Events per wire frame.
-  uint32_t EventsPerFrame = 256;
-  /// Events frames per shedding epoch.
-  uint32_t EpochFrames = 8;
-  /// Frames the producer attempts per tick; > DrainPerTick makes
-  /// backpressure real even fault-free.
+  /// Frames the producer attempts per tick; above the consumer's one
+  /// frame per tick, backpressure is real even fault-free.
   uint32_t PushPerTick = 2;
-  /// Frames the consumer admits per tick (>= 1).
-  uint32_t DrainPerTick = 1;
-  /// Exponential backoff: wait = (Base << min(exp, MaxExp)) + jitter,
-  /// jitter uniform in [0, wait).
-  uint32_t BackoffBaseTicks = 1;
-  uint32_t BackoffMaxExp = 6;
   /// Consecutive WouldBlocks before the producer sheds the oldest
   /// un-pushed epoch.
   uint32_t ShedAfterBackoffs = 8;
@@ -135,8 +125,6 @@ struct ServeConfig {
   uint64_t TenantEventBudget = 0;
   /// Re-admissions after a quarantine before the session Fails.
   uint32_t RetryBudget = 3;
-  /// Quarantine backoff: attempt k burns Base << (k-1) virtual ticks.
-  uint32_t QuarantineBaseTicks = 4;
   /// Watchdog: a session whose admission loop exceeds this many ticks
   /// in one attempt is quarantined (livelock valve).
   uint64_t SessionTickDeadline = 2'000'000;

@@ -83,27 +83,6 @@ struct Row {
   serve::SessionReport R;
 };
 
-/// Builds the session set: one session per (workload, seed), ids in
-/// enumeration order. Machines come from harness::machineConfigFor so
-/// "seed N" means exactly what it means everywhere else in the repo.
-std::vector<serve::SessionInput>
-buildSessions(const std::vector<workloads::Workload> &Ws, uint32_t Seeds) {
-  std::vector<serve::SessionInput> Sessions;
-  uint32_t Id = 0;
-  for (const workloads::Workload &W : Ws)
-    for (uint64_t Seed = 1; Seed <= Seeds; ++Seed) {
-      serve::SessionInput S;
-      S.SessionId = Id++;
-      S.Work = &W;
-      S.Seed = Seed;
-      harness::SampleConfig C;
-      C.Seed = Seed;
-      S.Machine = harness::machineConfigFor(C);
-      Sessions.push_back(S);
-    }
-  return Sessions;
-}
-
 std::string jsonRow(const Row &Rw) {
   const serve::SessionReport &R = Rw.R;
   std::string J = formatString(
@@ -255,7 +234,8 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "unknown suite '%s'\n", SuiteName.c_str());
     return P.usageError();
   }
-  std::vector<serve::SessionInput> Sessions = buildSessions(Ws, Seeds);
+  std::vector<serve::SessionInput> Sessions =
+      harness::serveSessions(Ws, Seeds);
 
   // The plan list this invocation runs: the full matrix under --chaos,
   // one named plan under --plan, otherwise just the fault-free run.
