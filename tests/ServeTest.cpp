@@ -384,6 +384,84 @@ TEST(Serve, WatchdogTripsLivelockedSessions) {
   EXPECT_FALSE(S.Diagnostic.empty());
 }
 
+TEST(Serve, ExhaustedBudgetDiagnosticsAreExactForBothAbortKinds) {
+  Workload W = testWorkload();
+  {
+    // Watchdog: four attempts of 9 ticks each plus 4 + 8 + 16 ticks of
+    // quarantine backoff.
+    std::vector<SessionInput> Sessions = makeSessions(W, {1});
+    ServeConfig Cfg;
+    Cfg.SessionTickDeadline = 8;
+    ServeReport Rep = runServe(Sessions, Cfg);
+    ASSERT_EQ(Rep.Sessions.size(), 1u);
+    const SessionReport &S = Rep.Sessions[0];
+    EXPECT_EQ(S.Outcome, SessionOutcome::Failed);
+    EXPECT_EQ(S.Diagnostic, "quarantine retry budget exhausted after 4 "
+                            "attempts: watchdog tripped at 9 ticks");
+    EXPECT_EQ(S.Ticks, 64u);
+  }
+  {
+    // Injected shard crash: three one-tick attempts plus 4 + 8 ticks of
+    // quarantine backoff.
+    std::vector<SessionInput> Sessions = makeSessions(W, {1, 2});
+    fault::FaultPlanConfig AlwaysCrash;
+    AlwaysCrash.Name = "crash-always";
+    AlwaysCrash.PlanSeed = 0xdead;
+    AlwaysCrash.ShardCrashRatePerMyriad = 10000;
+    ServeConfig Cfg;
+    Cfg.RetryBudget = 2;
+    Cfg.FaultCfg = &AlwaysCrash;
+    ServeReport Rep = runServe(Sessions, Cfg);
+    ASSERT_EQ(Rep.Sessions.size(), 2u);
+    for (const SessionReport &S : Rep.Sessions) {
+      EXPECT_EQ(S.Outcome, SessionOutcome::Failed);
+      EXPECT_EQ(S.Diagnostic,
+                "quarantine retry budget exhausted after 3 attempts: "
+                "injected shard crash at frame 0 (attempt 3)");
+      EXPECT_EQ(S.Ticks, 15u);
+    }
+  }
+}
+
+TEST(Serve, ShedPersistsAcrossQuarantine) {
+  // Shedding rewrites the wire and a re-admission replays that rewritten
+  // wire, so producer-side shed counters must survive the rollback of an
+  // aborted attempt while the consumer-side counters do not. Under this
+  // plan seed, sessions 0 and 6 shed before a shard crash aborts their
+  // first attempt; rolling EventsShed back would break their accounting.
+  Workload W = testWorkload();
+  std::vector<SessionInput> Sessions =
+      makeSessions(W, {1, 2, 3, 4, 5, 6, 7, 8});
+  fault::FaultPlanConfig Plan;
+  Plan.Name = "stall-crash";
+  Plan.PlanSeed = 0x57a13;
+  Plan.FrameStallRatePerMyriad = 6000;
+  Plan.FrameStallTicks = 16;
+  Plan.ShardCrashRatePerMyriad = 800;
+
+  ServeConfig Cfg;
+  Cfg.RingCapacity = 2;
+  Cfg.PushPerTick = 4;
+  Cfg.ShedAfterBackoffs = 2;
+  Cfg.FaultCfg = &Plan;
+
+  ServeReport Rep = runServe(Sessions, Cfg);
+  size_t ShedAndRecovered = 0;
+  for (const SessionReport &S : Rep.Sessions) {
+    bool Shed = S.FramesShed > 0 || S.EventsShed > 0;
+    if (!Shed || S.Quarantines == 0 || S.Outcome == SessionOutcome::Failed)
+      continue;
+    ++ShedAndRecovered;
+    EXPECT_EQ(S.EventsIngested + S.EventsShed, S.EventsStreamed)
+        << "session " << S.SessionId;
+    EXPECT_GT(S.FramesShed, 0u);
+    EXPECT_EQ(S.Outcome, SessionOutcome::Shed) << S.Diagnostic;
+    EXPECT_NE(S.Diagnostic.find("recovered from"), std::string::npos)
+        << S.Diagnostic;
+  }
+  EXPECT_GE(ShedAndRecovered, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Observability: every exported key is schema-documented and the
 // metrics document stays valid.
