@@ -2,9 +2,7 @@
 
 #include "serve/Serve.h"
 
-#include "cu/CuPartition.h"
 #include "obs/Obs.h"
-#include "pdg/Pdg.h"
 #include "serve/Ring.h"
 #include "shadow/Shadow.h"
 #include "support/Rng.h"
@@ -88,34 +86,19 @@ constexpr uint32_t QuarantineBaseTicks = 4;
 static_assert(ServeConfig::EventsPerFrame >= 1 &&
               ServeConfig::EventsPerFrame <= FrameCodec::MaxEventsPerFrame);
 
-/// Thrown when a session's admission loop exceeds the tick deadline.
-struct WatchdogTrip {
-  uint64_t Ticks;
-};
-
-/// Shared degraded-reason formatting: the serve path and the batch
-/// twin build the string through the same helpers, so budgeted parity
-/// is byte-exact.
-std::string budgetDropReason(uint64_t Dropped) {
-  return support::formatString("tenant budget: %llu events dropped",
-                               static_cast<unsigned long long>(Dropped));
-}
-
 /// Runs the offline detection passes over \p T and fills the detection
 /// half of \p R. Used identically by the serve path (assembled trace)
 /// and the batch twin (recorded trace).
 void finishDetection(const Workload &W, const trace::ProgramTrace &T,
                      SessionReport &R) {
-  std::string Err;
-  if (!trace::validate(T, Err)) {
+  detect::OfflineAnalysis A = detect::runOfflinePipeline(T);
+  if (!A.Error.empty()) {
     R.DetectorDegraded = true;
-    R.DegradedReason = "trace validation failed: " + Err;
+    R.DegradedReason = std::move(A.Error);
     return;
   }
-  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
-  cu::CuPartition CUs = cu::CuPartition::compute(T, G);
-  R.CusFormed = CUs.units().size();
-  workloads::classifyReports(W, detect::detectOffline(T, CUs), R);
+  R.CusFormed = A.CusFormed;
+  workloads::classifyReports(W, A.Reports, R);
 }
 
 /// Derives the final outcome and degraded reason from the stream
@@ -137,7 +120,9 @@ void resolveOutcome(SessionReport &R, bool HelloSeen, bool EndSeen,
         static_cast<unsigned long long>(R.EventsShed),
         static_cast<unsigned long long>(R.FramesShed)));
   if (R.EventsBudgetDropped != 0)
-    AddReason(budgetDropReason(R.EventsBudgetDropped));
+    AddReason(support::formatString(
+        "tenant budget: %llu events dropped",
+        static_cast<unsigned long long>(R.EventsBudgetDropped)));
   if (!HelloSeen)
     AddReason("hello frame missing");
   if (!EndSeen)
@@ -332,6 +317,14 @@ void ingestFrame(const DecodedFrame &F, Assembly &A, SessionReport &R,
   }
 }
 
+/// Ingests the held frame, booking the frames it skipped as lost.
+void flushHeld(Assembly &A, SessionReport &R, shadow::Table<uint8_t> &Seen) {
+  if (A.Held->FrameSeq > A.NextFrame)
+    R.FramesLost += A.Held->FrameSeq - A.NextFrame;
+  ingestFrame(*A.Held, A, R, Seen);
+  A.Held.reset();
+}
+
 /// Resequencer: in-order frames ingest immediately; one out-of-order
 /// frame is held; a second forces an ascending flush with the gap
 /// recorded as lost. Duplicates (sequence already passed) drop.
@@ -351,13 +344,9 @@ void admitDecoded(DecodedFrame &&F, Assembly &A, SessionReport &R,
       return;
     }
     // Two frames waiting: flush the earlier one, accounting the skip.
-    DecodedFrame First = std::move(*A.Held);
-    A.Held.reset();
-    if (First.FrameSeq > F.FrameSeq)
-      std::swap(First, F);
-    if (First.FrameSeq > A.NextFrame)
-      R.FramesLost += First.FrameSeq - A.NextFrame;
-    ingestFrame(First, A, R, Seen);
+    if (A.Held->FrameSeq > F.FrameSeq)
+      std::swap(*A.Held, F);
+    flushHeld(A, R, Seen);
     admitDecoded(std::move(F), A, R, Seen);
     return;
   }
@@ -369,12 +358,24 @@ void admitDecoded(DecodedFrame &&F, Assembly &A, SessionReport &R,
   }
 }
 
+/// Books a rejected frame and poisons the session; the first reject
+/// names \p Where in the diagnostic.
+void poison(SessionReport &R, const std::string &Where, Reject Why,
+            const std::string &Detail) {
+  ++R.FramesRejected;
+  ++R.Rejects[static_cast<size_t>(Why)];
+  R.Outcome = worseOutcome(R.Outcome, SessionOutcome::Poisoned);
+  if (R.Diagnostic.empty())
+    R.Diagnostic = support::formatString("%s rejected (%s): %s", Where.c_str(),
+                                         rejectName(Why), Detail.c_str());
+}
+
 /// One admission attempt: the full producer/consumer event loop over a
-/// virtual tick clock. Throws fault::InjectedCrash (injected shard
-/// crash) or WatchdogTrip; the quarantine loop around it contains both.
-void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
-                Assembly &A, shadow::Table<uint8_t> &Seen,
-                uint64_t &AttemptTicks) {
+/// virtual tick clock. Returns why the attempt aborted (an injected
+/// shard crash or the tick watchdog), or nothing once the wire drains.
+std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
+                                      uint32_t Attempt, Assembly &A,
+                                      shadow::Table<uint8_t> &Seen) {
   SessionReport &R = S.R;
   const fault::FaultPlan *Plan =
       S.Plan && S.Plan->perturbsFrames() ? &*S.Plan : nullptr;
@@ -383,7 +384,11 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
   size_t RingCap = 2;
   while (RingCap < Cfg.RingCapacity)
     RingCap <<= 1;
-  SpscRing<std::vector<uint8_t>> Ring(RingCap);
+  // The ring carries positions into S.Wire. Shedding erases and inserts
+  // only at positions >= Cursor and never inserts more entries than it
+  // erases, so every position already pushed still names the frame that
+  // was pushed.
+  SpscRing<size_t> Ring(RingCap);
   support::Xoshiro256 Jitter(ServeSeed ^
                              (0x9e3779b97f4a7c15ULL *
                               (S.In->SessionId + 1)));
@@ -395,7 +400,6 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
   uint32_t ConsecutiveBlocks = 0;
   uint64_t ConsumerStall = 0;
   uint64_t DeliveredPos = 0;
-  bool Poisoned = R.Outcome == SessionOutcome::Poisoned;
   uint32_t PushPerTick = std::max<uint32_t>(Cfg.PushPerTick, 1);
 
   auto ShedOldestEpoch = [&]() {
@@ -432,16 +436,15 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
 
   while (Cursor < S.Wire.size() || !Ring.empty()) {
     ++Tick;
-    ++AttemptTicks;
     ++R.Ticks;
-    if (AttemptTicks > Cfg.SessionTickDeadline)
-      throw WatchdogTrip{AttemptTicks};
+    if (Tick > Cfg.SessionTickDeadline)
+      return support::formatString("watchdog tripped at %llu ticks",
+                                   static_cast<unsigned long long>(Tick));
 
     // Producer phase: push frames unless backing off.
     if (Tick >= BackoffUntil) {
       for (uint32_t P = 0; P < PushPerTick && Cursor < S.Wire.size(); ++P) {
-        std::vector<uint8_t> Copy = S.Wire[Cursor].Bytes;
-        if (Ring.tryPush(std::move(Copy))) {
+        if (Ring.tryPush(size_t{Cursor})) {
           ++Cursor;
           ConsecutiveBlocks = 0;
           BackoffExp = 0;
@@ -471,72 +474,49 @@ void runAttempt(SessionState &S, const ServeConfig &Cfg, uint32_t Attempt,
       continue;
     }
     for (uint32_t D = 0; D < DrainPerTick; ++D) {
-      std::vector<uint8_t> Frame;
-      if (!Ring.tryPop(Frame))
+      size_t At;
+      if (!Ring.tryPop(At))
         break;
       uint64_t Pos = DeliveredPos++;
       ++R.FramesDelivered;
       if (Plan && Plan->crashShard(Pos, Attempt))
-        throw fault::InjectedCrash(support::formatString(
+        return support::formatString(
             "injected shard crash at frame %llu (attempt %u)",
-            static_cast<unsigned long long>(Pos), Attempt));
+            static_cast<unsigned long long>(Pos), Attempt);
       if (Plan && Plan->stallFrame(Pos))
         ConsumerStall += Plan->frameStallTicks();
-      if (Poisoned)
+      if (R.Outcome == SessionOutcome::Poisoned)
         continue; // drain-and-drop; the stream is already untrusted
       DecodedFrame Decoded;
       // Intra-frame validation happens here (MinSeq 0); cross-frame
       // order is enforced at ingest time, after duplicate frames have
       // been dropped (a duplicate legitimately replays old sequences).
-      DecodeResult DR = Codec.decode(Frame, /*MinSeq=*/0, Decoded);
-      if (!DR.Ok) {
-        ++R.FramesRejected;
-        ++R.Rejects[static_cast<size_t>(DR.Why)];
-        Poisoned = true;
-        R.Outcome = worseOutcome(R.Outcome, SessionOutcome::Poisoned);
-        if (R.Diagnostic.empty())
-          R.Diagnostic = support::formatString(
-              "frame %llu rejected (%s): %s",
-              static_cast<unsigned long long>(Pos), rejectName(DR.Why),
-              DR.Detail.c_str());
-        continue;
+      DecodeResult DR = Codec.decode(S.Wire[At].Bytes, /*MinSeq=*/0, Decoded);
+      if (DR.Ok) {
+        admitDecoded(std::move(Decoded), A, R, Seen);
+        if (!A.SeqReject)
+          continue;
+        DR = DecodeResult::fail(Reject::NonMonotonicSeq, *A.SeqReject);
       }
-      admitDecoded(std::move(Decoded), A, R, Seen);
-      if (A.SeqReject) {
-        ++R.FramesRejected;
-        ++R.Rejects[static_cast<size_t>(Reject::NonMonotonicSeq)];
-        Poisoned = true;
-        R.Outcome = worseOutcome(R.Outcome, SessionOutcome::Poisoned);
-        if (R.Diagnostic.empty())
-          R.Diagnostic = support::formatString(
-              "frame %llu rejected (%s): %s",
-              static_cast<unsigned long long>(Pos),
-              rejectName(Reject::NonMonotonicSeq), A.SeqReject->c_str());
-      }
+      poison(R,
+             support::formatString("frame %llu",
+                                   static_cast<unsigned long long>(Pos)),
+             DR.Why, DR.Detail);
     }
   }
   // A frame still held once the stream drains means its predecessor
   // never arrived: flush it with the gap on the books.
   if (A.Held) {
-    DecodedFrame Last = std::move(*A.Held);
-    A.Held.reset();
-    if (Last.FrameSeq > A.NextFrame)
-      R.FramesLost += Last.FrameSeq - A.NextFrame;
-    ingestFrame(Last, A, R, Seen);
-    if (A.SeqReject && R.Outcome != SessionOutcome::Poisoned) {
-      ++R.FramesRejected;
-      ++R.Rejects[static_cast<size_t>(Reject::NonMonotonicSeq)];
-      R.Outcome = worseOutcome(R.Outcome, SessionOutcome::Poisoned);
-      if (R.Diagnostic.empty())
-        R.Diagnostic = support::formatString(
-            "held frame rejected (%s): %s",
-            rejectName(Reject::NonMonotonicSeq), A.SeqReject->c_str());
-    }
+    flushHeld(A, R, Seen);
+    if (A.SeqReject && R.Outcome != SessionOutcome::Poisoned)
+      poison(R, "held frame", Reject::NonMonotonicSeq, *A.SeqReject);
   }
+  return std::nullopt;
 }
 
 /// Runs one session end to end: produce, stream through the ring with
-/// quarantine containment, detect, classify. Never throws.
+/// quarantine containment, detect, classify. Every failure ends as a
+/// classified outcome; nothing escapes.
 void runSession(SessionState &S, const ServeConfig &Cfg,
                 shadow::Table<uint8_t> &Seen) {
   SessionReport &R = S.R;
@@ -549,75 +529,29 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
     // further reader.
     S.Trace.reset();
 
-    // Consumer-side stream accounting is scoped to the attempt that
-    // finally drains the wire: an aborted admission's partial counts
-    // would double-book events the re-admission ingests again (the
-    // wire replays from the start). Producer-side shed counters are
-    // exempt — the shed wire mutations persist across re-admissions by
-    // design, and their counts stay authoritative.
-    struct StreamCounters {
-      uint64_t FramesDelivered, FramesRejected, FramesDuplicated,
-          FramesReordered, FramesLost, EventsIngested, EventsBudgetDropped;
-      std::array<uint64_t, RejectCount> Rejects;
-      SessionOutcome Outcome;
-      std::string Diagnostic;
-    };
-    auto Snapshot = [&R] {
-      return StreamCounters{R.FramesDelivered,  R.FramesRejected,
-                            R.FramesDuplicated, R.FramesReordered,
-                            R.FramesLost,       R.EventsIngested,
-                            R.EventsBudgetDropped, R.Rejects,
-                            R.Outcome,          R.Diagnostic};
-    };
-    auto Restore = [&R](const StreamCounters &C) {
-      R.FramesDelivered = C.FramesDelivered;
-      R.FramesRejected = C.FramesRejected;
-      R.FramesDuplicated = C.FramesDuplicated;
-      R.FramesReordered = C.FramesReordered;
-      R.FramesLost = C.FramesLost;
-      R.EventsIngested = C.EventsIngested;
-      R.EventsBudgetDropped = C.EventsBudgetDropped;
-      R.Rejects = C.Rejects;
-      R.Outcome = C.Outcome;
-      R.Diagnostic = C.Diagnostic;
-    };
-
+    // An aborted attempt rolls its AttemptCounters back: the
+    // re-admission replays the wire from the start and would otherwise
+    // double-book what the aborted attempt ingested. Producer-side shed
+    // counters are exempt — the shed wire mutations persist across
+    // re-admissions by design, and their counts stay authoritative.
+    const AttemptCounters Before = R;
     std::optional<Assembly> A;
     for (uint32_t Attempt = 1;; ++Attempt) {
-      StreamCounters Snap = Snapshot();
       A.emplace(S.In->Work->Program, Cfg.TenantEventBudget);
-      uint64_t AttemptTicks = 0;
-      try {
-        runAttempt(S, Cfg, Attempt, *A, Seen, AttemptTicks);
+      std::optional<std::string> Abort = runAttempt(S, Cfg, Attempt, *A, Seen);
+      if (!Abort)
         break; // stream fully drained
-      } catch (const fault::InjectedCrash &E) {
-        Restore(Snap);
-        ++R.Quarantines;
-        if (Attempt > Cfg.RetryBudget) {
-          R.Outcome = SessionOutcome::Failed;
-          R.Diagnostic = support::formatString(
-              "quarantine retry budget exhausted after %u attempts: %s",
-              Attempt, E.what());
-          break;
-        }
-        R.Ticks += static_cast<uint64_t>(QuarantineBaseTicks)
-                   << (Attempt - 1);
-        ++R.Readmissions;
-      } catch (const WatchdogTrip &W) {
-        Restore(Snap);
-        ++R.Quarantines;
-        if (Attempt > Cfg.RetryBudget) {
-          R.Outcome = SessionOutcome::Failed;
-          R.Diagnostic = support::formatString(
-              "quarantine retry budget exhausted after %u attempts: "
-              "watchdog tripped at %llu ticks",
-              Attempt, static_cast<unsigned long long>(W.Ticks));
-          break;
-        }
-        R.Ticks += static_cast<uint64_t>(QuarantineBaseTicks)
-                   << (Attempt - 1);
-        ++R.Readmissions;
+      static_cast<AttemptCounters &>(R) = Before;
+      ++R.Quarantines;
+      if (Attempt > Cfg.RetryBudget) {
+        R.Outcome = SessionOutcome::Failed;
+        R.Diagnostic = support::formatString(
+            "quarantine retry budget exhausted after %u attempts: %s",
+            Attempt, Abort->c_str());
+        break;
       }
+      R.Ticks += static_cast<uint64_t>(QuarantineBaseTicks) << (Attempt - 1);
+      ++R.Readmissions;
     }
     // Re-admissions replay the wire from the start, so it lives until
     // the admission loop exits.
@@ -794,7 +728,7 @@ SessionReport serve::batchSessionReport(const SessionInput &S,
   if (Cfg.FaultCfg)
     State.Plan.emplace(*Cfg.FaultCfg, S.Seed);
   produceTrace(State);
-  SessionReport R = State.R;
+  SessionReport R = std::move(State.R);
   if (State.ProducerCrashed)
     return R;
   const trace::ProgramTrace &Full = *State.Trace;
@@ -807,22 +741,10 @@ SessionReport serve::batchSessionReport(const SessionInput &S,
       Capped.appendUnchecked(Full[I]);
     R.EventsBudgetDropped = Full.size() - Cfg.TenantEventBudget;
     finishDetection(*S.Work, Capped, R);
-    R.DetectorDegraded = true;
-    R.DegradedReason = R.DegradedReason.empty()
-                           ? budgetDropReason(R.EventsBudgetDropped)
-                           : R.DegradedReason + "; " +
-                                 budgetDropReason(R.EventsBudgetDropped);
-    R.Outcome = worseOutcome(R.Outcome, SessionOutcome::Degraded);
-    if (R.Diagnostic.empty())
-      R.Diagnostic = R.DegradedReason;
-    return R;
+  } else {
+    finishDetection(*S.Work, Full, R);
   }
-  finishDetection(*S.Work, Full, R);
-  if (R.DetectorDegraded) {
-    R.Outcome = worseOutcome(R.Outcome, SessionOutcome::Degraded);
-    if (R.Diagnostic.empty())
-      R.Diagnostic = R.DegradedReason;
-  }
+  resolveOutcome(R, /*HelloSeen=*/true, /*EndSeen=*/true, Full.size());
   return R;
 }
 

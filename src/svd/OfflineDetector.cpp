@@ -43,17 +43,15 @@ public:
     }
     AnalyzedEvents = T->size();
     uint64_t Lost = CorruptCount + Rec.droppedEvents();
-    std::string Err;
-    if (!trace::validate(*T, Err)) {
+    OfflineAnalysis A = runOfflinePipeline(*T);
+    if (!A.Error.empty()) {
       H.Degraded = true;
-      H.Reason = "trace validation failed: " + Err;
+      H.Reason = std::move(A.Error);
       H.Evictions = Lost;
       return; // an unparseable trace yields no reports, only health
     }
-    pdg::DynamicPdg G = pdg::DynamicPdg::build(*T);
-    CuPartition CUs = CuPartition::compute(*T, G);
-    CusFormed = CUs.units().size();
-    Reports_ = detectOffline(*T, CUs);
+    CusFormed = A.CusFormed;
+    Reports_ = std::move(A.Reports);
     if (Lost != 0) {
       // The trace is still well-formed but incomplete: analysis ran,
       // yet violations in the lost suffix may be missing.
@@ -153,9 +151,16 @@ std::vector<Violation> detect::detectOffline(const ProgramTrace &T,
   return Out;
 }
 
-std::vector<Violation>
-detect::detectOfflineFromTrace(const ProgramTrace &T) {
+OfflineAnalysis detect::runOfflinePipeline(const ProgramTrace &T) {
+  OfflineAnalysis A;
+  std::string Err;
+  if (!trace::validate(T, Err)) {
+    A.Error = "trace validation failed: " + Err;
+    return A;
+  }
   pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
   CuPartition CUs = CuPartition::compute(T, G);
-  return detectOffline(T, CUs);
+  A.CusFormed = CUs.units().size();
+  A.Reports = detectOffline(T, CUs);
+  return A;
 }

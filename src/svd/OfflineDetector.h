@@ -23,6 +23,7 @@
 #include "svd/Report.h"
 #include "trace/Trace.h"
 
+#include <string>
 #include <vector>
 
 namespace svd {
@@ -52,10 +53,20 @@ void registerOfflineDetector(DetectorRegistry &R);
 std::vector<Violation> detectOffline(const trace::ProgramTrace &T,
                                      const cu::CuPartition &CUs);
 
-/// Convenience running the whole offline pipeline: builds the d-PDG of
-/// \p T, computes CUs (Figure 5), and runs the strict-2PL scan (Figure 6).
-std::vector<Violation>
-detectOfflineFromTrace(const trace::ProgramTrace &T);
+/// What runOfflinePipeline() found in one trace.
+struct OfflineAnalysis {
+  /// The strict-2PL violations in detection order.
+  std::vector<Violation> Reports;
+  uint64_t CusFormed = 0;
+  /// Empty when the trace validated; otherwise "trace validation
+  /// failed: " plus trace::validate's reason, and no pass ran.
+  std::string Error;
+};
+
+/// The whole offline pipeline: validates \p T (trace::validate), builds
+/// its d-PDG, computes CUs (Figure 5), and runs the strict-2PL scan
+/// (Figure 6).
+OfflineAnalysis runOfflinePipeline(const trace::ProgramTrace &T);
 
 } // namespace detect
 } // namespace svd

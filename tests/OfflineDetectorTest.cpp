@@ -25,6 +25,13 @@ const char *RmwSource = R"(
   halt
 )";
 
+/// The whole offline pipeline's reports over \p T, which must validate.
+std::vector<Violation> offlineReports(const ProgramTrace &T) {
+  OfflineAnalysis A = runOfflinePipeline(T);
+  EXPECT_EQ(A.Error, "");
+  return A.Reports;
+}
+
 } // namespace
 
 TEST(OfflineDetector, DetectsInterleavedRmw) {
@@ -33,14 +40,14 @@ TEST(OfflineDetector, DetectsInterleavedRmw) {
   // inside t0's unfinished CU -> strict-2PL violation.
   ProgramTrace T =
       recordWithPrefix(P, sched({{0, 1}, {1, 4}, {0, 3}}));
-  std::vector<Violation> V = detectOfflineFromTrace(T);
+  std::vector<Violation> V = offlineReports(T);
   EXPECT_FALSE(V.empty());
 }
 
 TEST(OfflineDetector, SilentOnSerializedRmw) {
   isa::Program P = assembleOrDie(RmwSource);
   ProgramTrace T = recordWithPrefix(P, sched({{0, 4}, {1, 4}}));
-  std::vector<Violation> V = detectOfflineFromTrace(T);
+  std::vector<Violation> V = offlineReports(T);
   EXPECT_TRUE(V.empty());
 }
 
@@ -58,7 +65,7 @@ loop:
   halt
 )");
   ProgramTrace T = recordRun(P);
-  EXPECT_TRUE(detectOfflineFromTrace(T).empty());
+  EXPECT_TRUE(offlineReports(T).empty());
 }
 
 TEST(OfflineDetector, SilentOnDisjointData) {
@@ -79,14 +86,14 @@ TEST(OfflineDetector, SilentOnDisjointData) {
   // Fully interleaved but on different words: no conflicts at all.
   ProgramTrace T = recordWithPrefix(
       P, sched({{0, 1}, {1, 1}, {0, 1}, {1, 1}, {0, 1}, {1, 1}}));
-  EXPECT_TRUE(detectOfflineFromTrace(T).empty());
+  EXPECT_TRUE(offlineReports(T).empty());
 }
 
 TEST(OfflineDetector, ViolationIdentifiesBothSides) {
   isa::Program P = assembleOrDie(RmwSource);
   ProgramTrace T =
       recordWithPrefix(P, sched({{0, 1}, {1, 4}, {0, 3}}));
-  std::vector<Violation> V = detectOfflineFromTrace(T);
+  std::vector<Violation> V = offlineReports(T);
   ASSERT_FALSE(V.empty());
   for (const Violation &Viol : V) {
     EXPECT_NE(Viol.Tid, Viol.OtherTid);
@@ -107,7 +114,7 @@ TEST(OfflineDetector, ReadReadOverlapIsNotAViolation) {
 )");
   ProgramTrace T = recordWithPrefix(
       P, sched({{0, 1}, {1, 1}, {0, 1}, {1, 1}, {0, 2}, {1, 2}}));
-  EXPECT_TRUE(detectOfflineFromTrace(T).empty());
+  EXPECT_TRUE(offlineReports(T).empty());
 }
 
 TEST(OfflineDetector, StaticKeyGroupsSameCodePair) {

@@ -439,7 +439,9 @@ TEST_P(OfflineSerial, OfflineDetectorSilentOnSerialExecutions) {
   M.addObserver(&Rec);
   if (M.run() != vm::StopReason::AllHalted)
     GTEST_SKIP() << "serial run deadlocked (lock order dependent)";
-  EXPECT_TRUE(detect::detectOfflineFromTrace(Rec.trace()).empty());
+  detect::OfflineAnalysis A = detect::runOfflinePipeline(Rec.trace());
+  EXPECT_EQ(A.Error, "");
+  EXPECT_TRUE(A.Reports.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, OfflineSerial,

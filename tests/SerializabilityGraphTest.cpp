@@ -93,7 +93,7 @@ TEST(SerializabilityGraph, StrictTwoPlViolationCanStillBeSerializable) {
   ProgramTrace T = recordWithPrefix(P, sched({{0, 2}, {1, 3}, {0, 3}}));
 
   // The Figure 6 offline scan flags it...
-  std::vector<Violation> TwoPl = detectOfflineFromTrace(T);
+  std::vector<Violation> TwoPl = runOfflinePipeline(T).Reports;
   EXPECT_FALSE(TwoPl.empty());
 
   // ...but the exact precedence-graph test does not: a -> b only.
@@ -177,7 +177,7 @@ TEST(SerializabilityGraph, ExactNeverFlagsMoreThanTwoPl) {
     RP.OmitLockProbability = 0.4;
     workloads::Workload W = workloads::randomWorkload(RP);
     ProgramTrace T = recordRun(W.Program, Seed);
-    if (!detectOfflineFromTrace(T).empty())
+    if (!runOfflinePipeline(T).Reports.empty())
       ++TwoPlFlags;
     if (!graphOf(T).isSerializable())
       ++ExactFlags;
