@@ -2,10 +2,12 @@
 
 #include "support/Json.h"
 
+#include "support/Error.h"
 #include "support/StringUtils.h"
 
 #include <cctype>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 
 using namespace svd;
@@ -245,4 +247,21 @@ private:
 
 bool support::jsonValidate(const std::string &S, std::string *Error) {
   return Validator(S).run(Error);
+}
+
+bool support::writeJsonFile(const std::string &Path,
+                            const std::string &Content) {
+  std::string Err;
+  if (!jsonValidate(Content, &Err))
+    fatalError("internal error: emitted invalid JSON for '" + Path +
+               "': " + Err);
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  bool Written =
+      F && std::fwrite(Content.data(), 1, Content.size(), F) == Content.size();
+  // fclose flushes the buffer, so a full device only reports here.
+  if (F && std::fclose(F) != 0)
+    Written = false;
+  if (!Written)
+    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+  return Written;
 }

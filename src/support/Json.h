@@ -34,6 +34,12 @@ std::string jsonString(const std::string &S);
 /// diagnostic with a byte offset.
 bool jsonValidate(const std::string &S, std::string *Error = nullptr);
 
+/// Writes \p Content to \p Path after asserting it is valid JSON (every
+/// emitter promises a well-formed document; a failure there is a bug,
+/// not user error). Returns false, with a message on stderr, when the
+/// file cannot be opened or fully written.
+bool writeJsonFile(const std::string &Path, const std::string &Content);
+
 } // namespace support
 } // namespace svd
 

@@ -24,7 +24,6 @@
 #include "obs/ChromeTrace.h"
 #include "obs/Obs.h"
 #include "support/Cli.h"
-#include "support/Error.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -53,24 +52,6 @@ const char *Usage =
     "  --trace-out FILE     write a Chrome trace_event JSON of the run\n"
     "                       (open in chrome://tracing or Perfetto)\n"
     "  --list               list the available suites\n";
-
-/// Writes \p Content to \p Path after asserting it is valid JSON (both
-/// exporters promise well-formed documents; a failure here is a bug,
-/// not user error). Returns false when the file cannot be written.
-bool writeJsonFile(const std::string &Path, const std::string &Content) {
-  std::string Err;
-  if (!support::jsonValidate(Content, &Err))
-    support::fatalError("internal error: emitted invalid JSON for '" + Path +
-                        "': " + Err);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    return false;
-  }
-  std::fwrite(Content.data(), 1, Content.size(), F);
-  std::fclose(F);
-  return true;
-}
 
 } // namespace
 
@@ -121,10 +102,10 @@ int main(int Argc, char **Argv) {
   int Rc = S->Run(O);
 
   if (!MetricsPath.empty() &&
-      !writeJsonFile(MetricsPath, obs::metricsJson(Registry)))
+      !support::writeJsonFile(MetricsPath, obs::metricsJson(Registry)))
     return support::ExitUsage;
   if (!TracePath.empty() &&
-      !writeJsonFile(TracePath, Trace.chromeTraceJson()))
+      !support::writeJsonFile(TracePath, Trace.chromeTraceJson()))
     return support::ExitUsage;
   return Rc;
 }

@@ -33,7 +33,6 @@
 #include "harness/Runner.h"
 #include "harness/Suites.h"
 #include "support/Cli.h"
-#include "support/Error.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 #include "svd/HardwareSvd.h"
@@ -167,23 +166,6 @@ std::string jsonDocument(const std::string &SuiteName,
   return J;
 }
 
-/// Writes \p Content to \p Path after asserting it is valid JSON (the
-/// emitter promises a well-formed document; a failure here is a bug).
-bool writeJsonFile(const std::string &Path, const std::string &Content) {
-  std::string Err;
-  if (!support::jsonValidate(Content, &Err))
-    support::fatalError("internal error: emitted invalid JSON for '" + Path +
-                        "': " + Err);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    return false;
-  }
-  std::fwrite(Content.data(), 1, Content.size(), F);
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -297,7 +279,7 @@ int main(int Argc, char **Argv) {
   }
 
   std::string Doc = jsonDocument(SuiteName, Plans, Seeds, Rows, Violations);
-  if (!ReportPath.empty() && !writeJsonFile(ReportPath, Doc))
+  if (!ReportPath.empty() && !support::writeJsonFile(ReportPath, Doc))
     return support::ExitUsage;
 
   if (Json) {

@@ -40,7 +40,6 @@
 #include "obs/Obs.h"
 #include "serve/Serve.h"
 #include "support/Cli.h"
-#include "support/Error.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -166,23 +165,6 @@ std::string jsonDocument(const std::string &SuiteName, uint32_t Shards,
                     Rows.size(), Counts[0], Counts[1], Counts[2], Counts[3],
                     Counts[4], Violations.size());
   return J;
-}
-
-/// Writes \p Content to \p Path after asserting it is valid JSON (the
-/// emitter promises a well-formed document; a failure here is a bug).
-bool writeJsonFile(const std::string &Path, const std::string &Content) {
-  std::string Err;
-  if (!support::jsonValidate(Content, &Err))
-    support::fatalError("internal error: emitted invalid JSON for '" + Path +
-                        "': " + Err);
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F) {
-    std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-    return false;
-  }
-  std::fwrite(Content.data(), 1, Content.size(), F);
-  std::fclose(F);
-  return true;
 }
 
 std::string cellName(const serve::SessionReport &R) {
@@ -321,12 +303,12 @@ int main(int Argc, char **Argv) {
   }
 
   if (!MetricsPath.empty() &&
-      !writeJsonFile(MetricsPath, obs::metricsJson(Metrics)))
+      !support::writeJsonFile(MetricsPath, obs::metricsJson(Metrics)))
     return support::ExitUsage;
 
   std::string Doc =
       jsonDocument(SuiteName, Shards, Seeds, Plans, Rows, Violations);
-  if (!ReportPath.empty() && !writeJsonFile(ReportPath, Doc))
+  if (!ReportPath.empty() && !support::writeJsonFile(ReportPath, Doc))
     return support::ExitUsage;
 
   if (Json) {
