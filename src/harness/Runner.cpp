@@ -41,6 +41,9 @@ unsigned harness::resolveJobs(unsigned Jobs) {
 
 namespace {
 
+/// Step-budget multiplier applied per guarded retry.
+constexpr uint64_t RetryStepFactor = 4;
+
 /// SplitMix64 step; used only to derive the test-only pickup
 /// permutation, never for sample state.
 uint64_t splitMix64(uint64_t &State) {
@@ -173,10 +176,10 @@ SampleResult guardedSample(const SampleSpec &S, const RunnerConfig &Cfg) {
     // Escalate the budget and re-run; the retry decision depends only
     // on the deterministic StopReason, so the determinism contract
     // holds (a retried sample is retried at every Jobs value).
-    uint64_t Factor = Cfg.RetryStepFactor < 2 ? 2 : Cfg.RetryStepFactor;
-    uint64_t Escalated = C.MaxSteps * Factor;
+    uint64_t Escalated = C.MaxSteps * RetryStepFactor;
     // Saturate when the multiplication wrapped.
-    C.MaxSteps = Escalated / Factor == C.MaxSteps ? Escalated : UINT64_MAX;
+    C.MaxSteps = Escalated / RetryStepFactor == C.MaxSteps ? Escalated
+                                                           : UINT64_MAX;
   }
   if (R.Metrics.Stop == vm::StopReason::StepBudget) {
     R.Outcome = SampleOutcome::TimedOut;

@@ -106,8 +106,6 @@ struct RunnerConfig {
   /// MaxAttempts - 1 retries at an escalated budget before the sample
   /// is classified TimedOut. 1 disables retries.
   uint32_t MaxAttempts = 2;
-  /// Step-budget multiplier applied per retry.
-  uint64_t RetryStepFactor = 4;
 };
 
 /// Resolves a --jobs value: 0 becomes the hardware thread count (at
@@ -139,8 +137,8 @@ public:
   /// threads than hwsvd CPUs => Failed with a diagnostic, without
   /// executing); exceptions escaping a sample — including injected
   /// crashes from a fault plan — become Failed without disturbing
-  /// sibling samples; a StepBudget stop is retried once at an escalated
-  /// budget (RunnerConfig::MaxAttempts/RetryStepFactor) and classified
+  /// sibling samples; a StepBudget stop is retried at a budget four
+  /// times larger (up to RunnerConfig::MaxAttempts runs) and classified
   /// TimedOut if it still does not finish; a detector reporting
   /// degraded health yields Degraded. The determinism contract of run()
   /// carries over: outcomes, diagnostics, and metrics are bit-identical
