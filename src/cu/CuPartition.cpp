@@ -20,15 +20,15 @@ using trace::TraceEvent;
 namespace {
 
 /// Union-find over event indices with per-root CU payload (the `active`
-/// flag and shVars set of Figure 5's CU_T). A root's shVars set is a
-/// sorted vector in a pool, allocated when the root's CU first writes a
-/// shared word; most CUs never do.
+/// flag and shVars set of Figure 5's CU_T), united by member count. A
+/// root's shVars set is a sorted vector in a pool, allocated when the
+/// root's CU first writes a shared word; most CUs never do.
 class UnionFind {
 public:
   static constexpr uint32_t NoShVars = UINT32_MAX;
 
   explicit UnionFind(size_t N)
-      : Parent(N), Active(N, 0), ShVarsOf(N, NoShVars) {
+      : Parent(N), Size(N, 1), Active(N, 0), ShVarsOf(N, NoShVars) {
     for (size_t I = 0; I < N; ++I)
       Parent[I] = static_cast<uint32_t>(I);
   }
@@ -48,12 +48,17 @@ public:
     B = find(B);
     if (A == B)
       return A;
-    // Union by shVars size to bound copying. The larger set stays with
-    // the root, so when B has a pool entry A has one too.
-    if (shVarCount(A) < shVarCount(B))
+    // Union by member count keeps every tree shallow: a long CU absorbing
+    // one new statement at a time would otherwise grow a parent chain.
+    if (Size[A] < Size[B])
       std::swap(A, B);
     Parent[B] = A;
+    Size[A] += Size[B];
     Active[A] = Active[A] | Active[B];
+    // The larger shVars set stays with the root, so only the smaller
+    // one is copied; when B still has a pool entry, A has one too.
+    if (shVarCount(A) < shVarCount(B))
+      std::swap(ShVarsOf[A], ShVarsOf[B]);
     if (ShVarsOf[B] != NoShVars) {
       std::vector<isa::Addr> &Into = Pool[ShVarsOf[A]];
       std::vector<isa::Addr> &From = Pool[ShVarsOf[B]];
@@ -95,6 +100,8 @@ public:
 
 private:
   std::vector<uint32_t> Parent;
+  /// Member count of each root's set.
+  std::vector<uint32_t> Size;
   std::vector<uint8_t> Active;
   /// Pool index of each root's shVars set, or NoShVars when empty.
   std::vector<uint32_t> ShVarsOf;

@@ -136,6 +136,9 @@ bool obs::isDocumentedKey(const std::string &Name) {
       "serve.frames_shed",
       "serve.quarantines",
       "serve.readmissions",
+      "serve.session.detect",
+      "serve.session.produce",
+      "serve.session.stream",
       "serve.sessions",
       "serve.sessions_degraded",
       "serve.sessions_failed",

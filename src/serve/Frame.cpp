@@ -346,3 +346,33 @@ DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
   }
   return DecodeResult::fail(Reject::BadOpcode, "unreachable");
 }
+
+FrameStreamer::FrameStreamer(const FrameCodec &Codec) : Codec(Codec) {
+  Wire.push_back({Codec.encodeHello(), Opcode::Hello, 0, 0});
+}
+
+void FrameStreamer::record(const trace::TraceEvent &E) {
+  Buf[Fill++] = E;
+  if (Fill == EventsPerFrame)
+    seal();
+}
+
+void FrameStreamer::seal() {
+  // Hello holds wire position 0, so the next Events frame's sequence
+  // number is the wire length.
+  uint32_t Seq = static_cast<uint32_t>(Wire.size());
+  Wire.push_back({Codec.encodeEvents(Buf.data(), Fill, Seq), Opcode::Events,
+                  Seq, Fill});
+  Sealed += Fill;
+  Fill = 0;
+}
+
+std::vector<WireFrame> FrameStreamer::finish() {
+  if (Fill != 0)
+    seal();
+  uint32_t Seq = static_cast<uint32_t>(Wire.size());
+  Wire.push_back({Codec.encodeEnd(Seq, Sealed), Opcode::End, Seq, 0});
+  return std::move(Wire);
+}
+
+template class svd::trace::TraceEventBuilder<svd::serve::FrameStreamer>;

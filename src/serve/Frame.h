@@ -14,6 +14,8 @@
 /// frame-level analog of trace::validate) before a single event reaches
 /// detector state. A malformed frame produces exactly one classified
 /// reject — never an exception and never out-of-bounds indexing.
+/// FrameStreamer is the producer side: it encodes a running execution
+/// into frames without recording the whole trace first.
 ///
 /// Frame layout (version 2; all integers little-endian):
 ///
@@ -45,6 +47,7 @@
 #include "isa/Program.h"
 #include "trace/Trace.h"
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -170,7 +173,61 @@ private:
   uint32_t Session;
 };
 
+/// One wire frame plus the producer-side metadata the shedding policy
+/// needs (it describes the frame as generated, before any in-flight
+/// mangling).
+struct WireFrame {
+  std::vector<uint8_t> Bytes;
+  Opcode Op = Opcode::Hello;
+  uint32_t FrameSeq = 0;
+  uint64_t EventCount = 0;
+};
+
+/// The producer side of a session: an ExecutionObserver that encodes
+/// the running execution straight into wire frames, so no whole-run
+/// trace is ever recorded. It opens the wire with Hello, fills one fixed
+/// buffer of EventsPerFrame events and seals each full buffer with
+/// FrameCodec::encodeEvents, and finish() seals the partial last buffer
+/// and closes the wire with End. The frames are byte-identical to
+/// encoding a TraceRecorder trace of the same run in EventsPerFrame
+/// slices (ServeCodec.StreamedWireEqualsRecordedEncoding).
+class FrameStreamer : public trace::TraceEventBuilder<FrameStreamer> {
+public:
+  /// Events per Events frame (serve::ServeConfig::EventsPerFrame).
+  static constexpr uint32_t EventsPerFrame = 256;
+  static_assert(EventsPerFrame >= 1 &&
+                EventsPerFrame <= FrameCodec::MaxEventsPerFrame);
+
+  explicit FrameStreamer(const FrameCodec &Codec);
+  // A machine holds the streamer's address for the whole run.
+  FrameStreamer(const FrameStreamer &) = delete;
+  FrameStreamer &operator=(const FrameStreamer &) = delete;
+
+  /// Events observed so far.
+  uint64_t events() const { return Sealed + Fill; }
+
+  /// Seals the partial last Events frame (if any), appends End carrying
+  /// the event total, and hands over the wire: Hello, ceil(n / 256)
+  /// Events frames with sequence numbers 1.., then End.
+  std::vector<WireFrame> finish();
+
+private:
+  friend class trace::TraceEventBuilder<FrameStreamer>;
+  void record(const trace::TraceEvent &E);
+  /// Encodes the buffered events as the next Events frame.
+  void seal();
+
+  FrameCodec Codec;
+  std::vector<WireFrame> Wire;
+  std::array<trace::TraceEvent, EventsPerFrame> Buf;
+  uint32_t Fill = 0;
+  uint64_t Sealed = 0;
+};
+
 } // namespace serve
+
+extern template class trace::TraceEventBuilder<serve::FrameStreamer>;
+
 } // namespace svd
 
 #endif // SVD_SERVE_FRAME_H

@@ -83,8 +83,13 @@ constexpr uint32_t BackoffMaxExp = 6;
 /// virtual ticks.
 constexpr uint32_t QuarantineBaseTicks = 4;
 
-static_assert(ServeConfig::EventsPerFrame >= 1 &&
-              ServeConfig::EventsPerFrame <= FrameCodec::MaxEventsPerFrame);
+/// Wall-clock timers of one runServe call's session stages, looked up
+/// once per call; all null (no-op) unless ServeConfig::Obs is set.
+struct StageTimers {
+  obs::TimerStat *Produce = nullptr; ///< VM run + wire encoding
+  obs::TimerStat *Stream = nullptr;  ///< ring, decode, assembly (all attempts)
+  obs::TimerStat *Detect = nullptr;  ///< offline passes + outcome
+};
 
 /// Runs the offline detection passes over \p T and fills the detection
 /// half of \p R. Used identically by the serve path (assembled trace)
@@ -154,98 +159,66 @@ void resolveOutcome(SessionReport &R, bool HelloSeen, bool EndSeen,
     R.Diagnostic = R.DegradedReason;
 }
 
-/// One pre-generated wire frame plus the producer-side metadata the
-/// shedding policy needs (metadata describes the frame as generated,
-/// before any in-flight mangling).
-struct WireEntry {
-  std::vector<uint8_t> Bytes;
-  Opcode Op = Opcode::Hello;
-  uint32_t FrameSeq = 0;
-  uint64_t EventCount = 0;
-};
-
 /// Everything one session carries through the daemon.
 struct SessionState {
   const SessionInput *In = nullptr;
   SessionReport R;
   std::optional<fault::FaultPlan> Plan;
-  /// The recorded execution (null if the producer crashed, and released
-  /// once the wire is built).
-  std::optional<trace::ProgramTrace> Trace;
-  /// The full wire stream, generated once; shedding splices it.
-  /// Released when the admission loop exits.
-  std::vector<WireEntry> Wire;
-  bool ProducerCrashed = false;
+  /// The session's wire stream, encoded while the VM runs; shedding
+  /// splices it. Released when the admission loop exits.
+  std::vector<WireFrame> Wire;
 };
 
-/// Runs the workload under the VM and pre-records the session's trace
-/// — the client side of the daemon, identical by construction to a
-/// batch run of the same (workload, machine config).
-void produceTrace(SessionState &S) {
+/// Runs the workload under the VM with \p Obs attached — the client
+/// side of the daemon. The serve path attaches a FrameStreamer and the
+/// batch twin a TraceRecorder, so both observe the same execution by
+/// construction. Returns false, with the session Failed, if the
+/// producer crashed.
+bool produce(SessionState &S, vm::ExecutionObserver &Obs) {
   const SessionInput &In = *S.In;
   vm::MachineConfig MC = In.Machine;
   if (S.Plan)
     MC.Faults = &*S.Plan;
-  trace::TraceRecorder Rec(In.Work->Program);
   vm::Machine M(In.Work->Program, MC);
-  M.addObserver(&Rec);
+  M.addObserver(&Obs);
   try {
     M.run();
   } catch (const fault::InjectedCrash &E) {
-    S.ProducerCrashed = true;
     S.R.Outcome = SessionOutcome::Failed;
     S.R.Diagnostic = std::string("producer crashed: ") + E.what();
-    return;
+    return false;
   }
   S.R.Steps = M.steps();
   S.R.Manifested = In.Work->Manifested(M);
-  S.Trace.emplace(Rec.takeTrace());
-  S.R.EventsStreamed = S.Trace->size();
+  return true;
 }
 
-/// Builds the session's wire stream: Hello, Events frames, End — then
-/// applies the plan's in-flight faults (truncate/corrupt/duplicate/
-/// reorder) as pure per-position decisions.
-void buildWire(SessionState &S) {
-  const FrameCodec Codec(S.In->Work->Program, S.In->SessionId);
-  const trace::ProgramTrace &T = *S.Trace;
-  const fault::FaultPlan *Plan =
-      S.Plan && S.Plan->perturbsFrames() ? &*S.Plan : nullptr;
-
-  std::vector<WireEntry> Logical;
-  Logical.push_back({Codec.encodeHello(), Opcode::Hello, 0, 0});
-  uint32_t Seq = 1;
-  const size_t Per = ServeConfig::EventsPerFrame;
-  for (size_t I = 0; I < T.size(); I += Per, ++Seq) {
-    size_t N = std::min(Per, T.size() - I);
-    Logical.push_back({Codec.encodeEvents(&T.events()[I], N, Seq),
-                       Opcode::Events, Seq, N});
-  }
-  Logical.push_back({Codec.encodeEnd(Seq, T.size()), Opcode::End, Seq, 0});
-
-  S.Wire.clear();
-  S.Wire.reserve(Logical.size());
-  for (WireEntry &E : Logical) {
-    if (Plan) {
-      if (Plan->truncateFrame(E.FrameSeq))
-        E.Bytes.resize(Plan->truncatedFrameSize(E.Bytes.size(), E.FrameSeq));
-      else if (Plan->corruptFrame(E.FrameSeq))
-        Plan->mangleFrameBytes(E.Bytes, E.FrameSeq);
+/// Applies the plan's in-flight faults (truncate/corrupt/duplicate/
+/// reorder) to the session's wire as pure per-position decisions.
+void perturbWire(SessionState &S) {
+  if (S.Plan && S.Plan->perturbsFrames()) {
+    const fault::FaultPlan &Plan = *S.Plan;
+    std::vector<WireFrame> Out;
+    Out.reserve(S.Wire.size());
+    for (WireFrame &F : S.Wire) {
+      if (Plan.truncateFrame(F.FrameSeq))
+        F.Bytes.resize(Plan.truncatedFrameSize(F.Bytes.size(), F.FrameSeq));
+      else if (Plan.corruptFrame(F.FrameSeq))
+        Plan.mangleFrameBytes(F.Bytes, F.FrameSeq);
+      bool Dup = Plan.duplicateFrame(F.FrameSeq);
+      Out.push_back(std::move(F));
+      if (Dup)
+        Out.push_back(Out.back());
     }
-    bool Dup = Plan && Plan->duplicateFrame(E.FrameSeq);
-    S.Wire.push_back(std::move(E));
-    if (Dup)
-      S.Wire.push_back(S.Wire.back());
-  }
-  if (Plan) {
     // Adjacent swaps keyed on wire position; a swapped pair is skipped
     // so swap chains never overlap (the resequencer's one-frame hold
     // is then always sufficient for reorder-only streams).
-    for (size_t I = 0; I + 1 < S.Wire.size(); ++I)
-      if (Plan->reorderFrame(I)) {
-        std::swap(S.Wire[I], S.Wire[I + 1]);
+    for (size_t I = 0; I + 1 < Out.size(); ++I)
+      if (Plan.reorderFrame(I)) {
+        std::swap(Out[I], Out[I + 1]);
         ++I;
       }
+    S.Wire = std::move(Out);
   }
   S.R.FramesSent = S.Wire.size();
 }
@@ -424,7 +397,7 @@ std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
     for (const auto &[Seq, N] : Unique)
       Dropped += N;
     uint32_t Span = MaxSeq - MinSeq + 1;
-    WireEntry Marker{Codec.encodeShed(MinSeq, Span, Epoch, Dropped),
+    WireFrame Marker{Codec.encodeShed(MinSeq, Span, Epoch, Dropped),
                      Opcode::Shed, MinSeq, 0};
     S.Wire.erase(S.Wire.begin() + B, S.Wire.begin() + E);
     S.Wire.insert(S.Wire.begin() + B, std::move(Marker));
@@ -514,20 +487,24 @@ std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
   return std::nullopt;
 }
 
-/// Runs one session end to end: produce, stream through the ring with
-/// quarantine containment, detect, classify. Every failure ends as a
-/// classified outcome; nothing escapes.
+/// Runs one session end to end: produce the wire while the VM runs,
+/// stream it through the ring with quarantine containment, detect,
+/// classify. Every failure ends as a classified outcome; nothing
+/// escapes.
 void runSession(SessionState &S, const ServeConfig &Cfg,
-                shadow::Table<uint8_t> &Seen) {
+                const StageTimers &Timers, shadow::Table<uint8_t> &Seen) {
   SessionReport &R = S.R;
   try {
-    produceTrace(S);
-    if (S.ProducerCrashed)
-      return;
-    buildWire(S);
-    // The wire now carries the whole stream; the recorded trace has no
-    // further reader.
-    S.Trace.reset();
+    {
+      obs::ScopedTimer T(Timers.Produce);
+      FrameStreamer Streamer(
+          FrameCodec(S.In->Work->Program, S.In->SessionId));
+      if (!produce(S, Streamer))
+        return;
+      R.EventsStreamed = Streamer.events();
+      S.Wire = Streamer.finish();
+      perturbWire(S);
+    }
 
     // An aborted attempt rolls its AttemptCounters back: the
     // re-admission replays the wire from the start and would otherwise
@@ -536,26 +513,30 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
     // re-admissions by design, and their counts stay authoritative.
     const AttemptCounters Before = R;
     std::optional<Assembly> A;
-    for (uint32_t Attempt = 1;; ++Attempt) {
-      A.emplace(S.In->Work->Program, Cfg.TenantEventBudget);
-      std::optional<std::string> Abort = runAttempt(S, Cfg, Attempt, *A, Seen);
-      if (!Abort)
-        break; // stream fully drained
-      static_cast<AttemptCounters &>(R) = Before;
-      ++R.Quarantines;
-      if (Attempt > Cfg.RetryBudget) {
-        R.Outcome = SessionOutcome::Failed;
-        R.Diagnostic = support::formatString(
-            "quarantine retry budget exhausted after %u attempts: %s",
-            Attempt, Abort->c_str());
-        break;
+    {
+      obs::ScopedTimer T(Timers.Stream);
+      for (uint32_t Attempt = 1;; ++Attempt) {
+        A.emplace(S.In->Work->Program, Cfg.TenantEventBudget);
+        std::optional<std::string> Abort =
+            runAttempt(S, Cfg, Attempt, *A, Seen);
+        if (!Abort)
+          break; // stream fully drained
+        static_cast<AttemptCounters &>(R) = Before;
+        ++R.Quarantines;
+        if (Attempt > Cfg.RetryBudget) {
+          R.Outcome = SessionOutcome::Failed;
+          R.Diagnostic = support::formatString(
+              "quarantine retry budget exhausted after %u attempts: %s",
+              Attempt, Abort->c_str());
+          break;
+        }
+        R.Ticks += static_cast<uint64_t>(QuarantineBaseTicks) << (Attempt - 1);
+        ++R.Readmissions;
       }
-      R.Ticks += static_cast<uint64_t>(QuarantineBaseTicks) << (Attempt - 1);
-      ++R.Readmissions;
     }
     // Re-admissions replay the wire from the start, so it lives until
     // the admission loop exits.
-    S.Wire = std::vector<WireEntry>();
+    S.Wire = std::vector<WireFrame>();
 
     if (R.Outcome == SessionOutcome::Failed ||
         R.Outcome == SessionOutcome::Poisoned) {
@@ -564,6 +545,7 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
       // is contained, counted, and reported without analysis.
       return;
     }
+    obs::ScopedTimer T(Timers.Detect);
     finishDetection(*S.In->Work, A->Trace, R);
     resolveOutcome(R, A->HelloSeen, A->EndSeen, A->EndTotal);
   } catch (const std::exception &E) {
@@ -620,6 +602,11 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
 
   ServeReport Report;
   Report.Shards.resize(Shards);
+  StageTimers Timers;
+  if (Cfg.Obs)
+    Timers = {&Cfg.Obs->timer("serve.session.produce"),
+              &Cfg.Obs->timer("serve.session.stream"),
+              &Cfg.Obs->timer("serve.session.detect")};
 
   // Shard fan-out: each worker claims whole shards; shard loops touch
   // only their own sessions and their own shard report, so any jobs
@@ -637,7 +624,7 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
       for (size_t Idx : SS.SessionIdx) {
         SessionState &S = States[Idx];
         S.R.Shard = K;
-        runSession(S, Cfg, Seen);
+        runSession(S, Cfg, Timers, Seen);
         SR.Sessions.push_back(S.R.SessionId);
         SR.FramesDelivered += S.R.FramesDelivered;
         SR.EventsIngested += S.R.EventsIngested;
@@ -727,11 +714,13 @@ SessionReport serve::batchSessionReport(const SessionInput &S,
   State.R.Seed = S.Seed;
   if (Cfg.FaultCfg)
     State.Plan.emplace(*Cfg.FaultCfg, S.Seed);
-  produceTrace(State);
+  trace::TraceRecorder Rec(S.Work->Program);
+  bool Produced = produce(State, Rec);
   SessionReport R = std::move(State.R);
-  if (State.ProducerCrashed)
+  if (!Produced)
     return R;
-  const trace::ProgramTrace &Full = *State.Trace;
+  const trace::ProgramTrace &Full = Rec.trace();
+  R.EventsStreamed = Full.size();
   R.EventsIngested = Full.size();
   if (Cfg.TenantEventBudget != 0 && Full.size() > Cfg.TenantEventBudget) {
     // The batch analog of the per-tenant ingestion budget: analyze the

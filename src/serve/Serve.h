@@ -9,8 +9,10 @@
 /// N client sessions stream their execution traces as length-prefixed
 /// binary frames (serve/Frame.h) through bounded SPSC rings
 /// (serve/Ring.h) into sharded detector instances, each shard owning
-/// its own shadow::Table state. Each session's wire is encoded once, and
-/// its ring carries positions into that wire, not copies of the frames.
+/// its own shadow::Table state. Each session's wire is encoded once,
+/// while its VM runs (serve::FrameStreamer), so the daemon records no
+/// per-session trace; its ring carries positions into that wire, not
+/// copies of the frames.
 /// Four robustness stages wrap the pipeline:
 ///
 ///  1. **Hardened ingestion** — every frame passes the FrameCodec gate;
@@ -99,9 +101,9 @@ struct SessionInput {
 /// mode; every field participates in the pure function that produces a
 /// ServeReport.
 struct ServeConfig {
-  /// Events per wire frame (fixed; the other pacing constants live in
-  /// serve/Serve.cpp).
-  static constexpr uint32_t EventsPerFrame = 256;
+  /// Events per wire frame (fixed by the producer's FrameStreamer; the
+  /// other pacing constants live in serve/Serve.cpp).
+  static constexpr uint32_t EventsPerFrame = FrameStreamer::EventsPerFrame;
   /// Number of detector shards. Sessions are assigned round-robin in
   /// canonical session order, then optionally shuffled.
   uint32_t Shards = 2;
@@ -134,7 +136,8 @@ struct ServeConfig {
   /// instantiated from it with the session's seed. Null = fault-free.
   const fault::FaultPlanConfig *FaultCfg = nullptr;
   /// Observability sink; counters are exported once, deterministically,
-  /// after every shard finishes. Not owned.
+  /// after every shard finishes, and the serve.session.produce/stream/
+  /// detect timers accumulate per session. Not owned.
   obs::Registry *Obs = nullptr;
 };
 

@@ -105,56 +105,4 @@ void TraceRecorder::record(const TraceEvent &E) {
   Trace.append(E);
 }
 
-TraceEvent TraceRecorder::base(const vm::EventCtx &Ctx, EventKind K) const {
-  TraceEvent E;
-  E.Seq = Ctx.Seq;
-  E.Tid = Ctx.Tid;
-  E.Pc = Ctx.Pc;
-  E.Instr = Ctx.Instr;
-  E.Kind = K;
-  return E;
-}
-
-void TraceRecorder::onLoad(const vm::EventCtx &Ctx, isa::Addr A,
-                           isa::Word V) {
-  TraceEvent E = base(Ctx, EventKind::Load);
-  E.Address = A;
-  E.Value = V;
-  record(E);
-}
-
-void TraceRecorder::onStore(const vm::EventCtx &Ctx, isa::Addr A,
-                            isa::Word V) {
-  TraceEvent E = base(Ctx, EventKind::Store);
-  E.Address = A;
-  E.Value = V;
-  record(E);
-}
-
-void TraceRecorder::onAlu(const vm::EventCtx &Ctx) {
-  record(base(Ctx, EventKind::Alu));
-}
-
-void TraceRecorder::onBranch(const vm::EventCtx &Ctx, bool Taken,
-                             uint32_t Target) {
-  TraceEvent E = base(Ctx, EventKind::Branch);
-  E.Taken = Taken;
-  E.Target = Target;
-  record(E);
-}
-
-void TraceRecorder::onLock(const vm::EventCtx &Ctx, uint32_t MutexId) {
-  TraceEvent E = base(Ctx, EventKind::Lock);
-  E.MutexId = MutexId;
-  record(E);
-}
-
-void TraceRecorder::onUnlock(const vm::EventCtx &Ctx, uint32_t MutexId) {
-  TraceEvent E = base(Ctx, EventKind::Unlock);
-  E.MutexId = MutexId;
-  record(E);
-}
-
-void TraceRecorder::onThreadFinished(const vm::EventCtx &Ctx) {
-  record(base(Ctx, EventKind::ThreadEnd));
-}
+template class svd::trace::TraceEventBuilder<svd::trace::TraceRecorder>;

@@ -120,8 +120,95 @@ private:
 /// into a diagnostic instead of out-of-bounds indexing.
 bool validate(const ProgramTrace &T, std::string &Error);
 
+/// The one translation of the VM's seven event callbacks into
+/// TraceEvents, shared by every observer that consumes the event stream
+/// as TraceEvents (TraceRecorder here, serve::FrameStreamer). Each built
+/// event goes to `Sink::record(const TraceEvent &)` through a static
+/// cast, so sharing the builders adds no virtual call per event.
+template <typename Sink>
+class TraceEventBuilder : public vm::ExecutionObserver {
+public:
+  void onLoad(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
+  void onStore(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
+  void onAlu(const vm::EventCtx &Ctx) override;
+  void onBranch(const vm::EventCtx &Ctx, bool Taken,
+                uint32_t Target) override;
+  void onLock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
+  void onUnlock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
+  void onThreadFinished(const vm::EventCtx &Ctx) override;
+
+private:
+  static TraceEvent base(const vm::EventCtx &Ctx, EventKind K) {
+    TraceEvent E;
+    E.Seq = Ctx.Seq;
+    E.Tid = Ctx.Tid;
+    E.Pc = Ctx.Pc;
+    E.Instr = Ctx.Instr;
+    E.Kind = K;
+    return E;
+  }
+  void emit(const TraceEvent &E) { static_cast<Sink &>(*this).record(E); }
+};
+
+// The builders are defined out of line so that a sink's explicit
+// instantiation (next to its record()) is the only copy: other
+// translation units see an extern template and never instantiate them,
+// which keeps record() inlinable into every callback.
+template <typename Sink>
+void TraceEventBuilder<Sink>::onLoad(const vm::EventCtx &Ctx, isa::Addr A,
+                                     isa::Word V) {
+  TraceEvent E = base(Ctx, EventKind::Load);
+  E.Address = A;
+  E.Value = V;
+  emit(E);
+}
+
+template <typename Sink>
+void TraceEventBuilder<Sink>::onStore(const vm::EventCtx &Ctx, isa::Addr A,
+                                      isa::Word V) {
+  TraceEvent E = base(Ctx, EventKind::Store);
+  E.Address = A;
+  E.Value = V;
+  emit(E);
+}
+
+template <typename Sink>
+void TraceEventBuilder<Sink>::onAlu(const vm::EventCtx &Ctx) {
+  emit(base(Ctx, EventKind::Alu));
+}
+
+template <typename Sink>
+void TraceEventBuilder<Sink>::onBranch(const vm::EventCtx &Ctx, bool Taken,
+                                       uint32_t Target) {
+  TraceEvent E = base(Ctx, EventKind::Branch);
+  E.Taken = Taken;
+  E.Target = Target;
+  emit(E);
+}
+
+template <typename Sink>
+void TraceEventBuilder<Sink>::onLock(const vm::EventCtx &Ctx,
+                                     uint32_t MutexId) {
+  TraceEvent E = base(Ctx, EventKind::Lock);
+  E.MutexId = MutexId;
+  emit(E);
+}
+
+template <typename Sink>
+void TraceEventBuilder<Sink>::onUnlock(const vm::EventCtx &Ctx,
+                                       uint32_t MutexId) {
+  TraceEvent E = base(Ctx, EventKind::Unlock);
+  E.MutexId = MutexId;
+  emit(E);
+}
+
+template <typename Sink>
+void TraceEventBuilder<Sink>::onThreadFinished(const vm::EventCtx &Ctx) {
+  emit(base(Ctx, EventKind::ThreadEnd));
+}
+
 /// ExecutionObserver that records the trace of a run.
-class TraceRecorder : public vm::ExecutionObserver {
+class TraceRecorder : public TraceEventBuilder<TraceRecorder> {
 public:
   explicit TraceRecorder(const isa::Program &P) : Trace(P) {}
 
@@ -137,23 +224,16 @@ public:
   /// Events discarded because the cap was reached.
   uint64_t droppedEvents() const { return Dropped; }
 
-  void onLoad(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
-  void onStore(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
-  void onAlu(const vm::EventCtx &Ctx) override;
-  void onBranch(const vm::EventCtx &Ctx, bool Taken,
-                uint32_t Target) override;
-  void onLock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
-  void onUnlock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
-  void onThreadFinished(const vm::EventCtx &Ctx) override;
-
 private:
-  TraceEvent base(const vm::EventCtx &Ctx, EventKind K) const;
+  friend class TraceEventBuilder<TraceRecorder>;
   /// Appends \p E unless the cap is reached (then counts it dropped).
   void record(const TraceEvent &E);
   ProgramTrace Trace;
   uint64_t MaxEvents = 0;
   uint64_t Dropped = 0;
 };
+
+extern template class TraceEventBuilder<TraceRecorder>;
 
 } // namespace trace
 } // namespace svd

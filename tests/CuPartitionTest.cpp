@@ -220,6 +220,69 @@ loop:
   EXPECT_GT(CUs.meanUnitSize(), 1.0);
 }
 
+TEST(CuPartition, LongUnitAbsorbingSharedWriterKeepsItsShVars) {
+  // The long r1 chain writes no shared word; the short li r2 + st unit
+  // writes shared x. The add merges them, and union by size keeps the
+  // long unit's root, so the short unit's shVars set must move to that
+  // root: the merged unit still records x, and the later same-thread
+  // read of x cuts it (Figure 5, lines 4-9).
+  std::string Src = ".global x\n.thread a\n  li r1, 1\n";
+  const int Chain = 24;
+  for (int I = 0; I < Chain; ++I)
+    Src += "  addi r1, r1, 1\n";
+  Src += R"(  li r2, 7
+  st r2, [@x]
+  add r3, r1, r2
+  ld r4, [@x]
+  addi r5, r4, 1
+  halt
+.thread b
+  ld r9, [@x]
+  halt
+)";
+  isa::Program P = assembleOrDie(Src);
+  const int ThreadA = 1 + Chain + 6;
+  ProgramTrace T = recordWithPrefix(P, sched({{0, ThreadA}, {1, 2}}));
+  CuPartition CUs = partitionOf(T);
+  const uint32_t St = 1 + Chain + 1, Add = St + 1, Ld = Add + 1;
+  ASSERT_EQ(T[St].Kind, EventKind::Store);
+  ASSERT_EQ(T[Ld].Kind, EventKind::Load);
+
+  const uint32_t Merged = CUs.unitOf(0);
+  EXPECT_EQ(CUs.unitOf(St), Merged);
+  EXPECT_EQ(CUs.unitOf(Add), Merged);
+  EXPECT_EQ(CUs.units()[Merged].Events.size(), size_t{Chain} + 4);
+  EXPECT_EQ(CUs.units()[Merged].SharedWrites,
+            std::vector<isa::Addr>{P.addressOf("x")});
+  // The read of x starts a fresh unit with its dependent addi.
+  EXPECT_NE(CUs.unitOf(Ld), Merged);
+  EXPECT_EQ(CUs.unitOf(Ld + 1), CUs.unitOf(Ld));
+  EXPECT_EQ(unitsOfThread(CUs, 0), 2u);
+}
+
+TEST(CuPartition, LongDependentChainStaysOneUnit) {
+  // A 50k-statement chain: the r1 ALU chain and the loop counter join
+  // through the branch's control dependences, so every statement lands
+  // in one unit that absorbs one new statement at a time.
+  isa::Program P = assembleOrDie(R"(
+.thread t
+  li r1, 0
+  li r2, 16666
+loop:
+  addi r1, r1, 1
+  addi r2, r2, -1
+  bnez r2, loop
+  halt
+)");
+  const size_t Statements = 2 + 3 * 16666;
+  ProgramTrace T = recordRun(P);
+  ASSERT_EQ(T.size(), Statements + 1); // + the halt's ThreadEnd
+  CuPartition CUs = partitionOf(T);
+  ASSERT_EQ(CUs.units().size(), 1u);
+  EXPECT_EQ(CUs.units()[0].Events.size(), Statements);
+  EXPECT_EQ(CUs.units()[0].EndSeq, T[Statements - 1].Seq);
+}
+
 TEST(CuPartition, DescribeMentionsUnits) {
   isa::Program P = assembleOrDie(R"(
 .thread t

@@ -7,13 +7,16 @@
 // exact bytes against a byte-wise reference, walks every Reject
 // reason with a hand-built or mangled frame, then fuzzes the decoder
 // with the fault layer's wire mutators to pin the never-throws
-// contract.
+// contract. The last section pins the producer: FrameStreamer's wire
+// equals the codec's encoding of a recorded trace of the same run.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
 #include "fault/Fault.h"
+#include "harness/Suites.h"
 #include "serve/Frame.h"
+#include "serve/Serve.h"
 
 #include <gtest/gtest.h>
 
@@ -670,5 +673,127 @@ TEST(ServeCodec, TruncatedDeliveriesAlwaysClassifyNeverThrow) {
                 R.Why == Reject::TruncatedPayload)
         << rejectName(R.Why);
     EXPECT_FALSE(R.Detail.empty());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The producer: frames encoded while the VM runs equal the encoding of
+// the recorded trace.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The wire the serve path built before it streamed: Hello, the recorded
+/// trace in EventsPerFrame slices, then End carrying the total.
+std::vector<WireFrame> recordedWire(const FrameCodec &C,
+                                    const trace::ProgramTrace &T) {
+  std::vector<WireFrame> Wire;
+  Wire.push_back({C.encodeHello(), Opcode::Hello, 0, 0});
+  const size_t Per = FrameStreamer::EventsPerFrame;
+  uint32_t Seq = 1;
+  for (size_t I = 0; I < T.size(); I += Per, ++Seq) {
+    size_t N = std::min(Per, T.size() - I);
+    Wire.push_back(
+        {C.encodeEvents(&T.events()[I], N, Seq), Opcode::Events, Seq, N});
+  }
+  Wire.push_back({C.encodeEnd(Seq, T.size()), Opcode::End, Seq, 0});
+  return Wire;
+}
+
+/// Runs \p P once with a TraceRecorder and a FrameStreamer attached to
+/// the same machine and expects the streamed wire to equal the recorded
+/// encoding frame for frame and byte for byte. Returns the event count.
+size_t expectStreamedEqualsRecorded(const isa::Program &P,
+                                    const vm::MachineConfig &MC,
+                                    uint32_t SessionId) {
+  const FrameCodec C(P, SessionId);
+  trace::TraceRecorder Rec(P);
+  FrameStreamer Streamer(C);
+  vm::Machine M(P, MC);
+  M.addObserver(&Rec);
+  M.addObserver(&Streamer);
+  M.run();
+  const trace::ProgramTrace &T = Rec.trace();
+  EXPECT_EQ(Streamer.events(), T.size());
+  std::vector<WireFrame> Got = Streamer.finish();
+  std::vector<WireFrame> Want = recordedWire(C, T);
+  const size_t Per = FrameStreamer::EventsPerFrame;
+  EXPECT_EQ(Got.size(), 2 + (T.size() + Per - 1) / Per);
+  EXPECT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < std::min(Got.size(), Want.size()); ++I) {
+    SCOPED_TRACE("wire position " + std::to_string(I));
+    EXPECT_EQ(Got[I].Op, Want[I].Op);
+    EXPECT_EQ(Got[I].FrameSeq, Want[I].FrameSeq);
+    EXPECT_EQ(Got[I].EventCount, Want[I].EventCount);
+    expectSameBytes(Got[I].Bytes, Want[I].Bytes);
+  }
+  return T.size();
+}
+
+/// One thread of \p Alu register-only instructions then halt: Alu + 1
+/// events (the halt is a ThreadEnd event).
+isa::Program straightLine(size_t Alu) {
+  std::string Src = ".thread t\n";
+  for (size_t I = 0; I < Alu; ++I)
+    Src += "  li r1, " + std::to_string(I) + "\n";
+  Src += "  halt\n";
+  return assembleOrDie(Src);
+}
+
+} // namespace
+
+TEST(ServeCodec, StreamedWireEqualsRecordedEncoding) {
+  std::vector<workloads::Workload> Ws = harness::suiteWorkloads("serve");
+  ASSERT_FALSE(Ws.empty());
+  std::vector<SessionInput> Sessions = harness::serveSessions(Ws, 3);
+  ASSERT_EQ(Sessions.size(), Ws.size() * 3);
+  for (const SessionInput &S : Sessions) {
+    SCOPED_TRACE(S.Work->Name + " seed " + std::to_string(S.Seed));
+    EXPECT_GT(expectStreamedEqualsRecorded(S.Work->Program, S.Machine,
+                                           S.SessionId),
+              size_t{FrameStreamer::EventsPerFrame});
+  }
+}
+
+TEST(ServeCodec, StreamedWireSealsPartialAndExactFrames) {
+  // Fewer events than one frame: one partial Events frame.
+  EXPECT_EQ(expectStreamedEqualsRecorded(straightLine(9), {}, 3), 10u);
+  // An exact multiple of the frame size: two full frames and no empty
+  // trailing Events frame before End.
+  const size_t Two = 2 * FrameStreamer::EventsPerFrame;
+  EXPECT_EQ(expectStreamedEqualsRecorded(straightLine(Two - 1), {}, 4), Two);
+  // A streamer that observed no events closes with Hello and End only.
+  isa::Program P = straightLine(0);
+  FrameStreamer Streamer{FrameCodec(P, 5)};
+  std::vector<WireFrame> Empty = Streamer.finish();
+  ASSERT_EQ(Empty.size(), 2u);
+  EXPECT_EQ(Empty[1].Op, Opcode::End);
+  EXPECT_EQ(Empty[1].FrameSeq, 1u);
+}
+
+TEST(ServeCodec, ProducerCrashMidStreamFailsSessionWithNoFrames) {
+  std::vector<workloads::Workload> Ws = harness::suiteWorkloads("serve");
+  std::vector<SessionInput> Sessions = harness::serveSessions(Ws, 1);
+  // A VM crash well past the first sealed frame: the streamer holds
+  // Hello plus at least one Events frame when the producer dies.
+  fault::FaultPlanConfig Crash;
+  Crash.Name = "producer-crash";
+  Crash.PlanSeed = 0xc4a5;
+  Crash.CrashAtStep = 3 * FrameStreamer::EventsPerFrame;
+  ServeConfig Cfg;
+  ServeReport Free = runServe(Sessions, Cfg);
+  Cfg.FaultCfg = &Crash;
+  ServeReport R = runServe(Sessions, Cfg);
+  ASSERT_EQ(R.Sessions.size(), Sessions.size());
+  for (size_t I = 0; I < R.Sessions.size(); ++I) {
+    const SessionReport &S = R.Sessions[I];
+    SCOPED_TRACE(S.Workload);
+    ASSERT_GT(Free.Sessions[I].Steps, Crash.CrashAtStep);
+    EXPECT_EQ(S.Outcome, SessionOutcome::Failed);
+    EXPECT_EQ(S.Diagnostic.rfind("producer crashed: ", 0), 0u)
+        << S.Diagnostic;
+    EXPECT_EQ(S.FramesSent, 0u);
+    EXPECT_EQ(S.FramesDelivered, 0u);
+    EXPECT_EQ(S.EventsStreamed, 0u);
   }
 }

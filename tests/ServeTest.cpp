@@ -490,6 +490,20 @@ TEST(Serve, ExportsOnlyDocumentedKeys) {
   EXPECT_TRUE(SawShardShadow);
   EXPECT_EQ(Reg.counter("serve.sessions").value(), Sessions.size());
 
+  // The per-stage timers: looked up once per call, documented, and all
+  // three present.
+  size_t StageTimers = 0;
+  for (const auto &[Name, Stat] : Reg.timers()) {
+    EXPECT_TRUE(obs::isDocumentedKey(Name)) << Name;
+    StageTimers += Name == "serve.session.produce" ||
+                   Name == "serve.session.stream" ||
+                   Name == "serve.session.detect";
+    (void)Stat;
+  }
+  EXPECT_EQ(StageTimers, 3u);
+  EXPECT_EQ(Reg.timer("serve.session.produce").snapshot().Count,
+            Sessions.size());
+
   // The rendered document is still the svd-metrics-v1 shape.
   std::string J = obs::metricsJson(Reg);
   EXPECT_NE(J.find("\"schema\": \"svd-metrics-v1\""), std::string::npos);
