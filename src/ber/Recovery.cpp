@@ -7,6 +7,18 @@ using namespace svd::ber;
 using detect::OnlineSvd;
 using detect::Violation;
 
+namespace {
+
+/// Number of retained checkpoints (deeper rollbacks need older ones).
+constexpr size_t RetainedCheckpoints = 4;
+/// Per static report site: after this many rollbacks triggered by the
+/// same code-location pair, stop recovering for it (alert-only). This
+/// bounds the cost of *recurring* false positives, which re-fire under
+/// any scheduling and would otherwise roll back forever.
+constexpr uint32_t RollbacksPerSite = 3;
+
+} // namespace
+
 RecoveryManager::RecoveryManager(const isa::Program &P,
                                  vm::MachineConfig MC, RecoveryConfig RC)
     : Prog(P), RC(RC), M(P, MC),
@@ -22,7 +34,7 @@ void RecoveryManager::takeSnapshot() {
   S.Detector = std::make_unique<OnlineSvd>(*Detector);
   S.ViolationsHandled = Detector->violations().size();
   Snapshots.push_back(std::move(S));
-  while (Snapshots.size() > RC.CheckpointRing)
+  while (Snapshots.size() > RetainedCheckpoints)
     Snapshots.pop_front();
   LastCheckpointStep = M.steps();
   ++Stats.Checkpoints;
@@ -37,7 +49,7 @@ bool RecoveryManager::rollback() {
   // resets whenever a re-execution makes it past the window, so fresh
   // instances at the same site are still recovered.
   uint32_t &Spent = SiteRollbacks[V.staticKey()];
-  if (Spent >= RC.PerSiteRollbackLimit)
+  if (Spent >= RollbacksPerSite)
     return false;
   ++Spent;
   PendingSiteKey = V.staticKey();
@@ -109,8 +121,8 @@ RecoveryStats RecoveryManager::run() {
       return false;
     });
 
-    if (R == vm::StopReason::Deadlock && RC.RecoverDeadlocks &&
-        Stats.Rollbacks < RC.MaxRollbacks && !Snapshots.empty()) {
+    if (R == vm::StopReason::Deadlock && Stats.Rollbacks < RC.MaxRollbacks &&
+        !Snapshots.empty()) {
       // Break the lock-order cycle: restore a snapshot and re-execute
       // serially past the deadlock point. A snapshot taken after the
       // cycle partially formed re-deadlocks even serially, so repeated

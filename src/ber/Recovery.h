@@ -35,25 +35,16 @@
 namespace svd {
 namespace ber {
 
-/// Tunables of the recovery loop.
+/// Tunables of the recovery loop. A deadlock is recovered like a
+/// violation: restore the newest snapshot and re-execute serially,
+/// which breaks most lock-order cycles; it counts against MaxRollbacks.
 struct RecoveryConfig {
   /// Steps between safe checkpoints.
   uint64_t CheckpointInterval = 2000;
   /// Extra serial steps appended beyond the rolled-back window.
   uint64_t SerialSlack = 500;
-  /// Number of retained checkpoints (deeper rollbacks need older ones).
-  size_t CheckpointRing = 4;
   /// Give up rolling back after this many recoveries.
   uint64_t MaxRollbacks = 64;
-  /// Per static report site: after this many rollbacks triggered by the
-  /// same code-location pair, stop recovering for it (alert-only). This
-  /// bounds the cost of *recurring* false positives, which re-fire under
-  /// any scheduling and would otherwise roll back forever.
-  uint32_t PerSiteRollbackLimit = 3;
-  /// Also roll back on deadlock: restore the newest snapshot and
-  /// re-execute serially, which breaks most lock-order cycles. Counts
-  /// against MaxRollbacks.
-  bool RecoverDeadlocks = true;
   detect::OnlineSvdConfig SvdConfig;
 };
 

@@ -41,6 +41,10 @@ unsigned harness::resolveJobs(unsigned Jobs) {
 
 namespace {
 
+/// Executions runGuarded attempts per sample: the first at the spec's
+/// MaxSteps, then, when that stops on the step budget, one retry at an
+/// escalated budget before the sample is classified TimedOut.
+constexpr uint32_t GuardedAttempts = 2;
 /// Step-budget multiplier applied per guarded retry.
 constexpr uint64_t RetryStepFactor = 4;
 
@@ -148,13 +152,12 @@ std::string validateSpec(const SampleSpec &S) {
 }
 
 /// Runs one pre-validated spec under the guard: exceptions become
-/// Failed, a persistent StepBudget stop becomes TimedOut (after up to
-/// MaxAttempts - 1 escalated retries), degraded detector health becomes
-/// Degraded. Never throws.
-SampleResult guardedSample(const SampleSpec &S, const RunnerConfig &Cfg) {
+/// Failed, a persistent StepBudget stop becomes TimedOut (after the
+/// escalated retries), degraded detector health becomes Degraded. Never
+/// throws.
+SampleResult guardedSample(const SampleSpec &S) {
   SampleResult R;
   SampleConfig C = S.Config;
-  uint32_t MaxAttempts = Cfg.MaxAttempts == 0 ? 1 : Cfg.MaxAttempts;
   for (uint32_t Attempt = 1;; ++Attempt) {
     R.Attempts = Attempt;
     try {
@@ -171,7 +174,7 @@ SampleResult guardedSample(const SampleSpec &S, const RunnerConfig &Cfg) {
       return R;
     }
     if (R.Metrics.Stop != vm::StopReason::StepBudget ||
-        Attempt >= MaxAttempts)
+        Attempt >= GuardedAttempts)
       break;
     // Escalate the budget and re-run; the retry decision depends only
     // on the deterministic StopReason, so the determinism contract
@@ -244,7 +247,7 @@ ParallelRunner::runGuarded(const std::vector<SampleSpec> &Specs) const {
           SampleSpec Spec = S;
           if (!Spec.Config.Obs)
             Spec.Config.Obs = Obs;
-          Results[I] = guardedSample(Spec, Cfg);
+          Results[I] = guardedSample(Spec);
         }
 
         uint64_t RunNs = elapsedNs(Claim);

@@ -101,11 +101,6 @@ struct RunnerConfig {
   /// its args — plus one whole-run aggregate slice on track 0. Not
   /// owned.
   obs::TraceCollector *Trace = nullptr;
-  /// Executions runGuarded may attempt per sample: the first at the
-  /// spec's MaxSteps, then (when that stops on the step budget) up to
-  /// MaxAttempts - 1 retries at an escalated budget before the sample
-  /// is classified TimedOut. 1 disables retries.
-  uint32_t MaxAttempts = 2;
 };
 
 /// Resolves a --jobs value: 0 becomes the hardware thread count (at
@@ -137,12 +132,12 @@ public:
   /// threads than hwsvd CPUs => Failed with a diagnostic, without
   /// executing); exceptions escaping a sample — including injected
   /// crashes from a fault plan — become Failed without disturbing
-  /// sibling samples; a StepBudget stop is retried at a budget four
-  /// times larger (up to RunnerConfig::MaxAttempts runs) and classified
-  /// TimedOut if it still does not finish; a detector reporting
-  /// degraded health yields Degraded. The determinism contract of run()
-  /// carries over: outcomes, diagnostics, and metrics are bit-identical
-  /// for every Jobs value and pickup permutation.
+  /// sibling samples; a StepBudget stop is retried once at a budget four
+  /// times larger and classified TimedOut if it still does not finish;
+  /// a detector reporting degraded health yields Degraded. The
+  /// determinism contract of run() carries over: outcomes, diagnostics,
+  /// and metrics are bit-identical for every Jobs value and pickup
+  /// permutation.
   std::vector<SampleResult>
   runGuarded(const std::vector<SampleSpec> &Specs) const;
 

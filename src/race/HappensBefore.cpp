@@ -15,8 +15,7 @@ namespace {
 /// Registry adapter around one HappensBeforeDetector instance.
 class FrdDetector final : public detect::Detector {
 public:
-  FrdDetector(const isa::Program &P, HappensBeforeConfig Cfg)
-      : Impl(P, Cfg) {}
+  explicit FrdDetector(const isa::Program &P) : Impl(P) {}
 
   const char *name() const override { return "frd"; }
   void attach(vm::Machine &M) override { M.addObserver(&Impl); }
@@ -44,30 +43,26 @@ void race::registerHappensBeforeDetector(detect::DetectorRegistry &R) {
   R.add({"frd", "FRD",
          "happens-before race detector (the paper's FRD baseline)",
          [](const isa::Program &P, const detect::DetectorConfig *Cfg) {
-           const auto *C =
-               detect::configAs<HappensBeforeDetectorConfig>(Cfg, "frd");
-           return std::make_unique<FrdDetector>(
-               P, C ? C->Hb : HappensBeforeConfig());
+           detect::checkConfigKind(Cfg, "frd");
+           return std::make_unique<FrdDetector>(P);
          }});
 }
 
-HappensBeforeDetector::HappensBeforeDetector(const isa::Program &P,
-                                             HappensBeforeConfig Cfg)
-    : Prog(P), Cfg(Cfg), NumThreads(P.numThreads()),
-      Blocks((P.MemoryWords >> Cfg.BlockShift) + 1) {
+HappensBeforeDetector::HappensBeforeDetector(const isa::Program &P)
+    : Prog(P), NumThreads(P.numThreads()), Words(P.MemoryWords + 1) {
   ThreadVC.assign(NumThreads, std::vector<Clock>(NumThreads, 0));
   for (uint32_t Tid = 0; Tid < NumThreads; ++Tid)
     ThreadVC[Tid][Tid] = 1;
   MutexVC.assign(P.Mutexes.size(), std::vector<Clock>(NumThreads, 0));
 }
 
-HappensBeforeDetector::BlockState &
-HappensBeforeDetector::stateOf(BlockId B) {
-  BlockState &S = Blocks.touch(B);
+HappensBeforeDetector::WordState &
+HappensBeforeDetector::stateOf(isa::Addr A) {
+  WordState &S = Words.touch(A);
   if (S.ReadClock.empty()) {
     S.ReadClock.assign(NumThreads, 0);
     S.ReadPc.assign(NumThreads, 0);
-    ++InitializedBlocks;
+    ++InitializedWords;
   }
   return S;
 }
@@ -88,13 +83,12 @@ void HappensBeforeDetector::report(const EventCtx &Ctx, isa::Addr A,
 void HappensBeforeDetector::onLoad(const EventCtx &Ctx, isa::Addr A,
                                    isa::Word) {
   ++Events;
-  BlockState &S = stateOf(blockOf(A));
+  WordState &S = stateOf(A);
   std::vector<Clock> &VC = ThreadVC[Ctx.Tid];
   // Write-read race: the last write is not ordered before this read.
   if (S.WriteTid >= 0 && S.WriteTid != static_cast<int32_t>(Ctx.Tid) &&
       S.WriteClock > VC[S.WriteTid])
-    report(Ctx, static_cast<isa::Addr>(blockOf(A)) << Cfg.BlockShift,
-           static_cast<isa::ThreadId>(S.WriteTid), S.WritePc);
+    report(Ctx, A, static_cast<isa::ThreadId>(S.WriteTid), S.WritePc);
   S.ReadClock[Ctx.Tid] = VC[Ctx.Tid];
   S.ReadPc[Ctx.Tid] = Ctx.Pc;
 }
@@ -102,21 +96,18 @@ void HappensBeforeDetector::onLoad(const EventCtx &Ctx, isa::Addr A,
 void HappensBeforeDetector::onStore(const EventCtx &Ctx, isa::Addr A,
                                     isa::Word) {
   ++Events;
-  BlockState &S = stateOf(blockOf(A));
+  WordState &S = stateOf(A);
   std::vector<Clock> &VC = ThreadVC[Ctx.Tid];
-  isa::Addr BlockAddr = static_cast<isa::Addr>(blockOf(A))
-                        << Cfg.BlockShift;
   // Write-write race.
   if (S.WriteTid >= 0 && S.WriteTid != static_cast<int32_t>(Ctx.Tid) &&
       S.WriteClock > VC[S.WriteTid])
-    report(Ctx, BlockAddr, static_cast<isa::ThreadId>(S.WriteTid),
-           S.WritePc);
+    report(Ctx, A, static_cast<isa::ThreadId>(S.WriteTid), S.WritePc);
   // Read-write races against every unordered remote read.
   for (uint32_t U = 0; U < NumThreads; ++U) {
     if (U == Ctx.Tid)
       continue;
     if (S.ReadClock[U] > VC[U])
-      report(Ctx, BlockAddr, U, S.ReadPc[U]);
+      report(Ctx, A, U, S.ReadPc[U]);
   }
   // This write supersedes earlier accesses.
   S.WriteTid = static_cast<int32_t>(Ctx.Tid);
@@ -155,9 +146,9 @@ size_t HappensBeforeDetector::approxMemoryBytes() const {
     Bytes += VC.capacity() * sizeof(Clock);
   for (const auto &VC : MutexVC)
     Bytes += VC.capacity() * sizeof(Clock);
-  Bytes += Blocks.approxMemoryBytes();
-  // The lazy per-block read vectors live outside the shadow pages.
-  Bytes += InitializedBlocks * NumThreads * (sizeof(Clock) + sizeof(uint32_t));
+  Bytes += Words.approxMemoryBytes();
+  // The lazy per-word read vectors live outside the shadow pages.
+  Bytes += InitializedWords * NumThreads * (sizeof(Clock) + sizeof(uint32_t));
   Bytes += Races.capacity() * sizeof(Violation);
   return Bytes;
 }

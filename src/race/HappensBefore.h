@@ -18,7 +18,7 @@
 /// synchronization point. The frontier-race computation itself is in
 /// race/Frontier.h for the annotation-discovery workflow.
 ///
-/// Implementation: vector clocks per thread and per mutex; per block a
+/// Implementation: vector clocks per thread and per mutex; per word a
 /// write epoch (tid, clock, pc) and a read clock per thread, FastTrack
 /// style but without the epoch compression.
 ///
@@ -39,34 +39,13 @@
 namespace svd {
 namespace race {
 
-/// Configuration of the happens-before detector.
-struct HappensBeforeConfig {
-  /// Detector block granularity, matching OnlineSvdConfig::BlockShift.
-  uint32_t BlockShift = 0;
-};
-
-/// Opaque registry config carrying a HappensBeforeConfig (registry key
-/// "frd").
-struct HappensBeforeDetectorConfig final : detect::DetectorConfig {
-  HappensBeforeConfig Hb;
-
-  HappensBeforeDetectorConfig() = default;
-  explicit HappensBeforeDetectorConfig(HappensBeforeConfig C) : Hb(C) {}
-  const char *detectorName() const override { return "frd"; }
-  std::unique_ptr<detect::DetectorConfig> clone() const override {
-    // Copy-construct so base fields (MaxStateEntries) survive cloning.
-    return std::make_unique<HappensBeforeDetectorConfig>(*this);
-  }
-};
-
 /// Registers the happens-before baseline as "frd" (display "FRD").
 void registerHappensBeforeDetector(detect::DetectorRegistry &R);
 
 /// Online happens-before race detector; attach with Machine::addObserver.
 class HappensBeforeDetector : public vm::ExecutionObserver {
 public:
-  HappensBeforeDetector(const isa::Program &P,
-                        HappensBeforeConfig Cfg = HappensBeforeConfig());
+  explicit HappensBeforeDetector(const isa::Program &P);
 
   /// Dynamic race reports in detection order. Tid/Pc is the access that
   /// completed the race; OtherTid/OtherPc the earlier access.
@@ -78,12 +57,12 @@ public:
   /// Rough detector memory accounting.
   size_t approxMemoryBytes() const;
 
-  /// Starts a fresh observation epoch on the per-block shadow table.
-  void beginEpoch() { Blocks.beginEpoch(); }
+  /// Starts a fresh observation epoch on the per-word shadow table.
+  void beginEpoch() { Words.beginEpoch(); }
   /// Shadow pages materialized so far.
-  uint64_t shadowPages() const { return Blocks.pagesAllocated(); }
+  uint64_t shadowPages() const { return Words.pagesAllocated(); }
   /// Bytes held by materialized shadow pages.
-  size_t shadowBytes() const { return Blocks.approxMemoryBytes(); }
+  size_t shadowBytes() const { return Words.approxMemoryBytes(); }
 
   void onLoad(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
   void onStore(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
@@ -95,9 +74,8 @@ public:
 
 private:
   using Clock = uint64_t;
-  using BlockId = uint32_t;
 
-  struct BlockState {
+  struct WordState {
     // Last write epoch.
     int32_t WriteTid = -1;
     Clock WriteClock = 0;
@@ -107,22 +85,20 @@ private:
     std::vector<uint32_t> ReadPc;
   };
 
-  BlockId blockOf(isa::Addr A) const { return A >> Cfg.BlockShift; }
-  BlockState &stateOf(BlockId B);
+  WordState &stateOf(isa::Addr A);
   void report(const vm::EventCtx &Ctx, isa::Addr A, isa::ThreadId OtherTid,
               uint32_t OtherPc);
 
   const isa::Program &Prog;
-  HappensBeforeConfig Cfg;
   uint32_t NumThreads;
   std::vector<std::vector<Clock>> ThreadVC; ///< per thread
   std::vector<std::vector<Clock>> MutexVC;  ///< per mutex
-  /// Per-block epochs/read clocks, paged (shadow/Shadow.h) so large
+  /// Per-word epochs/read clocks, paged (shadow/Shadow.h) so large
   /// heaps only pay for the regions they touch.
-  shadow::Table<BlockState> Blocks;
-  /// Blocks whose lazy per-thread read vectors were initialized, for
+  shadow::Table<WordState> Words;
+  /// Words whose lazy per-thread read vectors were initialized, for
   /// the rough memory accounting.
-  uint64_t InitializedBlocks = 0;
+  uint64_t InitializedWords = 0;
   std::vector<detect::Violation> Races;
   uint64_t Events = 0;
 };

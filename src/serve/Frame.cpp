@@ -226,6 +226,14 @@ DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
         Reject::BadChecksum,
         support::formatString("checksum %08x, computed %08x", Declared,
                               Actual));
+  // Every frame occupies at least its own sequence number, and the
+  // resequencer computes FrameSeq + 1 (or + span): a frame at the top of
+  // the 32-bit range would wrap it and replay as a duplicate or rewind
+  // the stream.
+  if (FrameSeq == UINT32_MAX)
+    return DecodeResult::fail(
+        Reject::NonMonotonicSeq,
+        support::formatString("frame seq %u wraps the sequence", FrameSeq));
   const uint8_t *P = Data + HeaderBytes;
 
   Out = DecodedFrame();
@@ -332,6 +340,12 @@ DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
     if (Out.ShedSpanFrames == 0)
       return DecodeResult::fail(Reject::BadPayloadShape,
                                 "shed marker spans zero frames");
+    if (Out.ShedSpanFrames > UINT32_MAX - FrameSeq)
+      return DecodeResult::fail(
+          Reject::NonMonotonicSeq,
+          support::formatString("shed marker at frame %u spanning %u frames "
+                                "wraps the sequence",
+                                FrameSeq, Out.ShedSpanFrames));
     return DecodeResult::ok();
   }
   case Opcode::End: {

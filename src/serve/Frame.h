@@ -9,8 +9,8 @@
 /// client session ships its execution trace as a sequence of
 /// length-prefixed binary frames, and FrameCodec is the ingestion gate
 /// that treats every one of them as untrusted input. Decoding validates
-/// the length prefix, magic/version/opcode, the session id, the payload
-/// shape, and every event field an analysis pass will index with (the
+/// the length prefix, magic/version/opcode, the session id, the frame
+/// sequence range, the payload shape, and every event field an analysis pass will index with (the
 /// frame-level analog of trace::validate) before a single event reaches
 /// detector state. A malformed frame produces exactly one classified
 /// reject — never an exception and never out-of-bounds indexing.
@@ -83,7 +83,7 @@ enum class Reject : uint8_t {
   BadPc,            ///< event pc outside its thread's code
   BadAddress,       ///< memory event address beyond MemoryWords
   BadMutex,         ///< lock/unlock mutex id out of range
-  NonMonotonicSeq,  ///< event sequence breaks execution order
+  NonMonotonicSeq,  ///< event or frame sequence breaks execution order
 };
 
 /// Number of distinct Reject values (for per-reason counters).

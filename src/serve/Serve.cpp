@@ -72,8 +72,14 @@ namespace {
 constexpr uint64_t ServeSeed = 1;
 /// Events frames per shedding epoch.
 constexpr uint32_t EpochFrames = 8;
+/// Frames the producer attempts per tick; above the consumer's
+/// DrainPerTick, backpressure is real even fault-free.
+constexpr uint32_t PushesPerTick = 2;
 /// Frames the consumer admits per tick.
 constexpr uint32_t DrainPerTick = 1;
+/// Consecutive WouldBlocks before the producer sheds the oldest
+/// un-pushed epoch.
+constexpr uint32_t ShedAfterBlocks = 8;
 /// Exponential backoff: a producer waits base + jitter ticks, with
 /// base = BackoffBaseTicks << min(exp, BackoffMaxExp) after exp
 /// earlier consecutive blocks and jitter uniform in [0, base].
@@ -82,6 +88,11 @@ constexpr uint32_t BackoffMaxExp = 6;
 /// Quarantine backoff: attempt k burns QuarantineBaseTicks << (k-1)
 /// virtual ticks.
 constexpr uint32_t QuarantineBaseTicks = 4;
+/// Re-admissions after a quarantine before the session Fails.
+constexpr uint32_t MaxReadmissions = 3;
+/// Watchdog: an admission attempt that runs more than this many ticks
+/// is aborted and quarantined (livelock valve).
+constexpr uint64_t AttemptTickDeadline = 2'000'000;
 
 /// Wall-clock timers of one runServe call's session stages, looked up
 /// once per call; all null (no-op) unless ServeConfig::Obs is set.
@@ -168,6 +179,13 @@ struct SessionState {
   /// splices it. Released when the admission loop exits.
   std::vector<WireFrame> Wire;
 };
+
+/// The session's tenant event budget: its fault plan's detector state
+/// budget, the cap every other detector path takes from the plan
+/// (0 = unbounded).
+uint64_t tenantBudget(const SessionState &S) {
+  return S.Plan ? S.Plan->config().DetectorEntryBudget : 0;
+}
 
 /// Runs the workload under the VM with \p Obs attached — the client
 /// side of the daemon. The serve path attaches a FrameStreamer and the
@@ -303,9 +321,9 @@ void flushHeld(Assembly &A, SessionReport &R, shadow::Table<uint8_t> &Seen) {
 /// recorded as lost. Duplicates (sequence already passed) drop.
 void admitDecoded(DecodedFrame &&F, Assembly &A, SessionReport &R,
                   shadow::Table<uint8_t> &Seen) {
-  uint32_t EndSeq = F.Op == Opcode::Shed
-                        ? F.FrameSeq + std::max<uint32_t>(F.ShedSpanFrames, 1)
-                        : F.FrameSeq + 1;
+  // Decode guarantees the sum neither wraps nor is empty.
+  uint32_t EndSeq =
+      F.FrameSeq + (F.Op == Opcode::Shed ? F.ShedSpanFrames : 1);
   if (EndSeq <= A.NextFrame) {
     ++R.FramesDuplicated;
     return;
@@ -346,22 +364,19 @@ void poison(SessionReport &R, const std::string &Where, Reject Why,
 /// One admission attempt: the full producer/consumer event loop over a
 /// virtual tick clock. Returns why the attempt aborted (an injected
 /// shard crash or the tick watchdog), or nothing once the wire drains.
-std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
-                                      uint32_t Attempt, Assembly &A,
+std::optional<std::string> runAttempt(SessionState &S, uint32_t Attempt,
+                                      Assembly &A,
                                       shadow::Table<uint8_t> &Seen) {
   SessionReport &R = S.R;
   const fault::FaultPlan *Plan =
       S.Plan && S.Plan->perturbsFrames() ? &*S.Plan : nullptr;
   const FrameCodec Codec(S.In->Work->Program, S.In->SessionId);
 
-  size_t RingCap = 2;
-  while (RingCap < Cfg.RingCapacity)
-    RingCap <<= 1;
   // The ring carries positions into S.Wire. Shedding erases and inserts
   // only at positions >= Cursor and never inserts more entries than it
   // erases, so every position already pushed still names the frame that
   // was pushed.
-  SpscRing<size_t> Ring(RingCap);
+  SpscRing<size_t> Ring(ServeConfig::RingCapacity);
   support::Xoshiro256 Jitter(ServeSeed ^
                              (0x9e3779b97f4a7c15ULL *
                               (S.In->SessionId + 1)));
@@ -373,7 +388,6 @@ std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
   uint32_t ConsecutiveBlocks = 0;
   uint64_t ConsumerStall = 0;
   uint64_t DeliveredPos = 0;
-  uint32_t PushPerTick = std::max<uint32_t>(Cfg.PushPerTick, 1);
 
   auto ShedOldestEpoch = [&]() {
     // Find the oldest un-pushed Events frame and drop its whole epoch
@@ -410,13 +424,13 @@ std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
   while (Cursor < S.Wire.size() || !Ring.empty()) {
     ++Tick;
     ++R.Ticks;
-    if (Tick > Cfg.SessionTickDeadline)
+    if (Tick > AttemptTickDeadline)
       return support::formatString("watchdog tripped at %llu ticks",
                                    static_cast<unsigned long long>(Tick));
 
     // Producer phase: push frames unless backing off.
     if (Tick >= BackoffUntil) {
-      for (uint32_t P = 0; P < PushPerTick && Cursor < S.Wire.size(); ++P) {
+      for (uint32_t P = 0; P < PushesPerTick && Cursor < S.Wire.size(); ++P) {
         if (Ring.tryPush(size_t{Cursor})) {
           ++Cursor;
           ConsecutiveBlocks = 0;
@@ -432,8 +446,7 @@ std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
           ++BackoffExp;
           BackoffUntil = Tick + Wait;
           R.BackoffTicks += Wait;
-          if (ConsecutiveBlocks >= std::max<uint32_t>(Cfg.ShedAfterBackoffs,
-                                                      1))
+          if (ConsecutiveBlocks >= ShedAfterBlocks)
             ShedOldestEpoch();
           break;
         }
@@ -491,8 +504,8 @@ std::optional<std::string> runAttempt(SessionState &S, const ServeConfig &Cfg,
 /// stream it through the ring with quarantine containment, detect,
 /// classify. Every failure ends as a classified outcome; nothing
 /// escapes.
-void runSession(SessionState &S, const ServeConfig &Cfg,
-                const StageTimers &Timers, shadow::Table<uint8_t> &Seen) {
+void runSession(SessionState &S, const StageTimers &Timers,
+                shadow::Table<uint8_t> &Seen) {
   SessionReport &R = S.R;
   try {
     {
@@ -516,14 +529,13 @@ void runSession(SessionState &S, const ServeConfig &Cfg,
     {
       obs::ScopedTimer T(Timers.Stream);
       for (uint32_t Attempt = 1;; ++Attempt) {
-        A.emplace(S.In->Work->Program, Cfg.TenantEventBudget);
-        std::optional<std::string> Abort =
-            runAttempt(S, Cfg, Attempt, *A, Seen);
+        A.emplace(S.In->Work->Program, tenantBudget(S));
+        std::optional<std::string> Abort = runAttempt(S, Attempt, *A, Seen);
         if (!Abort)
           break; // stream fully drained
         static_cast<AttemptCounters &>(R) = Before;
         ++R.Quarantines;
-        if (Attempt > Cfg.RetryBudget) {
+        if (Attempt > MaxReadmissions) {
           R.Outcome = SessionOutcome::Failed;
           R.Diagnostic = support::formatString(
               "quarantine retry budget exhausted after %u attempts: %s",
@@ -624,7 +636,7 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
       for (size_t Idx : SS.SessionIdx) {
         SessionState &S = States[Idx];
         S.R.Shard = K;
-        runSession(S, Cfg, Timers, Seen);
+        runSession(S, Timers, Seen);
         SR.Sessions.push_back(S.R.SessionId);
         SR.FramesDelivered += S.R.FramesDelivered;
         SR.EventsIngested += S.R.EventsIngested;
@@ -714,26 +726,20 @@ SessionReport serve::batchSessionReport(const SessionInput &S,
   State.R.Seed = S.Seed;
   if (Cfg.FaultCfg)
     State.Plan.emplace(*Cfg.FaultCfg, S.Seed);
+  // The batch analog of the per-tenant ingestion budget: record only
+  // the kept prefix and degrade with the same reason string.
   trace::TraceRecorder Rec(S.Work->Program);
+  Rec.setMaxEvents(tenantBudget(State));
   bool Produced = produce(State, Rec);
   SessionReport R = std::move(State.R);
   if (!Produced)
     return R;
-  const trace::ProgramTrace &Full = Rec.trace();
-  R.EventsStreamed = Full.size();
-  R.EventsIngested = Full.size();
-  if (Cfg.TenantEventBudget != 0 && Full.size() > Cfg.TenantEventBudget) {
-    // The batch analog of the per-tenant ingestion budget: analyze the
-    // kept prefix and degrade with the same reason string.
-    trace::ProgramTrace Capped(S.Work->Program);
-    for (size_t I = 0; I < Cfg.TenantEventBudget; ++I)
-      Capped.appendUnchecked(Full[I]);
-    R.EventsBudgetDropped = Full.size() - Cfg.TenantEventBudget;
-    finishDetection(*S.Work, Capped, R);
-  } else {
-    finishDetection(*S.Work, Full, R);
-  }
-  resolveOutcome(R, /*HelloSeen=*/true, /*EndSeen=*/true, Full.size());
+  const trace::ProgramTrace &Kept = Rec.trace();
+  R.EventsStreamed = Kept.size() + Rec.droppedEvents();
+  R.EventsIngested = R.EventsStreamed;
+  R.EventsBudgetDropped = Rec.droppedEvents();
+  finishDetection(*S.Work, Kept, R);
+  resolveOutcome(R, /*HelloSeen=*/true, /*EndSeen=*/true, R.EventsStreamed);
   return R;
 }
 

@@ -99,11 +99,14 @@ struct SessionInput {
 
 /// Daemon configuration. Defaults are the golden-pinned deterministic
 /// mode; every field participates in the pure function that produces a
-/// ServeReport.
+/// ServeReport. The pacing (frames pushed and drained per tick, the
+/// shedding trigger, the retry count, the tick watchdog) is fixed by
+/// constants in serve/Serve.cpp.
 struct ServeConfig {
-  /// Events per wire frame (fixed by the producer's FrameStreamer; the
-  /// other pacing constants live in serve/Serve.cpp).
+  /// Events per wire frame (fixed by the producer's FrameStreamer).
   static constexpr uint32_t EventsPerFrame = FrameStreamer::EventsPerFrame;
+  /// Ring capacity in frames (a power of two).
+  static constexpr size_t RingCapacity = 8;
   /// Number of detector shards. Sessions are assigned round-robin in
   /// canonical session order, then optionally shuffled.
   uint32_t Shards = 2;
@@ -114,26 +117,12 @@ struct ServeConfig {
   /// Worker threads for the shard fan-out (0 = hardware default). Shard
   /// loops never share mutable state, so any value is report-invariant.
   unsigned Jobs = 1;
-  /// Ring capacity in frames; must be a power of two.
-  size_t RingCapacity = 8;
-  /// Frames the producer attempts per tick; above the consumer's one
-  /// frame per tick, backpressure is real even fault-free.
-  uint32_t PushPerTick = 2;
-  /// Consecutive WouldBlocks before the producer sheds the oldest
-  /// un-pushed epoch.
-  uint32_t ShedAfterBackoffs = 8;
-  /// Per-tenant ingested-event budget (shadow::BudgetLedger); events
-  /// beyond it are dropped with accounting and the session degrades
-  /// sticky. 0 = unbounded. The exact analog of the batch pipeline's
-  /// MaxStateEntries trace cap, so budgeted parity holds.
-  uint64_t TenantEventBudget = 0;
-  /// Re-admissions after a quarantine before the session Fails.
-  uint32_t RetryBudget = 3;
-  /// Watchdog: a session whose admission loop exceeds this many ticks
-  /// in one attempt is quarantined (livelock valve).
-  uint64_t SessionTickDeadline = 2'000'000;
   /// Ingestion fault plan template; a per-session fault::FaultPlan is
   /// instantiated from it with the session's seed. Null = fault-free.
+  /// The plan's DetectorEntryBudget is the per-tenant ingested-event
+  /// budget (shadow::BudgetLedger): events beyond it are dropped with
+  /// accounting and the session degrades sticky, exactly as the batch
+  /// pipeline caps its trace, so budgeted parity holds.
   const fault::FaultPlanConfig *FaultCfg = nullptr;
   /// Observability sink; counters are exported once, deterministically,
   /// after every shard finishes, and the serve.session.produce/stream/
@@ -230,8 +219,7 @@ ServeReport runServe(const std::vector<SessionInput> &Sessions,
 /// performs, computed directly from the recorded trace without frames,
 /// rings, or shards. detectionSignature() of the result is
 /// byte-identical to the serve path's for fault-free sessions (and for
-/// budget-capped ones, since the tenant budget mirrors the batch
-/// MaxStateEntries cap).
+/// budget-capped ones: both cap at the plan's DetectorEntryBudget).
 SessionReport batchSessionReport(const SessionInput &S,
                                  const ServeConfig &Cfg);
 

@@ -63,6 +63,10 @@
 namespace svd {
 namespace detect {
 
+/// Safety bound on the control-dependence stack; the oldest frame is
+/// dropped beyond it (irreducible or unlucky control flow).
+inline constexpr size_t CtrlStackLimit = 256;
+
 /// Tunables shared by both online detectors. Defaults reproduce the
 /// paper's configuration; the ablation bench flips them individually.
 struct CuCoreConfig {
@@ -78,13 +82,6 @@ struct CuCoreConfig {
 
   /// Include control dependences (ctrlCuSet) in the store-time check.
   bool UseControlDeps = true;
-
-  /// Record the a-posteriori CU log (Section 2.3).
-  bool KeepCuLog = true;
-
-  /// Safety bound on the control-dependence stack; the oldest frame is
-  /// dropped beyond it (irreducible or unlucky control flow).
-  size_t MaxControlStackDepth = 256;
 
   /// Optional static access classification (analysis::buildAccessTable).
   /// Accesses the table proves thread-local take a fast path that skips
@@ -242,7 +239,7 @@ public:
   /// Dynamic serializability-violation reports, in detection order.
   const std::vector<Violation> &violations() const { return Violations; }
 
-  /// The a-posteriori CU log (empty when disabled).
+  /// The a-posteriori CU log (Section 2.3).
   const std::vector<CuLogEntry> &cuLog() const { return CuLog; }
 
   /// Number of CUs formed over the run (ended plus still-open ones);
@@ -301,7 +298,7 @@ public:
     CtrlFrame F;
     F.CuSet = liveRoots(T, T.RegSets[I.Ra]);
     F.ReconvPc = Reconv;
-    if (T.CtrlStack.size() >= Cfg.MaxControlStackDepth)
+    if (T.CtrlStack.size() >= CtrlStackLimit)
       T.CtrlStack.erase(T.CtrlStack.begin());
     T.CtrlStack.push_back(std::move(F));
   }
@@ -657,7 +654,7 @@ protected:
   /// \p Seq by \p Tid), when a remote write intervened.
   void emitLog(isa::ThreadId Tid, uint32_t Pc, uint64_t Seq,
                const BlockInfo &BI, BlockId B) {
-    if (!Cfg.KeepCuLog || BI.RemoteWritePc == UINT32_MAX)
+    if (BI.RemoteWritePc == UINT32_MAX)
       return;
     CuLogEntry E;
     E.Seq = Seq;

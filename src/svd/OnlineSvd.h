@@ -80,10 +80,11 @@ struct OnlineSvdConfig : CuCoreConfig {
   /// translated engine (vm/Translate.h) in place of the per-event
   /// Access / Proofs lookups. Setting this is the caller's promise that
   /// the machine's TransCache hints were folded from the very same
-  /// Access and Proofs tables configured above; the harness perf path
-  /// upholds it by building both from one analysis pass. Events without
-  /// HintClassified — interpreter steps, single-step fallbacks — still
-  /// take the table lookups, so mixed streams classify identically.
+  /// Access and Proofs tables configured above; its only setters,
+  /// perfbench and tests/TranslateDiffTest.cpp, uphold it by building
+  /// both from one analysis pass. Events without HintClassified —
+  /// interpreter steps, single-step fallbacks — still take the table
+  /// lookups, so mixed streams classify identically.
   bool TrustStaticHints = false;
 };
 

@@ -10,21 +10,15 @@
 using namespace svd;
 using namespace svd::trace;
 
-ProgramTrace::ProgramTrace(const isa::Program &P) : Prog(&P) {
-  PerThread.resize(P.numThreads());
-}
-
 void ProgramTrace::append(const TraceEvent &E) {
   assert((Events.empty() || Events.back().Seq <= E.Seq) &&
          "events must arrive in execution order");
-  assert(E.Tid < PerThread.size() && "thread id out of range");
+  assert(E.Tid < numThreads() && "thread id out of range");
   appendUnchecked(E);
 }
 
 void ProgramTrace::appendUnchecked(const TraceEvent &E) {
   SharedBuilt = false;
-  if (E.Tid < PerThread.size())
-    PerThread[E.Tid].push_back(static_cast<uint32_t>(Events.size()));
   Events.push_back(E);
 }
 

@@ -54,11 +54,10 @@ struct TraceEvent {
   }
 };
 
-/// A recorded execution: all events in execution order plus per-thread
-/// index views (the thread traces of Section 3.1).
+/// A recorded execution: all events in execution order.
 class ProgramTrace {
 public:
-  explicit ProgramTrace(const isa::Program &P);
+  explicit ProgramTrace(const isa::Program &P) : Prog(&P) {}
 
   const isa::Program &program() const { return *Prog; }
 
@@ -66,24 +65,16 @@ public:
   void append(const TraceEvent &E);
 
   /// Appends \p E without invariant checks — the fault-injection path
-  /// (fault/Fault.h) uses it to build deliberately malformed traces.
-  /// Events whose Tid is out of range skip per-thread indexing instead
-  /// of corrupting it; validate() exists to catch everything this lets
-  /// through before an analysis consumes the trace.
+  /// (fault/Fault.h) uses it to build deliberately malformed traces;
+  /// validate() exists to catch everything this lets through before an
+  /// analysis consumes the trace.
   void appendUnchecked(const TraceEvent &E);
 
   size_t size() const { return Events.size(); }
   const TraceEvent &operator[](size_t I) const { return Events[I]; }
   const std::vector<TraceEvent> &events() const { return Events; }
 
-  /// Indices (into events()) of thread \p Tid's events, in order.
-  const std::vector<uint32_t> &threadEvents(isa::ThreadId Tid) const {
-    return PerThread[Tid];
-  }
-
-  uint32_t numThreads() const {
-    return static_cast<uint32_t>(PerThread.size());
-  }
+  uint32_t numThreads() const { return Prog->numThreads(); }
 
   /// Number of threads that accessed \p A (memory events only).
   /// Computed lazily on first call; the trace must not grow afterwards.
@@ -98,7 +89,6 @@ public:
 private:
   const isa::Program *Prog;
   std::vector<TraceEvent> Events;
-  std::vector<std::vector<uint32_t>> PerThread;
   /// Lazily built: per address, the number of distinct accessing
   /// threads saturated at 2 (0, 1, or 2 meaning shared), and in
   /// LastThread the first accessing thread (-1 before any access), which

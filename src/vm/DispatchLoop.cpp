@@ -362,9 +362,9 @@ Machine::stepInstr(Thread &T, Word *Regs, const OpT &U, const EventCtx &Ctx) {
   case Opcode::Jmp:
     return Branch(true, static_cast<uint32_t>(U.Imm));
   case Opcode::Call:
-    if (T.CallStack.size() >= Cfg.MaxCallDepth)
+    if (T.CallStack.size() >= CallStackLimit)
       return Fault(formatString("fault: call stack overflow (depth limit %u)",
-                                Cfg.MaxCallDepth));
+                                CallStackLimit));
     // The return address Pc+1 is always in range: validation guarantees
     // a Call is never a thread's last instruction.
     T.CallStack.push_back(Pc + 1);

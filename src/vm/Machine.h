@@ -54,6 +54,11 @@ enum class StopReason : uint8_t {
   ReplayDiverged,
 };
 
+/// Bound on each thread's call stack; a Call that would exceed it is a
+/// classified program error that halts the thread (the VM's analog of
+/// stack-overflow containment, so runaway recursion cannot hang a run).
+inline constexpr uint32_t CallStackLimit = 256;
+
 /// Scheduling and input parameters of one execution.
 struct MachineConfig {
   /// Seed of the scheduler's PRNG; fully determines the interleaving.
@@ -81,10 +86,6 @@ struct MachineConfig {
   /// Steps between randomized thread-to-CPU migrations (only with
   /// NumCpus != 0). 0 disables migration.
   uint64_t MigrationInterval = 0;
-  /// Bound on each thread's call stack; a Call that would exceed it is a
-  /// classified program error that halts the thread (the VM's analog of
-  /// stack-overflow containment, so runaway recursion cannot hang a run).
-  uint32_t MaxCallDepth = 256;
   /// Deterministic fault-injection hooks (vm/FaultHooks.h); null runs
   /// fault-free. Not owned; must outlive the machine. Hook answers are
   /// pure functions of their arguments, so checkpoint/restore replays
@@ -100,8 +101,9 @@ struct MachineConfig {
   /// Optional pre-built translation cache to execute from (not owned;
   /// must be built over the same Program and outlive the machine).
   /// Null with Translate set makes the machine build its own. Sharing
-  /// one cache lets the harness fold static-analysis hints in once and
-  /// reuse the decoded blocks across seeds.
+  /// one cache folds static-analysis hints in once and reuses the
+  /// decoded blocks across seeds; perfbench and
+  /// tests/TranslateDiffTest.cpp are its only setters.
   const TransCache *Cache = nullptr;
 };
 
@@ -290,7 +292,7 @@ private:
     uint32_t Pc = 0;
     ThreadState State = ThreadState::Ready;
     std::vector<isa::Word> Regs;
-    /// Return addresses pushed by Call, bounded by Cfg.MaxCallDepth.
+    /// Return addresses pushed by Call, bounded by CallStackLimit.
     std::vector<uint32_t> CallStack;
     support::Xoshiro256 Rnd{0};
   };

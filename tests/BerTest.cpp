@@ -201,35 +201,6 @@ l2:
   EXPECT_GT(Recoveries, 0u);
 }
 
-TEST(Ber, DeadlockRecoveryCanBeDisabled) {
-  Workload W;
-  W.Program = isa::assembleOrDie(R"(
-.lock a
-.lock b
-.thread t1
-  lock @a
-  yield
-  lock @b
-  halt
-.thread t2
-  lock @b
-  yield
-  lock @a
-  halt
-)");
-  bool SawDeadlock = false;
-  for (uint64_t Seed = 1; Seed <= 20 && !SawDeadlock; ++Seed) {
-    vm::MachineConfig MC;
-    MC.SchedSeed = Seed;
-    RecoveryConfig RC;
-    RC.RecoverDeadlocks = false;
-    RecoveryManager RM(W.Program, MC, RC);
-    RecoveryStats S = RM.run();
-    SawDeadlock = S.Stop == vm::StopReason::Deadlock;
-  }
-  EXPECT_TRUE(SawDeadlock);
-}
-
 //===----------------------------------------------------------------------===//
 // Fault injection x recovery: BER must absorb injected scheduler and
 // locking faults the same way it absorbs organic ones, and stay fully

@@ -356,20 +356,24 @@ TEST(Runner, PerDetectorConfigTravelsThroughSpecs) {
   WorkloadParams P;
   P.Threads = 4;
   P.Iterations = 20;
-  Workload W = workloads::apacheLog(P);
-  detect::OnlineSvdConfig NoLog;
-  NoLog.KeepCuLog = false;
-  SampleSpec S;
-  S.Workload = &W;
-  S.Config.Seed = 2;
+  Workload W = workloads::mysqlPrepared(P);
+  SampleSpec Paper;
+  Paper.Workload = &W;
+  Paper.Config.Seed = 2;
+  detect::OnlineSvdConfig AllBlocks;
+  AllBlocks.CheckInputBlocksOnly = false;
+  SampleSpec S = Paper;
   S.Config.Detector =
-      std::make_shared<detect::OnlineSvdDetectorConfig>(NoLog);
+      std::make_shared<detect::OnlineSvdDetectorConfig>(AllBlocks);
   RunnerConfig RC;
   RC.Jobs = 2;
   std::vector<SampleMetrics> Ms =
-      ParallelRunner(RC).run({S, S}); // same spec twice
-  ASSERT_EQ(Ms.size(), 2u);
-  EXPECT_EQ(Ms[0].LogEntries, 0u);
-  EXPECT_EQ(Ms[1].LogEntries, 0u);
+      ParallelRunner(RC).run({S, S, Paper}); // configured spec twice
+  ASSERT_EQ(Ms.size(), 3u);
+  // Checking write sets too can only add reports, and this workload's
+  // remote writes hit CU outputs: strictly more than the paper
+  // configuration shows each spec carried its config.
+  EXPECT_GT(Ms[0].DynamicReports, Ms[2].DynamicReports);
+  EXPECT_EQ(Ms[0].DynamicReports, Ms[1].DynamicReports);
   EXPECT_EQ(Ms[0].Steps, Ms[1].Steps);
 }

@@ -837,9 +837,7 @@ TEST(Machine, CallStackOverflowFaultIsContained) {
   call forever
   ret
 )");
-  MachineConfig Base;
-  Base.MaxCallDepth = 8;
-  onBothEngines(Base, [&](const MachineConfig &Cfg) {
+  onBothEngines({}, [&](const MachineConfig &Cfg) {
     Machine M(P, Cfg);
     EXPECT_EQ(M.run(), StopReason::AllHalted);
     ASSERT_EQ(M.errors().size(), 1u);

@@ -604,6 +604,28 @@ TEST(ServeCodec, RejectsNonMonotonicSeq) {
   EXPECT_TRUE(C.decode(C.encodeEvents(&One, 1, 0), /*MinSeq=*/4, Out).Ok);
 }
 
+TEST(ServeCodec, RejectsFrameSequenceOverflow) {
+  isa::Program P = testProgram();
+  trace::ProgramTrace T = recordRun(P);
+  FrameCodec C(P, 1);
+
+  // Sealed frames whose sequence range would wrap 32 bits: the
+  // resequencer would book them as duplicates or rewind the stream.
+  expectReject(C, C.encodeShed(0xFFFFFFF0u, 0x20, 0, 5),
+               Reject::NonMonotonicSeq);
+  expectReject(C, C.encodeShed(0xFFFFFFF0u, 0x10, 0, 5),
+               Reject::NonMonotonicSeq);
+  expectReject(C, C.encodeEvents(&T[0], 1, 0xFFFFFFFFu),
+               Reject::NonMonotonicSeq);
+  expectReject(C, C.encodeEnd(0xFFFFFFFFu, 1), Reject::NonMonotonicSeq);
+
+  // The last frames that still fit below the top of the range decode.
+  DecodedFrame Out;
+  EXPECT_TRUE(C.decode(C.encodeShed(0xFFFFFFF0u, 0x0F, 0, 5), 0, Out).Ok);
+  EXPECT_TRUE(C.decode(C.encodeEvents(&T[0], 1, 0xFFFFFFFEu), 0, Out).Ok);
+  EXPECT_TRUE(C.decode(C.encodeEnd(0xFFFFFFFEu, 1), 0, Out).Ok);
+}
+
 //===----------------------------------------------------------------------===//
 // Fuzz: the fault layer's wire mutators against every opcode. Whatever
 // they produce, decode classifies — it never throws and a detected

@@ -76,6 +76,16 @@ void expectSameSession(const SessionReport &A, const SessionReport &B) {
       << "session " << A.SessionId;
 }
 
+/// A plan whose first delivered frame stalls the consumer for longer
+/// than the two-million-tick watchdog: a livelocked downstream.
+fault::FaultPlanConfig livelockPlan() {
+  fault::FaultPlanConfig Plan;
+  Plan.Name = "stall-forever";
+  Plan.FrameStallRatePerMyriad = 10000;
+  Plan.FrameStallTicks = 3'000'000;
+  return Plan;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -239,12 +249,11 @@ TEST(Serve, SustainedStallShedsExplicitlyNeverSilently) {
   Stall.Name = "stall-hard";
   Stall.PlanSeed = 0x57a11;
   Stall.FrameStallRatePerMyriad = 6000;
-  Stall.FrameStallTicks = 16;
+  // Long enough for the producer, pushing two frames a tick into an
+  // eight-frame ring, to run into the shedding trigger.
+  Stall.FrameStallTicks = 256;
 
   ServeConfig Cfg;
-  Cfg.RingCapacity = 2;
-  Cfg.PushPerTick = 4;
-  Cfg.ShedAfterBackoffs = 2;
   Cfg.FaultCfg = &Stall;
 
   ServeReport Rep = runServe(Sessions, Cfg);
@@ -264,14 +273,19 @@ TEST(Serve, SustainedStallShedsExplicitlyNeverSilently) {
       EXPECT_EQ(S.EventsIngested + S.EventsShed, S.EventsStreamed);
     }
   }
-  EXPECT_GT(ShedSessions, 0u);
+  EXPECT_EQ(ShedSessions, Sessions.size());
 }
 
 TEST(Serve, TenantBudgetDegradesStickyAndMatchesBatch) {
   Workload W = testWorkload();
   std::vector<SessionInput> Sessions = makeSessions(W, {1});
+  // The tenant budget is the plan's detector state budget, as on every
+  // other detector path.
+  fault::FaultPlanConfig Budget;
+  Budget.Name = "tenant-budget";
+  Budget.DetectorEntryBudget = 500;
   ServeConfig Cfg;
-  Cfg.TenantEventBudget = 500;
+  Cfg.FaultCfg = &Budget;
 
   ServeReport Rep = runServe(Sessions, Cfg);
   ASSERT_EQ(Rep.Sessions.size(), 1u);
@@ -286,6 +300,15 @@ TEST(Serve, TenantBudgetDegradesStickyAndMatchesBatch) {
   // even the degraded signature is byte-identical.
   EXPECT_EQ(S.detectionSignature(),
             batchSessionReport(Sessions[0], Cfg).detectionSignature());
+}
+
+TEST(Serve, IngestionPlansCarryNoDetectorBudget) {
+  // The tenant budget comes from the session's plan, so a plan with a
+  // detector state budget would cap ingestion. No plan of the svd-serve
+  // --chaos matrix sets one, which is why that tool's output does not
+  // depend on where the budget is read from.
+  for (const fault::FaultPlanConfig &PC : ingestionPlanMatrix())
+    EXPECT_EQ(PC.DetectorEntryBudget, 0u) << PC.Name;
 }
 
 //===----------------------------------------------------------------------===//
@@ -316,7 +339,7 @@ TEST(Serve, ShardCrashQuarantinesAndRecovers) {
     }
     ++Quarantined;
     if (S.Outcome == SessionOutcome::Failed) {
-      EXPECT_EQ(S.Readmissions, Cfg.RetryBudget);
+      EXPECT_EQ(S.Readmissions, 3u);
       EXPECT_FALSE(S.Diagnostic.empty());
       continue;
     }
@@ -353,16 +376,16 @@ TEST(Serve, ExhaustedRetryBudgetFailsTheSessionOnly) {
   AlwaysCrash.ShardCrashRatePerMyriad = 10000;
 
   ServeConfig Cfg;
-  Cfg.RetryBudget = 2;
   Cfg.FaultCfg = &AlwaysCrash;
 
   // The contract under test: runServe never throws, it classifies.
+  // Every attempt crashes, so all three re-admissions are spent.
   ServeReport Rep = runServe(Sessions, Cfg);
   ASSERT_EQ(Rep.Sessions.size(), 2u);
   for (const SessionReport &S : Rep.Sessions) {
     EXPECT_EQ(S.Outcome, SessionOutcome::Failed);
-    EXPECT_EQ(S.Quarantines, Cfg.RetryBudget + 1);
-    EXPECT_EQ(S.Readmissions, Cfg.RetryBudget);
+    EXPECT_EQ(S.Quarantines, 4u);
+    EXPECT_EQ(S.Readmissions, 3u);
     EXPECT_FALSE(S.Diagnostic.empty());
   }
 }
@@ -370,8 +393,9 @@ TEST(Serve, ExhaustedRetryBudgetFailsTheSessionOnly) {
 TEST(Serve, WatchdogTripsLivelockedSessions) {
   Workload W = testWorkload();
   std::vector<SessionInput> Sessions = makeSessions(W, {1});
+  fault::FaultPlanConfig Livelock = livelockPlan();
   ServeConfig Cfg;
-  Cfg.SessionTickDeadline = 8; // far below any real session's ticks
+  Cfg.FaultCfg = &Livelock;
 
   ServeReport Rep = runServe(Sessions, Cfg);
   ASSERT_EQ(Rep.Sessions.size(), 1u);
@@ -387,38 +411,38 @@ TEST(Serve, WatchdogTripsLivelockedSessions) {
 TEST(Serve, ExhaustedBudgetDiagnosticsAreExactForBothAbortKinds) {
   Workload W = testWorkload();
   {
-    // Watchdog: four attempts of 9 ticks each plus 4 + 8 + 16 ticks of
-    // quarantine backoff.
+    // Watchdog: four attempts of 2000001 ticks each plus 4 + 8 + 16
+    // ticks of quarantine backoff.
     std::vector<SessionInput> Sessions = makeSessions(W, {1});
+    fault::FaultPlanConfig Livelock = livelockPlan();
     ServeConfig Cfg;
-    Cfg.SessionTickDeadline = 8;
+    Cfg.FaultCfg = &Livelock;
     ServeReport Rep = runServe(Sessions, Cfg);
     ASSERT_EQ(Rep.Sessions.size(), 1u);
     const SessionReport &S = Rep.Sessions[0];
     EXPECT_EQ(S.Outcome, SessionOutcome::Failed);
     EXPECT_EQ(S.Diagnostic, "quarantine retry budget exhausted after 4 "
-                            "attempts: watchdog tripped at 9 ticks");
-    EXPECT_EQ(S.Ticks, 64u);
+                            "attempts: watchdog tripped at 2000001 ticks");
+    EXPECT_EQ(S.Ticks, 8'000'032u);
   }
   {
-    // Injected shard crash: three one-tick attempts plus 4 + 8 ticks of
-    // quarantine backoff.
+    // Injected shard crash: four one-tick attempts plus 4 + 8 + 16 ticks
+    // of quarantine backoff.
     std::vector<SessionInput> Sessions = makeSessions(W, {1, 2});
     fault::FaultPlanConfig AlwaysCrash;
     AlwaysCrash.Name = "crash-always";
     AlwaysCrash.PlanSeed = 0xdead;
     AlwaysCrash.ShardCrashRatePerMyriad = 10000;
     ServeConfig Cfg;
-    Cfg.RetryBudget = 2;
     Cfg.FaultCfg = &AlwaysCrash;
     ServeReport Rep = runServe(Sessions, Cfg);
     ASSERT_EQ(Rep.Sessions.size(), 2u);
     for (const SessionReport &S : Rep.Sessions) {
       EXPECT_EQ(S.Outcome, SessionOutcome::Failed);
       EXPECT_EQ(S.Diagnostic,
-                "quarantine retry budget exhausted after 3 attempts: "
-                "injected shard crash at frame 0 (attempt 3)");
-      EXPECT_EQ(S.Ticks, 15u);
+                "quarantine retry budget exhausted after 4 attempts: "
+                "injected shard crash at frame 0 (attempt 4)");
+      EXPECT_EQ(S.Ticks, 32u);
     }
   }
 }
@@ -427,8 +451,8 @@ TEST(Serve, ShedPersistsAcrossQuarantine) {
   // Shedding rewrites the wire and a re-admission replays that rewritten
   // wire, so producer-side shed counters must survive the rollback of an
   // aborted attempt while the consumer-side counters do not. Under this
-  // plan seed, sessions 0 and 6 shed before a shard crash aborts their
-  // first attempt; rolling EventsShed back would break their accounting.
+  // plan seed, sessions 0, 1, 4 and 6 shed and recover from one to three
+  // shard crashes; rolling EventsShed back would break their accounting.
   Workload W = testWorkload();
   std::vector<SessionInput> Sessions =
       makeSessions(W, {1, 2, 3, 4, 5, 6, 7, 8});
@@ -436,13 +460,10 @@ TEST(Serve, ShedPersistsAcrossQuarantine) {
   Plan.Name = "stall-crash";
   Plan.PlanSeed = 0x57a13;
   Plan.FrameStallRatePerMyriad = 6000;
-  Plan.FrameStallTicks = 16;
+  Plan.FrameStallTicks = 256;
   Plan.ShardCrashRatePerMyriad = 800;
 
   ServeConfig Cfg;
-  Cfg.RingCapacity = 2;
-  Cfg.PushPerTick = 4;
-  Cfg.ShedAfterBackoffs = 2;
   Cfg.FaultCfg = &Plan;
 
   ServeReport Rep = runServe(Sessions, Cfg);
@@ -459,7 +480,7 @@ TEST(Serve, ShedPersistsAcrossQuarantine) {
     EXPECT_NE(S.Diagnostic.find("recovered from"), std::string::npos)
         << S.Diagnostic;
   }
-  EXPECT_GE(ShedAndRecovered, 2u);
+  EXPECT_EQ(ShedAndRecovered, 4u);
 }
 
 //===----------------------------------------------------------------------===//
