@@ -292,12 +292,3 @@ bool StaticCuInference::shareAncestor(uint32_t A, uint32_t B) const {
       return true;
   return false;
 }
-
-double StaticCuInference::meanUnitSize() const {
-  if (Units.empty())
-    return 0.0;
-  size_t Total = 0;
-  for (const StaticCu &U : Units)
-    Total += U.Pcs.size();
-  return static_cast<double>(Total) / static_cast<double>(Units.size());
-}

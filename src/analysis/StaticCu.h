@@ -108,9 +108,6 @@ public:
     return DepPreds[Pc];
   }
 
-  /// Mean number of member pcs per unit (0 when no units).
-  double meanUnitSize() const;
-
 private:
   void buildDepEdges(const isa::ThreadCfg &Cfg,
                      const std::vector<isa::Instruction> &Code);

@@ -129,8 +129,8 @@ bool isStatement(const TraceEvent &E) {
 
 } // namespace
 
-CuPartition CuPartition::compute(const ProgramTrace &T,
-                                 const pdg::DynamicPdg &G) {
+template <typename FeedFn>
+CuPartition CuPartition::run(const ProgramTrace &T, FeedFn &&Feed) {
   CuPartition Out;
   size_t N = T.size();
   Out.EventUnit.assign(N, NoUnit);
@@ -139,16 +139,15 @@ CuPartition CuPartition::compute(const ProgramTrace &T,
   // Figure 5, per thread trace, in execution order. Processing the global
   // order restricted to statements is equivalent since all inspected arcs
   // are intra-thread.
-  for (uint32_t E = 0; E < N; ++E) {
+  Feed([&](uint32_t E, std::span<const DepArc> In) {
     const TraceEvent &Ev = T[E];
     if (!isStatement(Ev))
-      continue;
+      return;
 
     // Lines 4-9: if s reads word v and some dependence predecessor's
     // active CU has v among its shared writes, that CU is cut here.
     if (Ev.Kind == EventKind::Load) {
-      for (uint32_t ArcIdx : G.incoming(E)) {
-        const DepArc &A = G.arcs()[ArcIdx];
+      for (const DepArc &A : In) {
         if (A.Kind == DepKind::Conflict)
           continue; // depPred holds true/control predecessors only
         uint32_t PredRoot = UF.find(A.From);
@@ -158,8 +157,7 @@ CuPartition CuPartition::compute(const ProgramTrace &T,
     }
 
     // Lines 10-13: merge the still-active predecessor CUs into s's CU.
-    for (uint32_t ArcIdx : G.incoming(E)) {
-      const DepArc &A = G.arcs()[ArcIdx];
+    for (const DepArc &A : In) {
       if (A.Kind == DepKind::Conflict)
         continue;
       if (UF.isActive(A.From))
@@ -172,7 +170,7 @@ CuPartition CuPartition::compute(const ProgramTrace &T,
     // Lines 15-16: record shared words written by the CU.
     if (Ev.Kind == EventKind::Store && T.isSharedAddress(Ev.Address))
       UF.addShVar(E, Ev.Address);
-  }
+  });
 
   // Collect the final weakly connected components into CU records,
   // numbered by first member event.
@@ -199,13 +197,16 @@ CuPartition CuPartition::compute(const ProgramTrace &T,
   return Out;
 }
 
-double CuPartition::meanUnitSize() const {
-  if (Units.empty())
-    return 0.0;
-  size_t Total = 0;
-  for (const ComputationalUnit &U : Units)
-    Total += U.Events.size();
-  return static_cast<double>(Total) / static_cast<double>(Units.size());
+CuPartition CuPartition::compute(const ProgramTrace &T) {
+  return run(T, [&T](auto &&Step) { pdg::forEachIncoming(T, Step); });
+}
+
+CuPartition CuPartition::compute(const ProgramTrace &T,
+                                 const pdg::DynamicPdg &G) {
+  return run(T, [&](auto &&Step) {
+    for (uint32_t E = 0; E < T.size(); ++E)
+      Step(E, G.incoming(E));
+  });
 }
 
 std::string CuPartition::describe(const ProgramTrace &T) const {

@@ -19,6 +19,10 @@
 /// set, that CU is deactivated — the crossing-arc cut of Definition 2 —
 /// so later statements start a fresh CU.
 ///
+/// The statement step (lines 4-16) is written once and fed either
+/// straight from pdg::forEachIncoming, one event at a time, or from a
+/// stored DynamicPdg.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SVD_CU_CUPARTITION_H
@@ -55,8 +59,12 @@ public:
   /// Sentinel unit id for events outside any CU (lock/unlock/thread-end).
   static constexpr uint32_t NoUnit = UINT32_MAX;
 
-  /// Runs Figure 5 over every thread trace of \p T using the dependences
-  /// in \p G.
+  /// Runs Figure 5 over every thread trace of \p T, fed each event's
+  /// arcs by pdg::forEachIncoming; no dependence graph is stored.
+  static CuPartition compute(const trace::ProgramTrace &T);
+
+  /// Runs Figure 5 over \p T reading the arcs stored in \p G, for the
+  /// callers that already hold the graph.
   static CuPartition compute(const trace::ProgramTrace &T,
                              const pdg::DynamicPdg &G);
 
@@ -65,9 +73,6 @@ public:
   /// CU id of \p Event, or NoUnit.
   uint32_t unitOf(uint32_t Event) const { return EventUnit[Event]; }
 
-  /// Mean number of dynamic statements per CU.
-  double meanUnitSize() const;
-
   /// Human-readable dump (one line per CU) for debugging and the figure
   /// benches.
   std::string describe(const trace::ProgramTrace &T) const;
@@ -75,6 +80,11 @@ public:
 private:
   std::vector<ComputationalUnit> Units;
   std::vector<uint32_t> EventUnit;
+
+  /// Figure 5 over \p T: \p Feed calls the statement step it is given
+  /// once per event, ascending, with that event's incoming arcs.
+  template <typename FeedFn>
+  static CuPartition run(const trace::ProgramTrace &T, FeedFn &&Feed);
 };
 
 } // namespace cu

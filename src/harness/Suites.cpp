@@ -15,7 +15,6 @@
 #include "harness/Harness.h"
 #include "harness/Runner.h"
 #include "harness/Studies.h"
-#include "pdg/Pdg.h"
 #include "predict/Confirm.h"
 #include "serve/Serve.h"
 #include "support/Json.h"
@@ -677,8 +676,7 @@ int runFig1(const SuiteOptions &O) {
   trace::TraceRecorder R(SW.Program);
   M.addObserver(&R);
   M.run();
-  pdg::DynamicPdg G = pdg::DynamicPdg::build(R.trace());
-  cu::CuPartition CUs = cu::CuPartition::compute(R.trace(), G);
+  cu::CuPartition CUs = cu::CuPartition::compute(R.trace());
   std::puts("Inferred computational units of a 2-iteration run:");
   std::fputs(CUs.describe(R.trace()).c_str(), stdout);
   return 0;

@@ -242,12 +242,16 @@ void perturbWire(SessionState &S) {
 }
 
 /// Consumer-side stream assembly: resequencing, duplicate drop, gap
-/// accounting, budget enforcement.
+/// accounting, budget enforcement. The events go into the shard
+/// worker's trace buffer, reset for each attempt.
 struct Assembly {
-  explicit Assembly(const isa::Program &P, uint64_t Budget)
-      : Trace(P), Ledger(Budget) {}
+  Assembly(trace::ProgramTrace &Buffer, const isa::Program &P,
+           uint64_t Budget)
+      : Trace(Buffer), Ledger(Budget) {
+    Trace.reset(P);
+  }
 
-  trace::ProgramTrace Trace;
+  trace::ProgramTrace &Trace;
   shadow::BudgetLedger Ledger;
   uint64_t LastSeq = 0;
   uint32_t NextFrame = 0;
@@ -503,9 +507,10 @@ std::optional<std::string> runAttempt(SessionState &S, uint32_t Attempt,
 /// Runs one session end to end: produce the wire while the VM runs,
 /// stream it through the ring with quarantine containment, detect,
 /// classify. Every failure ends as a classified outcome; nothing
-/// escapes.
+/// escapes. \p Buffer is the worker's trace buffer the stream is
+/// assembled into.
 void runSession(SessionState &S, const StageTimers &Timers,
-                shadow::Table<uint8_t> &Seen) {
+                shadow::Table<uint8_t> &Seen, trace::ProgramTrace &Buffer) {
   SessionReport &R = S.R;
   try {
     {
@@ -529,7 +534,7 @@ void runSession(SessionState &S, const StageTimers &Timers,
     {
       obs::ScopedTimer T(Timers.Stream);
       for (uint32_t Attempt = 1;; ++Attempt) {
-        A.emplace(S.In->Work->Program, tenantBudget(S));
+        A.emplace(Buffer, S.In->Work->Program, tenantBudget(S));
         std::optional<std::string> Abort = runAttempt(S, Attempt, *A, Seen);
         if (!Abort)
           break; // stream fully drained
@@ -625,6 +630,10 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
   // level yields identical results.
   std::atomic<uint32_t> NextShard{0};
   auto Worker = [&]() {
+    // The worker's one trace buffer: every admission attempt resets and
+    // refills it, so its capacity is the largest session it assembled.
+    const isa::Program Unbound;
+    trace::ProgramTrace Buffer(Unbound);
     for (;;) {
       uint32_t K = NextShard.fetch_add(1);
       if (K >= Shards)
@@ -636,7 +645,7 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
       for (size_t Idx : SS.SessionIdx) {
         SessionState &S = States[Idx];
         S.R.Shard = K;
-        runSession(S, Timers, Seen);
+        runSession(S, Timers, Seen, Buffer);
         SR.Sessions.push_back(S.R.SessionId);
         SR.FramesDelivered += S.R.FramesDelivered;
         SR.EventsIngested += S.R.EventsIngested;

@@ -4,7 +4,6 @@
 
 #include "fault/Fault.h"
 #include "obs/Obs.h"
-#include "pdg/Pdg.h"
 #include "shadow/Shadow.h"
 #include "support/StringUtils.h"
 #include "vm/Machine.h"
@@ -158,8 +157,7 @@ OfflineAnalysis detect::runOfflinePipeline(const ProgramTrace &T) {
     A.Error = "trace validation failed: " + Err;
     return A;
   }
-  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
-  CuPartition CUs = CuPartition::compute(T, G);
+  CuPartition CUs = CuPartition::compute(T);
   A.CusFormed = CUs.units().size();
   A.Reports = detectOffline(T, CUs);
   return A;

@@ -10,6 +10,12 @@
 using namespace svd;
 using namespace svd::trace;
 
+void ProgramTrace::reset(const isa::Program &P) {
+  Prog = &P;
+  Events.clear();
+  SharedBuilt = false;
+}
+
 void ProgramTrace::append(const TraceEvent &E) {
   assert((Events.empty() || Events.back().Seq <= E.Seq) &&
          "events must arrive in execution order");

@@ -61,6 +61,10 @@ public:
 
   const isa::Program &program() const { return *Prog; }
 
+  /// Rebinds the trace to \p P and drops every event and the lazy
+  /// shared-address cache, keeping the buffers' capacity for reuse.
+  void reset(const isa::Program &P);
+
   /// Appends \p E; events must arrive in nondecreasing Seq order.
   void append(const TraceEvent &E);
 

@@ -20,9 +20,9 @@ namespace {
 std::vector<DepArc> incomingOfKind(const DynamicPdg &G, uint32_t To,
                                    DepKind K) {
   std::vector<DepArc> Out;
-  for (uint32_t Idx : G.incoming(To))
-    if (G.arcs()[Idx].Kind == K)
-      Out.push_back(G.arcs()[Idx]);
+  for (const DepArc &A : G.incoming(To))
+    if (A.Kind == K)
+      Out.push_back(A);
   return Out;
 }
 

@@ -29,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 using namespace svd;
 using trace::EventKind;
@@ -233,8 +234,7 @@ TEST_P(WorkloadProperty, PdgArcsAreWellFormed) {
 
 TEST_P(WorkloadProperty, CuPartitionIsWellFormed) {
   ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
-  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
-  cu::CuPartition CUs = cu::CuPartition::compute(T, G);
+  cu::CuPartition CUs = cu::CuPartition::compute(T);
 
   std::vector<bool> Seen(T.size(), false);
   for (const cu::ComputationalUnit &U : CUs.units()) {
@@ -262,19 +262,48 @@ TEST_P(WorkloadProperty, PdgIncomingVisitsEachArcOnce) {
   pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
   std::vector<uint32_t> Visits(G.arcs().size(), 0);
   for (uint32_t E = 0; E < T.size(); ++E)
-    for (uint32_t Idx : G.incoming(E)) {
+    for (const pdg::DepArc &A : G.incoming(E)) {
+      size_t Idx = static_cast<size_t>(&A - G.arcs().data());
       ASSERT_LT(Idx, G.arcs().size());
-      EXPECT_EQ(G.arcs()[Idx].To, E);
+      EXPECT_EQ(A.To, E);
       ++Visits[Idx];
     }
   for (size_t Idx = 0; Idx < Visits.size(); ++Idx)
     ASSERT_EQ(Visits[Idx], 1u) << "arc " << Idx;
 }
 
-TEST_P(WorkloadProperty, CuSharedWritesAreTheUnitsSharedStores) {
+TEST_P(WorkloadProperty, ForEachIncomingMatchesBuild) {
   ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
   pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
-  cu::CuPartition CUs = cu::CuPartition::compute(T, G);
+  uint32_t Next = 0;
+  size_t At = 0;
+  pdg::forEachIncoming(T, [&](uint32_t E, std::span<const pdg::DepArc> In) {
+    ASSERT_EQ(E, Next++) << "events visited once, ascending";
+    for (const pdg::DepArc &A : In) {
+      ASSERT_LT(At, G.arcs().size());
+      const pdg::DepArc &B = G.arcs()[At++];
+      EXPECT_EQ(A.To, E);
+      EXPECT_EQ(A.From, B.From) << "arc " << At - 1;
+      EXPECT_EQ(A.To, B.To) << "arc " << At - 1;
+      EXPECT_EQ(A.Kind, B.Kind) << "arc " << At - 1;
+      EXPECT_EQ(A.ViaMemory, B.ViaMemory) << "arc " << At - 1;
+      EXPECT_EQ(A.Address, B.Address) << "arc " << At - 1;
+    }
+  });
+  EXPECT_EQ(Next, T.size());
+  EXPECT_EQ(At, G.arcs().size());
+}
+
+TEST_P(WorkloadProperty, StreamedFigure5EqualsStoredGraph) {
+  ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
+  testutil::expectSamePartition(
+      T, cu::CuPartition::compute(T),
+      cu::CuPartition::compute(T, pdg::DynamicPdg::build(T)));
+}
+
+TEST_P(WorkloadProperty, CuSharedWritesAreTheUnitsSharedStores) {
+  ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
+  cu::CuPartition CUs = cu::CuPartition::compute(T);
   for (const cu::ComputationalUnit &U : CUs.units()) {
     for (size_t I = 1; I < U.SharedWrites.size(); ++I)
       EXPECT_LT(U.SharedWrites[I - 1], U.SharedWrites[I]) << "CU " << U.Id;

@@ -367,6 +367,70 @@ TEST(Serve, ShardCrashQuarantinesAndRecovers) {
   EXPECT_GT(Recovered, 0u);
 }
 
+TEST(Serve, ReusedShardTraceBufferMatchesBatch) {
+  // One shard assembles every session into one trace buffer. Its
+  // largest session comes first and smaller sessions of other programs
+  // follow, so each later session lands in a buffer that holds a bigger
+  // session's capacity and was bound to another program; re-admissions
+  // reset it again mid-session.
+  WorkloadParams BigP;
+  BigP.Threads = 3;
+  BigP.Iterations = 48;
+  BigP.WorkPadding = 5;
+  BigP.TouchOneIn = 1;
+  WorkloadParams SmallP;
+  SmallP.Threads = 2;
+  SmallP.Iterations = 6;
+  Workload Big = workloads::apacheLog(BigP);
+  Workload Small = testWorkload();
+  Workload Other = workloads::mysqlPrepared(SmallP);
+  std::vector<SessionInput> Sessions;
+  for (const Workload *W : {&Big, &Other, &Small, &Other, &Small})
+    for (SessionInput &S :
+         makeSessions(*W, {static_cast<uint64_t>(Sessions.size() + 1)})) {
+      S.SessionId = static_cast<uint32_t>(Sessions.size());
+      Sessions.push_back(S);
+    }
+  ASSERT_NE(Big.Program.MemoryWords, Other.Program.MemoryWords);
+
+  fault::FaultPlanConfig Crash;
+  Crash.Name = "crash-some";
+  Crash.PlanSeed = 0x5e47; // re-admits the largest session and a later one
+  Crash.ShardCrashRatePerMyriad = 100;
+  for (bool WithCrash : {false, true}) {
+    ServeConfig Cfg;
+    Cfg.Shards = 1;
+    Cfg.FaultCfg = WithCrash ? &Crash : nullptr;
+    ServeReport Rep = runServe(Sessions, Cfg);
+    ASSERT_EQ(Rep.Sessions.size(), Sessions.size());
+    size_t Ok = 0, Readmitted = 0;
+    for (size_t I = 0; I < Rep.Sessions.size(); ++I) {
+      const SessionReport &S = Rep.Sessions[I];
+      if (I != 0) {
+        EXPECT_LT(S.EventsStreamed, Rep.Sessions[0].EventsStreamed);
+      }
+      SessionReport B = batchSessionReport(Sessions[I], Cfg);
+      if (S.Outcome == SessionOutcome::Ok) {
+        ++Ok;
+        EXPECT_EQ(S.detectionSignature(), B.detectionSignature())
+            << "session " << I;
+      } else if (S.Readmissions != 0 && S.Outcome != SessionOutcome::Failed) {
+        // Recovered: degraded by the quarantine note, same detection.
+        ++Readmitted;
+        EXPECT_EQ(S.CusFormed, B.CusFormed) << "session " << I;
+        EXPECT_EQ(S.DynamicReports, B.DynamicReports) << "session " << I;
+        EXPECT_EQ(S.StaticTrueKeys, B.StaticTrueKeys) << "session " << I;
+      }
+    }
+    EXPECT_GT(Ok, 0u);
+    if (WithCrash) {
+      EXPECT_GT(Readmitted, 0u);
+    } else {
+      EXPECT_EQ(Ok, Sessions.size());
+    }
+  }
+}
+
 TEST(Serve, ExhaustedRetryBudgetFailsTheSessionOnly) {
   Workload W = testWorkload();
   std::vector<SessionInput> Sessions = makeSessions(W, {1, 2});

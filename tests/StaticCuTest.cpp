@@ -183,5 +183,4 @@ TEST(StaticCu, DependsOnAndShareAncestor) {
   // the load — the static stand-in for "one dynamic CU".
   EXPECT_TRUE(H.CU.shareAncestor(3, 4));
   EXPECT_FALSE(H.CU.shareAncestor(3, 5));
-  EXPECT_GT(H.CU.meanUnitSize(), 0.0);
 }

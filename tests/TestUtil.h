@@ -3,9 +3,12 @@
 #ifndef SVD_TESTS_TESTUTIL_H
 #define SVD_TESTS_TESTUTIL_H
 
+#include "cu/CuPartition.h"
 #include "isa/Assembler.h"
 #include "trace/Trace.h"
 #include "vm/Machine.h"
+
+#include <gtest/gtest.h>
 
 #include <initializer_list>
 #include <utility>
@@ -56,6 +59,26 @@ recordWithPrefix(const isa::Program &P,
   M.clearReplaySchedule();
   M.run();
   return R.takeTrace();
+}
+
+/// Expects two CU partitions of \p T to be identical: every unit's Id,
+/// Tid, Events, BeginSeq, EndSeq and SharedWrites, and unitOf(E) for
+/// every event.
+inline void expectSamePartition(const trace::ProgramTrace &T,
+                                const cu::CuPartition &A,
+                                const cu::CuPartition &B) {
+  ASSERT_EQ(A.units().size(), B.units().size());
+  for (size_t I = 0; I < A.units().size(); ++I) {
+    const cu::ComputationalUnit &U = A.units()[I], &V = B.units()[I];
+    EXPECT_EQ(U.Id, V.Id) << "unit " << I;
+    EXPECT_EQ(U.Tid, V.Tid) << "unit " << I;
+    EXPECT_EQ(U.Events, V.Events) << "unit " << I;
+    EXPECT_EQ(U.BeginSeq, V.BeginSeq) << "unit " << I;
+    EXPECT_EQ(U.EndSeq, V.EndSeq) << "unit " << I;
+    EXPECT_EQ(U.SharedWrites, V.SharedWrites) << "unit " << I;
+  }
+  for (uint32_t E = 0; E < T.size(); ++E)
+    ASSERT_EQ(A.unitOf(E), B.unitOf(E)) << "event " << E;
 }
 
 } // namespace testutil

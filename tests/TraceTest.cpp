@@ -110,6 +110,45 @@ TEST(Trace, SharedOracleCountsRepeatedSameThreadAsOne) {
   EXPECT_FALSE(T.isSharedAddress(P.addressOf("g")));
 }
 
+TEST(Trace, ResetRebindsAndDropsTheSharedCache) {
+  // A's x and y are shared; B puts its one thread's z and w on the same
+  // words. After reset, the sharedness answers must come from B's events
+  // alone, not from the cache built over A's.
+  isa::Program A = assembleOrDie(R"(
+.global x
+.global y
+.thread a x2
+  ld r1, [@x]
+  st r1, [@y]
+  halt
+)");
+  isa::Program B = assembleOrDie(R"(
+.global z
+.global w
+.thread b
+  st r0, [@z]
+  halt
+)");
+  ASSERT_EQ(A.addressOf("x"), B.addressOf("z"));
+  ASSERT_EQ(A.addressOf("y"), B.addressOf("w"));
+  ProgramTrace T = recordRun(A);
+  ASSERT_TRUE(T.isSharedAddress(A.addressOf("x")));
+  ASSERT_TRUE(T.isSharedAddress(A.addressOf("y")));
+  size_t Capacity = T.events().capacity();
+
+  ProgramTrace TB = recordRun(B);
+  T.reset(B);
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(&T.program(), &B);
+  EXPECT_EQ(T.events().capacity(), Capacity);
+  EXPECT_EQ(T.threadsAccessing(B.addressOf("z")), 0u);
+  for (const TraceEvent &E : TB.events())
+    T.append(E);
+  EXPECT_EQ(T.threadsAccessing(B.addressOf("z")), 1u);
+  EXPECT_FALSE(T.isSharedAddress(B.addressOf("z")));
+  EXPECT_EQ(T.threadsAccessing(B.addressOf("w")), 0u);
+}
+
 TEST(Trace, ValidateAcceptsRecordedTraces) {
   isa::Program P = assembleOrDie(R"(
 .global g
