@@ -11,40 +11,6 @@ using isa::Opcode;
 
 namespace {
 
-/// The machine wraps on 64-bit overflow, so an interval op whose exact
-/// bound leaves int64 range must widen to full() — clamping the bound
-/// would exclude the wrapped values.
-Interval wideToIv(__int128 Lo, __int128 Hi) {
-  if (Lo < INT64_MIN || Hi > INT64_MAX)
-    return Interval::full();
-  return {static_cast<int64_t>(Lo), static_cast<int64_t>(Hi)};
-}
-
-Interval addIv(const Interval &A, const Interval &B) {
-  if (A.empty() || B.empty())
-    return Interval();
-  return wideToIv(static_cast<__int128>(A.Lo) + B.Lo,
-                  static_cast<__int128>(A.Hi) + B.Hi);
-}
-
-Interval subIv(const Interval &A, const Interval &B) {
-  if (A.empty() || B.empty())
-    return Interval();
-  return wideToIv(static_cast<__int128>(A.Lo) - B.Hi,
-                  static_cast<__int128>(A.Hi) - B.Lo);
-}
-
-Interval mulIv(const Interval &A, const Interval &B) {
-  if (A.empty() || B.empty())
-    return Interval();
-  __int128 C[4] = {static_cast<__int128>(A.Lo) * B.Lo,
-                   static_cast<__int128>(A.Lo) * B.Hi,
-                   static_cast<__int128>(A.Hi) * B.Lo,
-                   static_cast<__int128>(A.Hi) * B.Hi};
-  return wideToIv(*std::min_element(C, C + 4),
-                  *std::max_element(C, C + 4));
-}
-
 /// The smallest all-ones mask covering \p V (V >= 0).
 int64_t onesAbove(int64_t V) {
   int64_t M = 0;

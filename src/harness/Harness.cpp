@@ -77,9 +77,6 @@ SampleMetrics harness::runSample(const Workload &W,
 
   vm::Machine Machine(W.Program, MC);
   D->attach(Machine);
-  // Open the detector's observation epoch (O(1) on sparse shadow
-  // tables; a no-op for detectors without shadow state).
-  D->beginEpoch();
   auto T0 = std::chrono::steady_clock::now();
   M.Stop = Machine.run();
   D->finish(Machine);

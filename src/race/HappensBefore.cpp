@@ -25,7 +25,6 @@ public:
   size_t approxMemoryBytes() const override {
     return Impl.approxMemoryBytes();
   }
-  void beginEpoch() override { Impl.beginEpoch(); }
   uint64_t shadowPages() const override { return Impl.shadowPages(); }
   size_t shadowBytes() const override { return Impl.shadowBytes(); }
   void exportStats(obs::Registry &R) const override {
@@ -40,8 +39,7 @@ private:
 } // namespace
 
 void race::registerHappensBeforeDetector(detect::DetectorRegistry &R) {
-  R.add({"frd", "FRD",
-         "happens-before race detector (the paper's FRD baseline)",
+  R.add({"frd",
          [](const isa::Program &P, const detect::DetectorConfig *Cfg) {
            detect::checkConfigKind(Cfg, "frd");
            return std::make_unique<FrdDetector>(P);

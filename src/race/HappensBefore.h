@@ -39,7 +39,7 @@
 namespace svd {
 namespace race {
 
-/// Registers the happens-before baseline as "frd" (display "FRD").
+/// Registers the happens-before baseline (the paper's FRD) as "frd".
 void registerHappensBeforeDetector(detect::DetectorRegistry &R);
 
 /// Online happens-before race detector; attach with Machine::addObserver.
@@ -57,8 +57,6 @@ public:
   /// Rough detector memory accounting.
   size_t approxMemoryBytes() const;
 
-  /// Starts a fresh observation epoch on the per-word shadow table.
-  void beginEpoch() { Words.beginEpoch(); }
   /// Shadow pages materialized so far.
   uint64_t shadowPages() const { return Words.pagesAllocated(); }
   /// Bytes held by materialized shadow pages.

@@ -24,7 +24,6 @@ public:
   const std::vector<Violation> &reports() const override {
     return Impl.reports();
   }
-  void beginEpoch() override { Impl.beginEpoch(); }
   uint64_t shadowPages() const override { return Impl.shadowPages(); }
   size_t shadowBytes() const override { return Impl.shadowBytes(); }
   void exportStats(obs::Registry &R) const override {
@@ -39,8 +38,7 @@ private:
 } // namespace
 
 void race::registerLocksetDetector(detect::DetectorRegistry &R) {
-  R.add({"lockset", "Lockset",
-         "Eraser-style lockset race detector (consistent locking)",
+  R.add({"lockset",
          [](const isa::Program &P, const detect::DetectorConfig *Cfg) {
            detect::checkConfigKind(Cfg, "lockset");
            return std::make_unique<LocksetRegistryDetector>(P);

@@ -30,8 +30,8 @@
 namespace svd {
 namespace race {
 
-/// Registers the lockset baseline as "lockset" (display "Lockset").
-/// No config.
+/// Registers the Eraser-style lockset baseline (consistent locking) as
+/// "lockset". No config.
 void registerLocksetDetector(detect::DetectorRegistry &R);
 
 /// Online lockset detector; attach with Machine::addObserver.
@@ -46,8 +46,6 @@ public:
 
   uint64_t eventsObserved() const { return Events; }
 
-  /// Starts a fresh observation epoch on the per-word shadow table.
-  void beginEpoch() { Words.beginEpoch(); }
   /// Shadow pages materialized so far.
   uint64_t shadowPages() const { return Words.pagesAllocated(); }
   /// Bytes held by materialized shadow pages.

@@ -22,14 +22,11 @@
 ///    their primary slot, so references returned by \c touch() stay
 ///    stable for the table's lifetime (detectors keep `T &` across
 ///    calls).
-///  * Epochs replace rebuild-per-sample: \c beginEpoch() is O(1) — it
-///    bumps the table's epoch counter and already-allocated pages are
-///    lazily reset to default-constructed entries on their next touch.
-///    The shared clean page's epoch is 0 forever and a table's epoch
-///    starts at 1, so "untouched" and "stale from a previous epoch"
-///    unify into a single epoch compare on the read path.
+///  * Tables are single-run, like the detectors that own them: there is
+///    no reset. The clean page holds default entries, so \c peek() is
+///    one pointer chase and \c touch() one pointer compare against it.
 ///  * \c Mode::Dense reproduces the historical dense-vector behavior
-///    (every page eagerly allocated and eagerly reset), which gives the
+///    (every page allocated at construction), which gives the
 ///    differential tests two genuinely different code paths to compare.
 ///
 /// The file also hosts the budget bookkeeping every bounded detector
@@ -67,10 +64,9 @@ enum class Mode : uint8_t {
   /// Pages materialize on first touch(); untouched regions stay on the
   /// shared clean page. The production configuration.
   Sparse,
-  /// Every page is eagerly allocated at construction and eagerly reset
-  /// by beginEpoch() — the historical dense-vector behavior, kept as
-  /// the reference side of the dense-vs-shadow differential
-  /// (tests/ShadowDiffTest.cpp).
+  /// Every page is allocated at construction — the historical
+  /// dense-vector behavior, kept as the reference side of the
+  /// dense-vs-shadow differential (tests/ShadowDiffTest.cpp).
   Dense,
 };
 
@@ -80,10 +76,6 @@ enum class Mode : uint8_t {
 /// single-run and single-thread by the Detector contract.
 template <typename T> class Table {
   struct Secondary {
-    /// Epoch this page's Data was last reset for. The shared clean
-    /// page stays at 0; live tables start at epoch 1, so a stale page
-    /// and the clean page fail the same compare.
-    uint64_t Epoch = 0;
     std::array<T, PageEntries> Data{};
   };
 
@@ -96,12 +88,10 @@ template <typename T> class Table {
   }
 
 public:
-  explicit Table(uint64_t NumEntries, Mode M = Mode::Sparse)
-      : Entries(NumEntries), TableMode(M) {
-    uint64_t NumPages = (NumEntries + PageEntries - 1) >> PageBits;
-    Primary.assign(NumPages, &cleanPage());
-    if (TableMode == Mode::Dense)
-      for (uint64_t P = 0; P < NumPages; ++P)
+  explicit Table(uint64_t NumEntries, Mode M = Mode::Sparse) {
+    Primary.assign(pagesFor(NumEntries), &cleanPage());
+    if (M == Mode::Dense)
+      for (uint64_t P = 0; P < Primary.size(); ++P)
         materialize(P);
   }
 
@@ -109,7 +99,7 @@ public:
   /// materialized pages are duplicated; untouched slots keep aliasing
   /// the shared clean page, so copying a sparse table costs
   /// O(touched pages), not O(address space).
-  Table(const Table &O) : Entries(O.Entries), TableMode(O.TableMode), Cur(O.Cur) {
+  Table(const Table &O) {
     Primary.assign(O.Primary.size(), &cleanPage());
     Arena.reserve(O.Arena.size());
     for (uint64_t P = 0; P < O.Primary.size(); ++P) {
@@ -132,46 +122,25 @@ public:
   Table(Table &&) = default;
   Table &operator=(Table &&) = default;
 
-  /// Read-only access without materializing anything: an untouched or
-  /// stale entry reads as default-constructed. One pointer chase plus
-  /// one epoch compare.
+  /// Read-only access without materializing anything: an untouched
+  /// entry reads as default-constructed off the clean page. One
+  /// pointer chase.
   const T &peek(uint64_t I) const {
-    const Secondary *S = Primary[I >> PageBits];
-    if (S->Epoch != Cur) {
-      static const T Default{};
-      return Default;
-    }
-    return S->Data[I & PageMask];
+    return Primary[I >> PageBits]->Data[I & PageMask];
   }
 
-  /// Mutable access; materializes the page on first write and lazily
-  /// resets a page left over from a previous epoch. The returned
-  /// reference stays valid for the table's lifetime (pages are never
-  /// freed or moved once allocated).
+  /// Mutable access; materializes the page on first write. The
+  /// returned reference stays valid for the table's lifetime (pages
+  /// are never freed or moved once allocated).
   T &touch(uint64_t I) {
     uint64_t P = I >> PageBits;
     const Secondary *S = Primary[P];
-    // Hot path is one epoch compare: a materialized, current page
-    // falls straight through. Clean (epoch 0) and stale pages share
-    // the failing compare and sort themselves out in freshen().
-    if (S->Epoch != Cur)
-      S = freshen(P);
+    // The clean page is the only secondary a table doesn't own; the
+    // pointer compare is the entire "is this region untouched" test.
+    if (S == &cleanPage())
+      S = materialize(P);
     return const_cast<Secondary *>(S)->Data[I & PageMask];
   }
-
-  /// Starts a fresh sample: O(1) in Sparse mode (stale pages reset
-  /// lazily on next touch), O(pages) in Dense mode (the historical
-  /// eager rebuild, on purpose).
-  void beginEpoch() {
-    ++Cur;
-    if (TableMode == Mode::Dense)
-      for (std::unique_ptr<Secondary> &S : Arena)
-        resetPage(*S);
-  }
-
-  uint64_t numEntries() const { return Entries; }
-  uint64_t epoch() const { return Cur; }
-  Mode mode() const { return TableMode; }
 
   /// Pages materialized so far (deterministic for a deterministic
   /// execution — allocation order is touch order).
@@ -187,38 +156,14 @@ public:
   }
 
 private:
-  Secondary *freshen(uint64_t P) {
-    const Secondary *S = Primary[P];
-    // The clean page is the only secondary a table doesn't own; the
-    // pointer compare is the entire "is this region untouched" test.
-    Secondary *W =
-        S == &cleanPage() ? materialize(P) : const_cast<Secondary *>(S);
-    if (W->Epoch != Cur)
-      resetPage(*W);
-    return W;
-  }
-
-  Secondary *materialize(uint64_t P) {
+  // Out of line so touch()'s hot path stays one compare and a load.
+  [[gnu::noinline]] Secondary *materialize(uint64_t P) {
     Arena.push_back(std::make_unique<Secondary>());
     Secondary *S = Arena.back().get();
-    // A fresh page is already default-constructed; stamp the current
-    // epoch so touch() skips the redundant reset sweep.
-    S->Epoch = Cur;
     Primary[P] = S;
     return S;
   }
 
-  void resetPage(Secondary &S) {
-    for (T &E : S.Data)
-      E = T();
-    // Stamp after the sweep so an exception mid-reset can't mark a
-    // half-cleared page current.
-    S.Epoch = Cur;
-  }
-
-  uint64_t Entries;
-  Mode TableMode;
-  uint64_t Cur = 1;
   /// Every slot valid; untouched slots alias the shared clean page,
   /// materialized slots point into the arena.
   std::vector<const Secondary *> Primary;

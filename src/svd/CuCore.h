@@ -363,11 +363,6 @@ protected:
     return Cfg.DenseState ? shadow::Mode::Dense : shadow::Mode::Sparse;
   }
 
-  /// Starts a fresh observation epoch on every lane's block table.
-  void beginLaneEpochs() {
-    for (Lane &T : Lanes)
-      T.Blocks.beginEpoch();
-  }
   uint64_t lanePages() const {
     uint64_t Pages = 0;
     for (const Lane &T : Lanes)
@@ -480,8 +475,8 @@ protected:
   void remoteAccess(uint32_t L, BlockId B, bool IsWrite,
                     const vm::EventCtx &Ctx) {
     Lane &T = Lanes[L];
-    // An untouched (or epoch-stale) block reads as Idle without
-    // materializing anything; only engaged blocks pay for the touch.
+    // An untouched block reads as Idle without materializing
+    // anything; only engaged blocks pay for the touch.
     if (T.Blocks.peek(B).State == Fsm::Idle)
       return;
     BlockInfo &BI = T.Blocks.touch(B);
@@ -767,8 +762,8 @@ private:
 
 /// Registry adapter around one core-based detector instance. \p Impl
 /// names itself (RegistryName), its degradation cause (BudgetReason),
-/// and supplies beginEpoch/shadowPages/shadowBytes/approxMemoryBytes
-/// and its own exportStats counters.
+/// and supplies shadowPages/shadowBytes/approxMemoryBytes and its own
+/// exportStats counters.
 template <class Impl> class CuCoreDetector final : public Detector {
 public:
   CuCoreDetector(const isa::Program &P, const typename Impl::Config &Cfg)
@@ -776,7 +771,6 @@ public:
 
   const char *name() const override { return Impl::RegistryName; }
   void attach(vm::Machine &M) override { M.addObserver(&D); }
-  void beginEpoch() override { D.beginEpoch(); }
   uint64_t shadowPages() const override { return D.shadowPages(); }
   size_t shadowBytes() const override { return D.shadowBytes(); }
   const std::vector<Violation> &reports() const override {
@@ -807,9 +801,8 @@ private:
 /// DetectorConfig::MaxStateEntries backfills an unset MaxCuEntries.
 template <class Impl, class WrapperT>
 DetectorRegistry::Entry
-cuCoreEntry(const char *DisplayName, const char *Description,
-            typename Impl::Config WrapperT::*Field) {
-  return {Impl::RegistryName, DisplayName, Description,
+cuCoreEntry(typename Impl::Config WrapperT::*Field) {
+  return {Impl::RegistryName,
           [Field](const isa::Program &P, const DetectorConfig *Cfg) {
             const auto *C = configAs<WrapperT>(Cfg, Impl::RegistryName);
             typename Impl::Config IC = C ? C->*Field : typename Impl::Config();

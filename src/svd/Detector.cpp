@@ -17,8 +17,6 @@ Detector::~Detector() = default;
 
 void Detector::finish(const vm::Machine &) {}
 
-void Detector::beginEpoch() {}
-
 uint64_t Detector::shadowPages() const { return 0; }
 
 size_t Detector::shadowBytes() const { return 0; }
@@ -86,13 +84,6 @@ DetectorRegistry::create(const std::string &Name, const isa::Program &P,
   return E->Create(P, Cfg);
 }
 
-const char *DetectorRegistry::displayName(const std::string &Name) const {
-  const Entry *E = find(Name);
-  if (!E)
-    support::fatalError("unknown detector '" + Name + "'");
-  return E->DisplayName.c_str();
-}
-
 std::vector<std::string> DetectorRegistry::names() const {
   std::vector<std::string> Out;
   Out.reserve(Entries.size());
@@ -128,7 +119,7 @@ public:
 } // namespace
 
 void detect::registerBareDetector(DetectorRegistry &R) {
-  R.add({"none", "Bare", "no detector (bare execution baseline)",
+  R.add({"none",
          [](const isa::Program &, const DetectorConfig *Cfg) {
            checkConfigKind(Cfg, "none");
            return std::make_unique<BareDetector>();

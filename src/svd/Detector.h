@@ -65,7 +65,6 @@ public:
   virtual ~DetectorConfig();
   /// Registry key of the only detector allowed to consume this config.
   virtual const char *detectorName() const = 0;
-  virtual std::unique_ptr<DetectorConfig> clone() const = 0;
 
   /// Upper bound on the detector's live state, in detector-defined
   /// entries (CUs for the SVD family, recorded events for the offline
@@ -98,14 +97,6 @@ public:
 
   /// Attaches the detector's observers to \p M. Call before M.run().
   virtual void attach(vm::Machine &M) = 0;
-
-  /// Starts a fresh observation epoch on the detector's shadow state
-  /// (shadow::Table::beginEpoch — O(1) for sparse tables). The harness
-  /// calls it between attach() and the run; the base implementation is
-  /// a no-op for detectors without shadow state. Instances stay
-  /// single-run: epochs exist so the underlying page arenas can be
-  /// recycled, not so one instance observes two runs.
-  virtual void beginEpoch();
 
   /// Shadow pages this instance has materialized (0 when the detector
   /// keeps no shadow state). Deterministic for a deterministic
@@ -169,9 +160,7 @@ public:
       const isa::Program &P, const DetectorConfig *Cfg)>;
 
   struct Entry {
-    std::string Name;        ///< registry key, e.g. "svd"
-    std::string DisplayName; ///< table label, e.g. "SVD"
-    std::string Description; ///< one-line summary for --list output
+    std::string Name; ///< registry key, e.g. "svd"
     Factory Create;
   };
 
@@ -186,9 +175,6 @@ public:
   std::unique_ptr<Detector> create(const std::string &Name,
                                    const isa::Program &P,
                                    const DetectorConfig *Cfg = nullptr) const;
-
-  /// Printable detector label for \p Name ("SVD", "FRD", ...).
-  const char *displayName(const std::string &Name) const;
 
   /// Registered keys in registration order.
   std::vector<std::string> names() const;

@@ -12,7 +12,6 @@ using vm::EventCtx;
 
 void detect::registerHardwareSvdDetector(DetectorRegistry &R) {
   R.add(cuCoreEntry<HardwareSvd, HardwareSvdDetectorConfig>(
-      "HW-SVD", "cache-based SVD (Section 4.4; threads approximated by CPUs)",
       &HardwareSvdDetectorConfig::Hw));
 }
 
@@ -57,8 +56,7 @@ void HardwareSvd::driveCache(const EventCtx &Ctx, Addr A, bool IsWrite) {
   cache::AccessResult R = Cache.access(Ctx.Tid, A, IsWrite);
   // The metadata travels with the line: gone on eviction. The CU stays
   // alive (its table entry survives) but loses sight of this line.
-  // Untouched (or epoch-stale) lines read as Idle without materializing
-  // a page.
+  // Untouched lines read as Idle without materializing a page.
   if (R.EvictedValid &&
       Lanes[Ctx.Tid].Blocks.peek(R.EvictedLine).State != Fsm::Idle) {
     ++MetadataEvictions;

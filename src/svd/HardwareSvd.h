@@ -63,13 +63,9 @@ struct HardwareSvdDetectorConfig final : DetectorConfig {
   HardwareSvdDetectorConfig() = default;
   explicit HardwareSvdDetectorConfig(HardwareSvdConfig C) : Hw(C) {}
   const char *detectorName() const override { return "hwsvd"; }
-  std::unique_ptr<DetectorConfig> clone() const override {
-    // Copy-construct so base fields (MaxStateEntries) survive cloning.
-    return std::make_unique<HardwareSvdDetectorConfig>(*this);
-  }
 };
 
-/// Registers the cache-based detector as "hwsvd" (display "HW-SVD").
+/// Registers the cache-based detector (Section 4.4) as "hwsvd".
 void registerHardwareSvdDetector(DetectorRegistry &R);
 
 /// Cache-based online SVD; attach with Machine::addObserver. Threads
@@ -87,8 +83,6 @@ public:
   /// Lines whose detector metadata was lost to capacity evictions —
   /// the hardware design's intrinsic detection gap.
   uint64_t metadataEvictions() const { return MetadataEvictions; }
-  /// Starts a fresh observation epoch on the per-line shadow tables.
-  void beginEpoch() { beginLaneEpochs(); }
   /// Shadow pages materialized across all CPUs.
   uint64_t shadowPages() const { return lanePages(); }
   /// Bytes held by materialized shadow pages.

@@ -82,8 +82,7 @@ private:
 } // namespace
 
 void detect::registerOfflineDetector(DetectorRegistry &R) {
-  R.add({"offline", "Offline-SVD",
-         "three-pass offline algorithm (Figures 5-6) over a full trace",
+  R.add({"offline",
          [](const isa::Program &P, const DetectorConfig *Cfg) {
            const auto *C = configAs<OfflineDetectorConfig>(Cfg, "offline");
            return std::make_unique<OfflineSvdDetector>(

@@ -35,14 +35,11 @@ namespace detect {
 /// (leaving a valid prefix) and the detector reports itself degraded.
 struct OfflineDetectorConfig final : DetectorConfig {
   const char *detectorName() const override { return "offline"; }
-  std::unique_ptr<DetectorConfig> clone() const override {
-    return std::make_unique<OfflineDetectorConfig>(*this);
-  }
 };
 
-/// Registers the offline pipeline as detector "offline" (display
-/// "Offline-SVD"): records the full trace during the run and executes
-/// all three passes in finish(). Before analysis the trace is
+/// Registers the offline pipeline as detector "offline": records the
+/// full trace during the run and executes all three passes (Figures
+/// 5-6) in finish(). Before analysis the trace is
 /// structurally validated (trace::validate); a trace perturbed into
 /// invalidity by a fault plan degrades into a diagnostic instead of
 /// undefined behavior.

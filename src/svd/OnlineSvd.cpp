@@ -11,7 +11,6 @@ using vm::EventCtx;
 
 void detect::registerOnlineSvdDetector(DetectorRegistry &R) {
   R.add(cuCoreEntry<OnlineSvd, OnlineSvdDetectorConfig>(
-      "SVD", "online serializability violation detector (Fig. 7)",
       &OnlineSvdDetectorConfig::Svd));
 }
 
@@ -29,11 +28,6 @@ OnlineSvd::OnlineSvd(const isa::Program &P, OnlineSvdConfig C)
   PruneActive = C.Proofs != nullptr &&
                 C.Proofs->blockShift() == C.BlockShift && C.NumCpus == 0;
   TrustHints = C.TrustStaticHints;
-}
-
-void OnlineSvd::beginEpoch() {
-  beginLaneEpochs();
-  Trackers.beginEpoch();
 }
 
 uint64_t OnlineSvd::shadowPages() const {
@@ -56,8 +50,8 @@ void OnlineSvd::checkViolations(Lane &T, const EventCtx &Ctx,
                                 const std::vector<CuId> &CuSet) {
   auto CheckBlocks = [&](const std::set<BlockId> &Blocks) {
     for (BlockId B : Blocks) {
-      // Peek first: most blocks have no pending conflict, and a CU
-      // block set may reference pages older than the current epoch.
+      // Peek first: most blocks have no pending conflict, and a peek
+      // never materializes a page.
       if (!T.Blocks.peek(B).Conflict)
         continue;
       BlockInfo &BI = T.Blocks.touch(B);
@@ -76,8 +70,7 @@ void OnlineSvd::checkViolations(Lane &T, const EventCtx &Ctx,
 void OnlineSvd::broadcastRemote(const EventCtx &Ctx, BlockId B,
                                 bool IsWrite) {
   uint32_t Self = laneOf(Ctx);
-  Trackers.touch(B) |= uint64_t(1) << (Self % 64);
-  uint64_t Mask = Trackers.peek(B);
+  uint64_t Mask = Trackers.touch(B) |= uint64_t(1) << (Self % 64);
   if (Lanes.size() <= 64) {
     Mask &= ~(uint64_t(1) << Self);
     while (Mask) {

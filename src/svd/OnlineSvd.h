@@ -96,13 +96,9 @@ struct OnlineSvdDetectorConfig final : DetectorConfig {
   OnlineSvdDetectorConfig() = default;
   explicit OnlineSvdDetectorConfig(OnlineSvdConfig C) : Svd(C) {}
   const char *detectorName() const override { return "svd"; }
-  std::unique_ptr<DetectorConfig> clone() const override {
-    // Copy-construct so base fields (MaxStateEntries) survive cloning.
-    return std::make_unique<OnlineSvdDetectorConfig>(*this);
-  }
 };
 
-/// Registers the online detector as "svd" (display name "SVD").
+/// Registers the online detector (Fig. 7) as "svd".
 void registerOnlineSvdDetector(DetectorRegistry &R);
 
 /// The online detector; attach with Machine::addObserver. On top of the
@@ -117,10 +113,6 @@ public:
       "cu budget exceeded; oldest live CUs evicted";
 
   OnlineSvd(const isa::Program &P, OnlineSvdConfig Cfg = OnlineSvdConfig());
-
-  /// Starts a fresh observation epoch on the per-block shadow tables
-  /// (O(1) in sparse mode; see shadow/Shadow.h).
-  void beginEpoch();
 
   /// Shadow pages materialized across all state lanes.
   uint64_t shadowPages() const;

@@ -316,8 +316,9 @@ done:
   EXPECT_EQ(S.MustGen & 1, 0u);
   // The store inside the recursive body runs with m must-held.
   for (uint32_t Pc = RM.entryOf(Rs); Pc < RM.endOf(Rs); ++Pc) {
-    if (Code[Pc].Op == isa::Opcode::St)
+    if (Code[Pc].Op == isa::Opcode::St) {
       EXPECT_EQ(LS.mustHeldBefore(Pc) & 1, 1u) << "pc " << Pc;
+    }
   }
   // The unlock back in the caller still sees it too.
   EXPECT_EQ(LS.mustHeldBefore(3) & 1, 1u);

@@ -280,7 +280,7 @@ TEST(Assembler, ReplicaNamesAndThreadLocalSymbols) {
 
 TEST(Program, ValidateRejectsFallOffEnd) {
   Program P;
-  P.Threads.push_back({"t", {Instruction{Opcode::Nop, 0, 0, 0, 0, 0}}});
+  P.Threads.push_back({"t", {Instruction{Opcode::Nop, 0, 0, 0, 0, 0}}, {}});
   EXPECT_FALSE(P.validate().empty());
 }
 
@@ -289,7 +289,7 @@ TEST(Program, ValidateRejectsBadBranchTarget) {
   Instruction B;
   B.Op = Opcode::Jmp;
   B.Imm = 99;
-  P.Threads.push_back({"t", {B}});
+  P.Threads.push_back({"t", {B}, {}});
   EXPECT_FALSE(P.validate().empty());
 }
 

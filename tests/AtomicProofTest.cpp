@@ -121,8 +121,9 @@ TEST(AtomicProof, InconsistentLockingBlocksProofAndDiagnoses) {
   ASSERT_TRUE(hasDiag(Proofs, ProofDiag::Kind::InconsistentLock));
   // The diagnostic points at the unprotected thread's sites.
   for (const ProofDiag &D : Proofs.diagnostics())
-    if (D.K == ProofDiag::Kind::InconsistentLock)
+    if (D.K == ProofDiag::Kind::InconsistentLock) {
       EXPECT_EQ(D.Tid, 1u);
+    }
 }
 
 // O1: releasing and reacquiring the common lock inside one unit (the
@@ -146,8 +147,9 @@ TEST(AtomicProof, NonTwoPhaseRegionDiagnosed) {
   EXPECT_TRUE(Proofs.proven().empty());
   ASSERT_TRUE(hasDiag(Proofs, ProofDiag::Kind::NonTwoPhase));
   for (const ProofDiag &D : Proofs.diagnostics())
-    if (D.K == ProofDiag::Kind::NonTwoPhase)
+    if (D.K == ProofDiag::Kind::NonTwoPhase) {
       EXPECT_NE(D.Message.find("'m'"), std::string::npos);
+    }
 }
 
 // O2: a Cas member disqualifies the unit — Cas is the annotation-free

@@ -273,9 +273,10 @@ TEST(Confirm, ApacheLogFixedAnalogConfirmsOnlyTheBenignMonitor) {
       static_cast<isa::ThreadId>(W.Program.Threads.size() - 1);
   PredictReport Rep = predictAndConfirm(W.Program);
   for (size_t I = 0; I < Rep.Predictions.size(); ++I)
-    if (Rep.Results[I].confirmed())
+    if (Rep.Results[I].confirmed()) {
       EXPECT_EQ(Rep.Predictions[I].LocalTid, MonitorTid)
           << formatPrediction(W.Program, Rep.Predictions[I]);
+    }
 }
 
 TEST(Confirm, MysqlPreparedAnalogConfirmsSomething) {

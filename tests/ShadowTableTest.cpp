@@ -1,7 +1,7 @@
 //===- tests/ShadowTableTest.cpp - shadow::Table unit tests ---------------===//
 //
 // The shared shadow-memory state layer (DESIGN.md section 14): page
-// sharing, O(1) epoch reset, budget accounting, deep copies, and a
+// sharing, page accounting, budget accounting, deep copies, and a
 // dense-vs-sparse equivalence property over randomized operation
 // sequences (deterministic LCG — no wall-clock entropy in tests).
 //
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 using namespace svd;
 using shadow::BudgetLedger;
@@ -76,53 +75,39 @@ TEST(ShadowTable, TouchReferencesStayStableAcrossGrowth) {
   EXPECT_EQ(&First, &T.touch(3));
 }
 
-TEST(ShadowTable, EpochResetIsLazyInSparseMode) {
-  Table<uint32_t> T(uint64_t(8) * PageEntries);
-  T.touch(10) = 1;
-  T.touch(2 * PageEntries) = 2;
-  uint64_t Pages = T.pagesAllocated();
-  uint64_t E = T.epoch();
-  T.beginEpoch();
-  EXPECT_EQ(T.epoch(), E + 1);
-  // No allocation, no eager sweep — but all reads see a fresh table.
-  EXPECT_EQ(T.pagesAllocated(), Pages);
-  EXPECT_EQ(T.peek(10), 0u);
-  EXPECT_EQ(T.peek(2 * PageEntries), 0u);
-  // A stale page is reset (not reallocated) on its next touch.
-  EXPECT_EQ(T.touch(10), 0u);
-  EXPECT_EQ(T.pagesAllocated(), Pages);
-}
-
 TEST(ShadowTable, DenseModeAllocatesEagerly) {
   Table<uint32_t> T(uint64_t(3) * PageEntries + 5, Mode::Dense);
   EXPECT_EQ(T.pagesAllocated(), 4u);
-  T.touch(1) = 11;
-  T.beginEpoch();
-  EXPECT_EQ(T.pagesAllocated(), 4u);
   EXPECT_EQ(T.peek(1), 0u);
+  T.touch(1) = 11;
+  EXPECT_EQ(T.pagesAllocated(), 4u); // touch never allocates here
+  EXPECT_EQ(T.peek(1), 11u);
+  EXPECT_EQ(T.peek(3 * PageEntries + 4), 0u);
+}
+
+TEST(ShadowTable, PageBytesAreEntriesOnly) {
+  // A page is its entries and nothing else: no per-page stamp or
+  // header is charged to the byte accounting.
+  EXPECT_EQ(Table<uint8_t>::pageBytes(), PageEntries * sizeof(uint8_t));
+  EXPECT_EQ(Table<uint64_t>::pageBytes(), PageEntries * sizeof(uint64_t));
 }
 
 TEST(ShadowTable, DenseVsSparseEquivalenceProperty) {
   // Any interleaving of touch-writes and peeks reads identically from
-  // a Dense and a Sparse table, across epoch boundaries.
+  // a Dense and a Sparse table.
   const uint64_t N = uint64_t(32) * PageEntries;
   Table<uint32_t> Sparse(N, Mode::Sparse);
   Table<uint32_t> Dense(N, Mode::Dense);
   Lcg Rng(0xC0FFEE);
-  for (int Round = 0; Round < 4; ++Round) {
-    for (int Op = 0; Op < 2000; ++Op) {
-      uint64_t I = Rng.next() % N;
-      if (Rng.next() % 3 == 0) {
-        uint32_t V = static_cast<uint32_t>(Rng.next());
-        Sparse.touch(I) = V;
-        Dense.touch(I) = V;
-      } else {
-        ASSERT_EQ(Sparse.peek(I), Dense.peek(I)) << "index " << I;
-      }
+  for (int Op = 0; Op < 8000; ++Op) {
+    uint64_t I = Rng.next() % N;
+    if (Rng.next() % 3 == 0) {
+      uint32_t V = static_cast<uint32_t>(Rng.next());
+      Sparse.touch(I) = V;
+      Dense.touch(I) = V;
+    } else {
+      ASSERT_EQ(Sparse.peek(I), Dense.peek(I)) << "index " << I;
     }
-    Sparse.beginEpoch();
-    Dense.beginEpoch();
-    ASSERT_EQ(Sparse.peek(Rng.next() % N), 0u);
   }
   // Sparse stayed sparse: 8000 touches spread over 32 pages at most.
   EXPECT_LE(Sparse.pagesAllocated(), 32u);
@@ -141,16 +126,6 @@ TEST(ShadowTable, DeepCopyIsIndependentAndSparse) {
   EXPECT_EQ(B.peek(7), 70u); // copies don't alias
   B.touch(3 * PageEntries) = 1;
   EXPECT_EQ(A.peek(3 * PageEntries), 0u);
-}
-
-TEST(ShadowTable, NonTrivialEntriesResetToDefaultOnEpoch) {
-  Table<std::vector<int>> T(uint64_t(2) * PageEntries);
-  T.touch(5).push_back(3);
-  T.touch(5).push_back(4);
-  EXPECT_EQ(T.peek(5).size(), 2u);
-  T.beginEpoch();
-  EXPECT_TRUE(T.peek(5).empty());
-  EXPECT_TRUE(T.touch(5).empty());
 }
 
 TEST(ShadowBudget, LedgerSemantics) {

@@ -86,8 +86,9 @@ TEST(ValueFlowProperty, NeverWiderThanEscape) {
         EXPECT_TRUE(subsetOf(SharpA, WideA))
             << "thread " << unsigned(Tid) << " pc " << Pc << " address";
         // SCCP reachability implies Escape reachability.
-        if (VF.reachable(Tid, Pc))
+        if (VF.reachable(Tid, Pc)) {
           EXPECT_TRUE(E.reachable(Pc));
+        }
       }
     }
   }
@@ -112,14 +113,16 @@ TEST(ValueFlowProperty, ClassificationMonotone) {
           continue;
         AccessClass COff = TOff.classify(Tid, Pc);
         AccessClass COn = TOn.classify(Tid, Pc);
-        if (COff == AccessClass::ThreadLocal)
+        if (COff == AccessClass::ThreadLocal) {
           EXPECT_EQ(COn, AccessClass::ThreadLocal)
               << "thread " << unsigned(Tid) << " pc " << Pc
               << " degraded from ThreadLocal";
-        if (COff == AccessClass::LockProtected)
+        }
+        if (COff == AccessClass::LockProtected) {
           EXPECT_NE(COn, AccessClass::PossiblyShared)
               << "thread " << unsigned(Tid) << " pc " << Pc
               << " degraded from LockProtected to PossiblyShared";
+        }
       }
     }
   }
