@@ -11,20 +11,23 @@
 // flight-data-recorder workflow).
 //
 // With no arguments it prints usage plus a demo on a built-in program,
-// so it is safe to invoke from scripts.
+// so it is safe to invoke from scripts. A malformed option or value
+// prints usage and exits 2; an unreadable file, an assembly error or a
+// diverged replay exits 1.
 //
 //===----------------------------------------------------------------------===//
 
 #include "isa/Assembler.h"
 #include "race/HappensBefore.h"
 #include "race/Lockset.h"
+#include "support/Cli.h"
 #include "svd/OnlineSvd.h"
 #include "vm/Machine.h"
 #include "vm/ScheduleFile.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -60,7 +63,7 @@ loop:
 struct Options {
   std::string File;
   uint64_t Seed = 1;
-  unsigned Runs = 1;
+  uint32_t Runs = 1;
   std::string Detector = "all";
   uint32_t TsMin = 1;
   uint32_t TsMax = 1;
@@ -70,52 +73,48 @@ struct Options {
   std::string ReplayFile;
 };
 
+/// Parses a decimal uint32_t with no sign, space or trailing garbage.
+bool parseU32(const std::string &S, uint32_t &Out) {
+  if (S.empty() || S.size() > 10 ||
+      S.find_first_not_of("0123456789") != std::string::npos)
+    return false;
+  uint64_t V = std::strtoull(S.c_str(), nullptr, 10);
+  if (V > UINT32_MAX)
+    return false;
+  Out = static_cast<uint32_t>(V);
+  return true;
+}
+
 bool parseArgs(int Argc, char **Argv, Options &O) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string A = Argv[I];
-    auto Next = [&]() -> const char * {
-      return I + 1 < Argc ? Argv[++I] : nullptr;
-    };
-    if (A == "--seed") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.Seed = std::strtoull(V, nullptr, 0);
-    } else if (A == "--runs") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.Runs = static_cast<unsigned>(std::strtoul(V, nullptr, 0));
-    } else if (A == "--detector") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.Detector = V;
-    } else if (A == "--timeslice") {
-      const char *V = Next();
-      if (!V || std::sscanf(V, "%u:%u", &O.TsMin, &O.TsMax) != 2)
-        return false;
-    } else if (A == "--record") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.RecordFile = V;
-    } else if (A == "--replay") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      O.ReplayFile = V;
-    } else if (A == "--log") {
-      O.PrintLog = true;
-    } else if (A == "--disasm") {
-      O.Disasm = true;
-    } else if (!A.empty() && A[0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\n", A.c_str());
+  support::ArgParser P(Usage);
+  std::string Timeslice;
+  P.value("--seed", &O.Seed);
+  P.value("--runs", &O.Runs);
+  P.value("--detector", &O.Detector);
+  P.value("--timeslice", &Timeslice);
+  P.flag("--log", &O.PrintLog);
+  P.flag("--disasm", &O.Disasm);
+  P.value("--record", &O.RecordFile);
+  P.value("--replay", &O.ReplayFile);
+  if (!P.parse(Argc, Argv))
+    return false;
+  if (!Timeslice.empty()) {
+    size_t Colon = Timeslice.find(':');
+    if (Colon == std::string::npos ||
+        !parseU32(Timeslice.substr(0, Colon), O.TsMin) ||
+        !parseU32(Timeslice.substr(Colon + 1), O.TsMax)) {
+      std::fprintf(stderr, "option '--timeslice' expects MIN:MAX, got '%s'\n",
+                   Timeslice.c_str());
       return false;
-    } else {
-      O.File = A;
     }
   }
+  if (P.positional().size() > 1) {
+    std::fprintf(stderr, "expected one FILE.asm, got %zu\n",
+                 P.positional().size());
+    return false;
+  }
+  if (!P.positional().empty())
+    O.File = P.positional()[0];
   return true;
 }
 
@@ -207,7 +206,7 @@ int main(int Argc, char **Argv) {
   Options O;
   if (!parseArgs(Argc, Argv, O)) {
     std::fputs(Usage, stderr);
-    return 1;
+    return support::ExitUsage;
   }
 
   std::string Source;
@@ -252,7 +251,7 @@ int main(int Argc, char **Argv) {
     return runOnce(P, O, O.Seed, &Rec) ? 0 : 1;
   }
 
-  for (unsigned I = 0; I < O.Runs; ++I)
+  for (uint32_t I = 0; I < O.Runs; ++I)
     runOnce(P, O, O.Seed + I, nullptr);
   return 0;
 }

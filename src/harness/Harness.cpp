@@ -120,36 +120,6 @@ SampleMetrics harness::runSample(const Workload &W,
   return M;
 }
 
-void Aggregate::add(const SampleMetrics &M) {
-  ++Samples;
-  TotalSteps += M.Steps;
-  if (M.Manifested)
-    ++SamplesManifested;
-  if (M.Manifested && M.DetectedBug)
-    ++SamplesDetected;
-  if (M.Manifested && M.LogFoundBug)
-    ++SamplesLogFound;
-  DynamicFalse += M.DynamicFalse;
-  DynamicTrue += M.DynamicTrue;
-  StaticFalseTotal += M.StaticFalse;
-  if (M.StaticFalse > StaticFalseMax)
-    StaticFalseMax = M.StaticFalse;
-  CusFormed += M.CusFormed;
-  StaticLogEntries += M.StaticLogEntries;
-}
-
-double Aggregate::dynamicFalsePerMillion() const {
-  return TotalSteps == 0 ? 0.0
-                         : static_cast<double>(DynamicFalse) * 1e6 /
-                               static_cast<double>(TotalSteps);
-}
-
-double Aggregate::cusPerMillion() const {
-  return TotalSteps == 0 ? 0.0
-                         : static_cast<double>(CusFormed) * 1e6 /
-                               static_cast<double>(TotalSteps);
-}
-
 TextTable::TextTable(std::vector<std::string> Headers) {
   Rows.push_back(std::move(Headers));
 }

@@ -91,8 +91,7 @@ vm::MachineConfig machineConfigFor(const SampleConfig &C);
 /// Everything measured from one (workload, detector, seed) sample; the
 /// report classification comes from the workloads::ReportTally base.
 /// A plain value: producing one sample writes no state outside this
-/// struct, and all derived rates (perMillion) are computed from its own
-/// fields, so concurrent collection into distinct slots is safe.
+/// struct, so concurrent collection into distinct slots is safe.
 struct SampleMetrics : workloads::ReportTally {
   uint64_t Steps = 0;  ///< executed instructions
   /// Why the machine's run loop stopped (AllHalted on clean runs).
@@ -114,13 +113,6 @@ struct SampleMetrics : workloads::ReportTally {
   /// Static identities of the CU-log entries (for cross-sample unions
   /// in the Table 2 bench), sorted ascending like the report keys.
   std::vector<uint64_t> StaticLogKeys;
-
-  /// Reports (rates) per million executed instructions.
-  double perMillion(size_t Count) const {
-    return Steps == 0 ? 0.0
-                      : static_cast<double>(Count) * 1e6 /
-                            static_cast<double>(Steps);
-  }
 };
 
 /// Runs one sample of \p W under the registry detector \p Detector.
@@ -129,25 +121,6 @@ struct SampleMetrics : workloads::ReportTally {
 SampleMetrics runSample(const workloads::Workload &W,
                         const std::string &Detector,
                         const SampleConfig &C);
-
-/// Aggregate over a set of samples (one Table 2 row).
-struct Aggregate {
-  size_t Samples = 0;
-  uint64_t TotalSteps = 0;
-  size_t SamplesManifested = 0;
-  size_t SamplesDetected = 0; ///< manifested AND detected (online)
-  size_t SamplesLogFound = 0;
-  size_t DynamicFalse = 0;
-  size_t DynamicTrue = 0;
-  size_t StaticFalseMax = 0; ///< max per-sample static FPs
-  size_t StaticFalseTotal = 0;
-  size_t CusFormed = 0;
-  size_t StaticLogEntries = 0;
-
-  void add(const SampleMetrics &M);
-  double dynamicFalsePerMillion() const;
-  double cusPerMillion() const;
-};
 
 /// Minimal fixed-width ASCII table printer for the suites' text output.
 class TextTable {

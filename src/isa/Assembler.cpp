@@ -456,238 +456,114 @@ MemRef Parser::expectMem(const std::vector<std::string> &Ops, size_t I,
 
 void Parser::parseInstruction(const std::string &Mnemonic,
                               const std::vector<std::string> &Ops) {
+  const OpcodeInfo *Info = nullptr;
+  for (const OpcodeInfo &Row : OpcodeTable)
+    if (Mnemonic == Row.Name) {
+      Info = &Row;
+      break;
+    }
+  if (!Info) {
+    error("unknown mnemonic '" + Mnemonic + "'");
+    return;
+  }
+
+  // A trailing message is optional, and so is rnd's bound.
+  OperandList Slots = operandsOf(Info->Form);
+  size_t Max = Slots.Size;
+  size_t Min = Max;
+  if (Info->Op == Opcode::Rnd || Slots.has(Operand::Msg))
+    --Min;
+  if (Ops.size() < Min || Ops.size() > Max) {
+    if (Min == Max)
+      error(formatString("'%s' expects %zu operand(s), got %zu", Info->Name,
+                         Max, Ops.size()));
+    else
+      error(formatString("'%s' expects %zu or %zu operands", Info->Name, Min,
+                         Max));
+    return;
+  }
+
   PendingInstr P;
+  P.Op = Info->Op;
   P.Line = CurLine;
-
-  auto Emit = [&]() {
-    (CurProc ? CurProc->Code : CurThread->Code).push_back(P);
-  };
-  auto WantOps = [&](size_t N) {
-    if (Ops.size() == N)
-      return true;
-    error(formatString("'%s' expects %zu operand(s), got %zu",
-                       Mnemonic.c_str(), N, Ops.size()));
-    return false;
-  };
-
-  // Zero-operand instructions.
-  static const std::map<std::string, Opcode> Simple = {
-      {"nop", Opcode::Nop}, {"yield", Opcode::Yield}, {"halt", Opcode::Halt}};
-  if (auto It = Simple.find(Mnemonic); It != Simple.end()) {
-    if (!WantOps(0))
-      return;
-    P.Op = It->second;
-    Emit();
-    return;
-  }
-
-  // Three-register ALU.
-  static const std::map<std::string, Opcode> Alu3 = {
-      {"add", Opcode::Add}, {"sub", Opcode::Sub}, {"mul", Opcode::Mul},
-      {"div", Opcode::Div}, {"rem", Opcode::Rem}, {"and", Opcode::And},
-      {"or", Opcode::Or},   {"xor", Opcode::Xor}, {"shl", Opcode::Shl},
-      {"shr", Opcode::Shr}, {"slt", Opcode::Slt}, {"sle", Opcode::Sle},
-      {"seq", Opcode::Seq}, {"sne", Opcode::Sne}};
-  if (auto It = Alu3.find(Mnemonic); It != Alu3.end()) {
-    if (!WantOps(3))
-      return;
-    P.Op = It->second;
-    P.Rd = expectReg(Ops, 0);
-    P.Ra = expectReg(Ops, 1);
-    P.Rb = expectReg(Ops, 2);
-    Emit();
-    return;
-  }
-
-  // Register-immediate ALU.
-  static const std::map<std::string, Opcode> Alu2I = {{"addi", Opcode::Addi},
-                                                      {"muli", Opcode::Muli},
-                                                      {"andi", Opcode::Andi},
-                                                      {"slti", Opcode::Slti}};
-  if (auto It = Alu2I.find(Mnemonic); It != Alu2I.end()) {
-    if (!WantOps(3))
-      return;
-    P.Op = It->second;
-    P.Rd = expectReg(Ops, 0);
-    P.Ra = expectReg(Ops, 1);
-    P.Imm = expectImm(Ops, 2);
-    Emit();
-    return;
-  }
-
-  if (Mnemonic == "li") {
-    if (!WantOps(2))
-      return;
-    P.Op = Opcode::Li;
-    P.Rd = expectReg(Ops, 0);
-    P.Imm = expectImm(Ops, 1);
-    Emit();
-    return;
-  }
-  if (Mnemonic == "mov") {
-    if (!WantOps(2))
-      return;
-    P.Op = Opcode::Mov;
-    P.Rd = expectReg(Ops, 0);
-    P.Ra = expectReg(Ops, 1);
-    Emit();
-    return;
-  }
-  if (Mnemonic == "tid") {
-    if (!WantOps(1))
-      return;
-    P.Op = Opcode::Tid;
-    P.Rd = expectReg(Ops, 0);
-    Emit();
-    return;
-  }
-  if (Mnemonic == "rnd") {
-    if (Ops.size() != 1 && Ops.size() != 2) {
-      error("'rnd' expects 1 or 2 operands");
-      return;
-    }
-    P.Op = Opcode::Rnd;
-    P.Rd = expectReg(Ops, 0);
-    P.Imm = Ops.size() == 2 ? expectImm(Ops, 1) : 0;
-    Emit();
-    return;
-  }
-  if (Mnemonic == "ld") {
-    if (!WantOps(2))
-      return;
-    P.Op = Opcode::Ld;
-    P.Rd = expectReg(Ops, 0);
-    bool Ok = false;
-    P.Mem = expectMem(Ops, 1, &Ok);
-    P.HasMem = Ok;
-    Emit();
-    return;
-  }
-  if (Mnemonic == "st") {
-    if (!WantOps(2))
-      return;
-    P.Op = Opcode::St;
-    P.Rb = expectReg(Ops, 0); // data register
-    bool Ok = false;
-    P.Mem = expectMem(Ops, 1, &Ok);
-    P.HasMem = Ok;
-    Emit();
-    return;
-  }
-  if (Mnemonic == "cas") {
-    // cas rd, rExpected, rNew, [@sym(+off)] — absolute address only.
-    if (!WantOps(4))
-      return;
-    P.Op = Opcode::Cas;
-    P.Rd = expectReg(Ops, 0);
-    P.Ra = expectReg(Ops, 1);
-    P.Rb = expectReg(Ops, 2);
-    bool Ok = false;
-    P.Mem = expectMem(Ops, 3, &Ok);
-    P.HasMem = Ok;
-    if (Ok && P.Mem.Base != ZeroReg) {
-      error("'cas' requires an absolute address (no base register)");
-      return;
-    }
-    Emit();
-    return;
-  }
-  if (Mnemonic == "beqz" || Mnemonic == "bnez") {
-    if (!WantOps(2))
-      return;
-    P.Op = Mnemonic == "beqz" ? Opcode::Beqz : Opcode::Bnez;
-    P.Ra = expectReg(Ops, 0);
-    if (!isIdentifier(Ops[1])) {
-      error("expected label, got '" + Ops[1] + "'");
-      return;
-    }
-    P.LabelRef = Ops[1];
-    Emit();
-    return;
-  }
-  if (Mnemonic == "jmp") {
-    if (!WantOps(1))
-      return;
-    P.Op = Opcode::Jmp;
-    if (!isIdentifier(Ops[0])) {
-      error("expected label, got '" + Ops[0] + "'");
-      return;
-    }
-    P.LabelRef = Ops[0];
-    Emit();
-    return;
-  }
-  if (Mnemonic == "call") {
-    if (!WantOps(1))
-      return;
-    P.Op = Opcode::Call;
-    if (!isIdentifier(Ops[0])) {
-      error("expected proc name, got '" + Ops[0] + "'");
-      return;
-    }
-    P.ProcRef = Ops[0];
-    Emit();
-    return;
-  }
-  if (Mnemonic == "ret") {
-    if (!WantOps(0))
-      return;
-    if (!CurProc) {
-      // A main-body Ret would pop an empty call stack at run time; reject
-      // it statically so the mistake surfaces at assembly.
-      error("'ret' outside of a .proc section");
-      return;
-    }
-    P.Op = Opcode::Ret;
-    Emit();
-    return;
-  }
-  if (Mnemonic == "lock" || Mnemonic == "unlock") {
-    if (!WantOps(1))
-      return;
-    P.Op = Mnemonic == "lock" ? Opcode::Lock : Opcode::Unlock;
-    std::string Name = Ops[0];
-    if (!Name.empty() && Name[0] == '@')
-      Name = Name.substr(1);
-    if (!isIdentifier(Name)) {
-      error("expected mutex name, got '" + Ops[0] + "'");
-      return;
-    }
-    P.MutexRef = Name;
-    Emit();
-    return;
-  }
-  if (Mnemonic == "assert") {
-    if (Ops.size() != 1 && Ops.size() != 2) {
-      error("'assert' expects 1 or 2 operands");
-      return;
-    }
-    P.Op = Opcode::Assert;
-    P.Ra = expectReg(Ops, 0);
-    std::string Msg = "assertion failed";
-    if (Ops.size() == 2) {
-      const std::string &Tok = Ops[1];
-      if (Tok.size() < 2 || Tok.front() != '"' || Tok.back() != '"') {
-        error("expected quoted message, got '" + Tok + "'");
+  for (size_t K = 0; K < Max; ++K) {
+    switch (Slots.Slots[K]) {
+    case Operand::Rd:
+      P.Rd = expectReg(Ops, K);
+      break;
+    case Operand::Ra:
+      P.Ra = expectReg(Ops, K);
+      break;
+    case Operand::Rb:
+      P.Rb = expectReg(Ops, K);
+      break;
+    case Operand::Imm:
+      if (K < Ops.size())
+        P.Imm = expectImm(Ops, K);
+      break;
+    case Operand::Mem:
+    case Operand::AbsMem: {
+      bool Ok = false;
+      P.Mem = expectMem(Ops, K, &Ok);
+      P.HasMem = Ok;
+      // Cas keeps Ra for its expected value, so its address is absolute.
+      if (Ok && Slots.Slots[K] == Operand::AbsMem &&
+          P.Mem.Base != ZeroReg) {
+        error(formatString(
+            "'%s' requires an absolute address (no base register)",
+            Info->Name));
         return;
       }
-      Msg = Tok.substr(1, Tok.size() - 2);
+      break;
     }
-    P.MessageId = static_cast<int32_t>(Messages.size());
-    Messages.push_back(Msg);
-    Emit();
+    case Operand::Label:
+      if (!isIdentifier(Ops[K])) {
+        error("expected label, got '" + Ops[K] + "'");
+        return;
+      }
+      P.LabelRef = Ops[K];
+      break;
+    case Operand::Proc:
+      if (!isIdentifier(Ops[K])) {
+        error("expected proc name, got '" + Ops[K] + "'");
+        return;
+      }
+      P.ProcRef = Ops[K];
+      break;
+    case Operand::Mutex: {
+      std::string Name = Ops[K];
+      if (!Name.empty() && Name[0] == '@')
+        Name = Name.substr(1);
+      if (!isIdentifier(Name)) {
+        error("expected mutex name, got '" + Ops[K] + "'");
+        return;
+      }
+      P.MutexRef = Name;
+      break;
+    }
+    case Operand::Msg: {
+      std::string Msg = "assertion failed";
+      if (K < Ops.size()) {
+        const std::string &Tok = Ops[K];
+        if (Tok.size() < 2 || Tok.front() != '"' || Tok.back() != '"') {
+          error("expected quoted message, got '" + Tok + "'");
+          return;
+        }
+        Msg = Tok.substr(1, Tok.size() - 2);
+      }
+      P.MessageId = static_cast<int32_t>(Messages.size());
+      Messages.push_back(Msg);
+      break;
+    }
+    }
+  }
+  if (P.Op == Opcode::Ret && !CurProc) {
+    // A main-body Ret would pop an empty call stack at run time; reject
+    // it statically so the mistake surfaces at assembly.
+    error("'ret' outside of a .proc section");
     return;
   }
-  if (Mnemonic == "print") {
-    if (!WantOps(1))
-      return;
-    P.Op = Opcode::Print;
-    P.Ra = expectReg(Ops, 0);
-    Emit();
-    return;
-  }
-
-  error("unknown mnemonic '" + Mnemonic + "'");
+  (CurProc ? CurProc->Code : CurThread->Code).push_back(P);
 }
 
 bool Parser::layout(Program &Out) {

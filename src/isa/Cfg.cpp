@@ -70,28 +70,27 @@ void ThreadCfg::buildSuccessors() {
       assert(Pc + 1 < NumInstrs && "validated code cannot fall off the end");
       Succs[Pc].push_back(Pc + 1);
     };
-    switch (I.Op) {
-    case Opcode::Halt:
+    switch (flowOf(I.Op)) {
+    case FlowClass::Halt:
       Succs[Pc].push_back(exitNode());
       break;
-    case Opcode::Jmp:
+    case FlowClass::Jump:
       Succs[Pc].push_back(static_cast<uint32_t>(I.Imm));
       break;
-    case Opcode::Beqz:
-    case Opcode::Bnez: {
+    case FlowClass::CondBranch: {
       uint32_t Target = static_cast<uint32_t>(I.Imm);
       FallThrough();
       if (Target != Pc + 1)
         Succs[Pc].push_back(Target);
       break;
     }
-    case Opcode::Call:
+    case FlowClass::Call:
       if (View == CfgView::Interproc)
         Succs[Pc].push_back(static_cast<uint32_t>(I.Imm));
       else
         FallThrough(); // the client applies the callee's summary here
       break;
-    case Opcode::Ret:
+    case FlowClass::Ret:
       if (View == CfgView::Interproc && !RetSites.empty()) {
         uint32_t R = Regions.regionOf(Pc);
         // A Ret in the main body (region 0) pops an empty stack at run
@@ -105,37 +104,7 @@ void ThreadCfg::buildSuccessors() {
         Succs[Pc].push_back(exitNode());
       }
       break;
-    case Opcode::Nop:
-    case Opcode::Li:
-    case Opcode::Mov:
-    case Opcode::Tid:
-    case Opcode::Rnd:
-    case Opcode::Add:
-    case Opcode::Sub:
-    case Opcode::Mul:
-    case Opcode::Div:
-    case Opcode::Rem:
-    case Opcode::And:
-    case Opcode::Or:
-    case Opcode::Xor:
-    case Opcode::Shl:
-    case Opcode::Shr:
-    case Opcode::Slt:
-    case Opcode::Sle:
-    case Opcode::Seq:
-    case Opcode::Sne:
-    case Opcode::Addi:
-    case Opcode::Muli:
-    case Opcode::Andi:
-    case Opcode::Slti:
-    case Opcode::Ld:
-    case Opcode::St:
-    case Opcode::Cas:
-    case Opcode::Lock:
-    case Opcode::Unlock:
-    case Opcode::Assert:
-    case Opcode::Print:
-    case Opcode::Yield:
+    case FlowClass::Next:
       FallThrough();
       break;
     }
@@ -396,18 +365,18 @@ ThreadBlocks isa::discoverBasicBlocks(const std::vector<Instruction> &Code) {
   Leader[0] = true;
   for (uint32_t Pc = 0; Pc < N; ++Pc) {
     const Instruction &I = Code[Pc];
-    if (!isControlFlow(I.Op))
-      continue;
-    if (Pc + 1 < N)
-      Leader[Pc + 1] = true;
-    switch (I.Op) {
-    case Opcode::Beqz:
-    case Opcode::Bnez:
-    case Opcode::Jmp:
-    case Opcode::Call:
+    switch (flowOf(I.Op)) {
+    case FlowClass::CondBranch:
+    case FlowClass::Jump:
+    case FlowClass::Call:
       Leader[static_cast<uint32_t>(I.Imm)] = true;
+      [[fallthrough]];
+    case FlowClass::Ret: // Ret and Halt name no static target
+    case FlowClass::Halt:
+      if (Pc + 1 < N)
+        Leader[Pc + 1] = true;
       break;
-    default: // Ret and Halt transfer control but name no static target.
+    case FlowClass::Next:
       break;
     }
   }

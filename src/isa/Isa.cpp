@@ -2,302 +2,45 @@
 
 #include "isa/Isa.h"
 
-#include "support/Error.h"
 #include "support/StringUtils.h"
 
 using namespace svd;
 using namespace svd::isa;
 
-const char *isa::opcodeName(Opcode Op) {
-  switch (Op) {
-  case Opcode::Nop:
-    return "nop";
-  case Opcode::Li:
-    return "li";
-  case Opcode::Mov:
-    return "mov";
-  case Opcode::Tid:
-    return "tid";
-  case Opcode::Rnd:
-    return "rnd";
-  case Opcode::Add:
-    return "add";
-  case Opcode::Sub:
-    return "sub";
-  case Opcode::Mul:
-    return "mul";
-  case Opcode::Div:
-    return "div";
-  case Opcode::Rem:
-    return "rem";
-  case Opcode::And:
-    return "and";
-  case Opcode::Or:
-    return "or";
-  case Opcode::Xor:
-    return "xor";
-  case Opcode::Shl:
-    return "shl";
-  case Opcode::Shr:
-    return "shr";
-  case Opcode::Slt:
-    return "slt";
-  case Opcode::Sle:
-    return "sle";
-  case Opcode::Seq:
-    return "seq";
-  case Opcode::Sne:
-    return "sne";
-  case Opcode::Addi:
-    return "addi";
-  case Opcode::Muli:
-    return "muli";
-  case Opcode::Andi:
-    return "andi";
-  case Opcode::Slti:
-    return "slti";
-  case Opcode::Ld:
-    return "ld";
-  case Opcode::St:
-    return "st";
-  case Opcode::Cas:
-    return "cas";
-  case Opcode::Beqz:
-    return "beqz";
-  case Opcode::Bnez:
-    return "bnez";
-  case Opcode::Jmp:
-    return "jmp";
-  case Opcode::Call:
-    return "call";
-  case Opcode::Ret:
-    return "ret";
-  case Opcode::Lock:
-    return "lock";
-  case Opcode::Unlock:
-    return "unlock";
-  case Opcode::Assert:
-    return "assert";
-  case Opcode::Print:
-    return "print";
-  case Opcode::Yield:
-    return "yield";
-  case Opcode::Halt:
-    return "halt";
-  }
-  SVD_UNREACHABLE("unknown opcode");
-}
-
-bool isa::isConditionalBranch(Opcode Op) {
-  return Op == Opcode::Beqz || Op == Opcode::Bnez;
-}
-
-bool isa::isControlFlow(Opcode Op) {
-  return isConditionalBranch(Op) || Op == Opcode::Jmp || Op == Opcode::Call ||
-         Op == Opcode::Ret || Op == Opcode::Halt;
-}
-
-bool isa::isMemoryAccess(Opcode Op) {
-  return Op == Opcode::Ld || Op == Opcode::St || Op == Opcode::Cas;
-}
-
-bool isa::writesRd(Opcode Op) {
-  switch (Op) {
-  case Opcode::Li:
-  case Opcode::Mov:
-  case Opcode::Tid:
-  case Opcode::Rnd:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Slt:
-  case Opcode::Sle:
-  case Opcode::Seq:
-  case Opcode::Sne:
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Slti:
-  case Opcode::Ld:
-  case Opcode::Cas:
-    return true;
-  case Opcode::Nop:
-  case Opcode::St:
-  case Opcode::Beqz:
-  case Opcode::Bnez:
-  case Opcode::Jmp:
-  case Opcode::Call:
-  case Opcode::Ret:
-  case Opcode::Lock:
-  case Opcode::Unlock:
-  case Opcode::Assert:
-  case Opcode::Print:
-  case Opcode::Yield:
-  case Opcode::Halt:
-    return false;
-  }
-  SVD_UNREACHABLE("unknown opcode");
-}
-
-bool isa::readsRa(Opcode Op) {
-  switch (Op) {
-  case Opcode::Mov:
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Slt:
-  case Opcode::Sle:
-  case Opcode::Seq:
-  case Opcode::Sne:
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Slti:
-  case Opcode::Ld:
-  case Opcode::St:
-  case Opcode::Cas:
-  case Opcode::Beqz:
-  case Opcode::Bnez:
-  case Opcode::Assert:
-  case Opcode::Print:
-    return true;
-  case Opcode::Nop:
-  case Opcode::Li:
-  case Opcode::Tid:
-  case Opcode::Rnd:
-  case Opcode::Jmp:
-  case Opcode::Call:
-  case Opcode::Ret:
-  case Opcode::Lock:
-  case Opcode::Unlock:
-  case Opcode::Yield:
-  case Opcode::Halt:
-    return false;
-  }
-  SVD_UNREACHABLE("unknown opcode");
-}
-
-bool isa::readsRb(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Slt:
-  case Opcode::Sle:
-  case Opcode::Seq:
-  case Opcode::Sne:
-  case Opcode::St:
-  case Opcode::Cas:
-    return true;
-  case Opcode::Nop:
-  case Opcode::Li:
-  case Opcode::Mov:
-  case Opcode::Tid:
-  case Opcode::Rnd:
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Slti:
-  case Opcode::Ld:
-  case Opcode::Beqz:
-  case Opcode::Bnez:
-  case Opcode::Jmp:
-  case Opcode::Call:
-  case Opcode::Ret:
-  case Opcode::Lock:
-  case Opcode::Unlock:
-  case Opcode::Assert:
-  case Opcode::Print:
-  case Opcode::Yield:
-  case Opcode::Halt:
-    return false;
-  }
-  SVD_UNREACHABLE("unknown opcode");
-}
-
 std::string isa::formatInstruction(const Instruction &I) {
   using support::formatString;
-  const char *Name = opcodeName(I.Op);
-  switch (I.Op) {
-  case Opcode::Nop:
-  case Opcode::Yield:
-  case Opcode::Halt:
-  case Opcode::Ret:
-    return Name;
-  case Opcode::Li:
-    return formatString("%s r%u, %lld", Name, I.Rd,
-                        static_cast<long long>(I.Imm));
-  case Opcode::Mov:
-    return formatString("%s r%u, r%u", Name, I.Rd, I.Ra);
-  case Opcode::Tid:
-    return formatString("%s r%u", Name, I.Rd);
-  case Opcode::Rnd:
-    return formatString("%s r%u, %lld", Name, I.Rd,
-                        static_cast<long long>(I.Imm));
-  case Opcode::Addi:
-  case Opcode::Muli:
-  case Opcode::Andi:
-  case Opcode::Slti:
-    return formatString("%s r%u, r%u, %lld", Name, I.Rd, I.Ra,
-                        static_cast<long long>(I.Imm));
-  case Opcode::Ld:
-    return formatString("%s r%u, [r%u+%lld]", Name, I.Rd, I.Ra,
-                        static_cast<long long>(I.Imm));
-  case Opcode::St:
-    return formatString("%s r%u, [r%u+%lld]", Name, I.Rb, I.Ra,
-                        static_cast<long long>(I.Imm));
-  case Opcode::Cas:
-    return formatString("%s r%u, r%u, r%u, [%lld]", Name, I.Rd, I.Ra,
-                        I.Rb, static_cast<long long>(I.Imm));
-  case Opcode::Beqz:
-  case Opcode::Bnez:
-    return formatString("%s r%u, %lld", Name, I.Ra,
-                        static_cast<long long>(I.Imm));
-  case Opcode::Jmp:
-  case Opcode::Call:
-    return formatString("%s %lld", Name, static_cast<long long>(I.Imm));
-  case Opcode::Lock:
-  case Opcode::Unlock:
-    return formatString("%s m%lld", Name, static_cast<long long>(I.Imm));
-  case Opcode::Assert:
-  case Opcode::Print:
-    return formatString("%s r%u", Name, I.Ra);
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::Mul:
-  case Opcode::Div:
-  case Opcode::Rem:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::Shr:
-  case Opcode::Slt:
-  case Opcode::Sle:
-  case Opcode::Seq:
-  case Opcode::Sne:
-    return formatString("%s r%u, r%u, r%u", Name, I.Rd, I.Ra, I.Rb);
+  long long Imm = static_cast<long long>(I.Imm);
+  std::string Out = opcodeName(I.Op);
+  const char *Sep = " ";
+  for (Operand O : operandsOf(opcodeInfo(I.Op).Form)) {
+    switch (O) {
+    case Operand::Rd:
+      Out += formatString("%sr%u", Sep, I.Rd);
+      break;
+    case Operand::Ra:
+      Out += formatString("%sr%u", Sep, I.Ra);
+      break;
+    case Operand::Rb:
+      Out += formatString("%sr%u", Sep, I.Rb);
+      break;
+    case Operand::Imm:
+    case Operand::Label:
+    case Operand::Proc:
+      Out += formatString("%s%lld", Sep, Imm);
+      break;
+    case Operand::Mem:
+      Out += formatString("%s[r%u+%lld]", Sep, I.Ra, Imm);
+      break;
+    case Operand::AbsMem:
+      Out += formatString("%s[%lld]", Sep, Imm);
+      break;
+    case Operand::Mutex:
+      Out += formatString("%sm%lld", Sep, Imm);
+      break;
+    case Operand::Msg: // the message lives in Program::Messages
+      break;
+    }
+    Sep = ", ";
   }
-  SVD_UNREACHABLE("unknown opcode");
+  return Out;
 }

@@ -2,8 +2,6 @@
 
 #include "race/Atomizer.h"
 
-#include <algorithm>
-
 using namespace svd;
 using namespace svd::race;
 using detect::Violation;
@@ -13,42 +11,6 @@ AtomizerDetector::AtomizerDetector(const isa::Program &P) : Prog(P) {
   Words.resize(P.MemoryWords);
   Held.resize(P.numThreads());
   Threads.resize(P.numThreads());
-}
-
-bool AtomizerDetector::isRacyAccess(const EventCtx &Ctx, isa::Addr A,
-                                    bool IsWrite) {
-  WordState &W = Words[A];
-  int32_t Tid = static_cast<int32_t>(Ctx.Tid);
-  switch (W.State) {
-  case WordState::S::Virgin:
-    W.State = WordState::S::Exclusive;
-    W.FirstTid = Tid;
-    return false;
-  case WordState::S::Exclusive:
-    if (Tid == W.FirstTid)
-      return false;
-    W.State = IsWrite ? WordState::S::SharedModified : WordState::S::Shared;
-    break;
-  case WordState::S::Shared:
-    if (IsWrite)
-      W.State = WordState::S::SharedModified;
-    break;
-  case WordState::S::SharedModified:
-    break;
-  }
-  const std::set<uint32_t> &H = Held[Ctx.Tid];
-  if (!W.LocksetInitialized) {
-    W.Lockset = H;
-    W.LocksetInitialized = true;
-  } else {
-    std::set<uint32_t> Inter;
-    std::set_intersection(W.Lockset.begin(), W.Lockset.end(), H.begin(),
-                          H.end(), std::inserter(Inter, Inter.begin()));
-    W.Lockset = std::move(Inter);
-  }
-  // Racy (a non-mover) when the word is write-shared with an empty
-  // candidate lockset.
-  return W.State == WordState::S::SharedModified && W.Lockset.empty();
 }
 
 void AtomizerDetector::report(const EventCtx &Ctx, isa::Addr A) {
@@ -66,7 +28,8 @@ void AtomizerDetector::report(const EventCtx &Ctx, isa::Addr A) {
 
 void AtomizerDetector::access(const EventCtx &Ctx, isa::Addr A,
                               bool IsWrite) {
-  bool Racy = isRacyAccess(Ctx, A, IsWrite);
+  bool Racy = Words[A].access(static_cast<int32_t>(Ctx.Tid), IsWrite,
+                              Held[Ctx.Tid]);
   ThreadState &T = Threads[Ctx.Tid];
   if (T.HeldCount == 0)
     return; // outside any atomic block

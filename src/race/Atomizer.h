@@ -32,6 +32,7 @@
 #define SVD_RACE_ATOMIZER_H
 
 #include "isa/Program.h"
+#include "race/Lockset.h"
 #include "svd/Report.h"
 #include "vm/Observer.h"
 
@@ -61,16 +62,6 @@ public:
   void onUnlock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
 
 private:
-  /// Eraser-style per-word raciness oracle (same refinement as
-  /// race/Lockset.h, but only the racy/race-free verdict is consumed).
-  struct WordState {
-    enum class S : uint8_t { Virgin, Exclusive, Shared, SharedModified };
-    S State = S::Virgin;
-    int32_t FirstTid = -1;
-    bool LocksetInitialized = false;
-    std::set<uint32_t> Lockset;
-  };
-
   /// Per-thread reduction state for the current atomic block.
   struct ThreadState {
     uint32_t HeldCount = 0;
@@ -80,14 +71,12 @@ private:
     uint64_t CommitSeq = 0;
   };
 
-  /// Returns true if the access is racy (a non-mover) under the
-  /// lockset oracle, updating the oracle.
-  bool isRacyAccess(const vm::EventCtx &Ctx, isa::Addr A, bool IsWrite);
   void access(const vm::EventCtx &Ctx, isa::Addr A, bool IsWrite);
   void report(const vm::EventCtx &Ctx, isa::Addr A);
 
   const isa::Program &Prog;
-  std::vector<WordState> Words;
+  /// The raciness oracle: racy accesses are the non-movers.
+  std::vector<EraserWord> Words;
   std::vector<std::set<uint32_t>> Held;
   std::vector<ThreadState> Threads;
   std::vector<detect::Violation> Reports;

@@ -6,6 +6,7 @@
 #include "vm/Machine.h"
 
 #include <algorithm>
+#include <iterator>
 
 using namespace svd;
 using namespace svd::race;
@@ -50,58 +51,56 @@ LocksetDetector::LocksetDetector(const isa::Program &P)
   Held.resize(P.numThreads());
 }
 
-void LocksetDetector::access(const EventCtx &Ctx, isa::Addr A,
-                             bool IsWrite) {
-  WordState &W = Words.touch(A);
-  int32_t Tid = static_cast<int32_t>(Ctx.Tid);
-
-  switch (W.S) {
+bool EraserWord::access(int32_t Tid, bool IsWrite,
+                        const std::set<uint32_t> &Held) {
+  switch (S) {
   case State::Virgin:
-    W.S = State::Exclusive;
-    W.FirstTid = Tid;
-    break;
+    S = State::Exclusive;
+    FirstTid = Tid;
+    return false;
   case State::Exclusive:
-    if (Tid != W.FirstTid)
-      W.S = IsWrite ? State::SharedModified : State::Shared;
+    if (Tid == FirstTid)
+      return false;
+    S = IsWrite ? State::SharedModified : State::Shared;
     break;
   case State::Shared:
     if (IsWrite)
-      W.S = State::SharedModified;
+      S = State::SharedModified;
     break;
   case State::SharedModified:
     break;
   }
-
-  // Refine the candidate set once the word is shared. Reads in the
-  // plain Shared state refine but never report (Eraser's refinement).
-  if (W.S == State::Shared || W.S == State::SharedModified) {
-    const std::set<uint32_t> &H = Held[Ctx.Tid];
-    if (!W.LocksetInitialized) {
-      W.Lockset = H;
-      W.LocksetInitialized = true;
-    } else {
-      std::set<uint32_t> Inter;
-      std::set_intersection(W.Lockset.begin(), W.Lockset.end(), H.begin(),
-                            H.end(), std::inserter(Inter, Inter.begin()));
-      W.Lockset = std::move(Inter);
-    }
-    if (W.S == State::SharedModified && W.Lockset.empty()) {
-      Violation V;
-      V.Seq = Ctx.Seq;
-      V.Tid = Ctx.Tid;
-      V.Pc = Ctx.Pc;
-      if (W.LastTid >= 0 && W.LastTid != Tid) {
-        V.OtherTid = static_cast<isa::ThreadId>(W.LastTid);
-        V.OtherPc = W.LastPc;
-      } else {
-        V.OtherTid = Ctx.Tid;
-        V.OtherPc = Ctx.Pc;
-      }
-      V.Address = A;
-      Reports.push_back(V);
-    }
+  if (!LocksetInitialized) {
+    Lockset = Held;
+    LocksetInitialized = true;
+  } else {
+    std::set<uint32_t> Inter;
+    std::set_intersection(Lockset.begin(), Lockset.end(), Held.begin(),
+                          Held.end(), std::inserter(Inter, Inter.begin()));
+    Lockset = std::move(Inter);
   }
+  return S == State::SharedModified && Lockset.empty();
+}
 
+void LocksetDetector::access(const EventCtx &Ctx, isa::Addr A,
+                             bool IsWrite) {
+  WordState &W = Words.touch(A);
+  int32_t Tid = static_cast<int32_t>(Ctx.Tid);
+  if (W.access(Tid, IsWrite, Held[Ctx.Tid])) {
+    Violation V;
+    V.Seq = Ctx.Seq;
+    V.Tid = Ctx.Tid;
+    V.Pc = Ctx.Pc;
+    if (W.LastTid >= 0 && W.LastTid != Tid) {
+      V.OtherTid = static_cast<isa::ThreadId>(W.LastTid);
+      V.OtherPc = W.LastPc;
+    } else {
+      V.OtherTid = Ctx.Tid;
+      V.OtherPc = Ctx.Pc;
+    }
+    V.Address = A;
+    Reports.push_back(V);
+  }
   W.LastTid = Tid;
   W.LastPc = Ctx.Pc;
 }

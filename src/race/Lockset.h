@@ -34,6 +34,25 @@ namespace race {
 /// "lockset". No config.
 void registerLocksetDetector(detect::DetectorRegistry &R);
 
+/// One word's Eraser state: the four-state ownership machine and the
+/// candidate lockset it refines once the word is shared. The lockset
+/// detector reports from it and the Atomizer baseline reads it as its
+/// raciness oracle.
+struct EraserWord {
+  enum class State : uint8_t { Virgin, Exclusive, Shared, SharedModified };
+
+  State S = State::Virgin;
+  int32_t FirstTid = -1;
+  bool LocksetInitialized = false;
+  std::set<uint32_t> Lockset;
+
+  /// Advances the word for an access by \p Tid while it holds \p Held.
+  /// Returns true when the access is racy: the word is Shared-Modified
+  /// and its candidate set is empty. Reads in the plain Shared state
+  /// refine the set but are never racy.
+  bool access(int32_t Tid, bool IsWrite, const std::set<uint32_t> &Held);
+};
+
 /// Online lockset detector; attach with Machine::addObserver.
 class LocksetDetector : public vm::ExecutionObserver {
 public:
@@ -60,14 +79,7 @@ public:
   void onUnlock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
 
 private:
-  /// Eraser's per-word state machine.
-  enum class State : uint8_t { Virgin, Exclusive, Shared, SharedModified };
-
-  struct WordState {
-    State S = State::Virgin;
-    int32_t FirstTid = -1;
-    bool LocksetInitialized = false;
-    std::set<uint32_t> Lockset;
+  struct WordState : EraserWord {
     // Most recent access by any thread (for two-sided reports).
     int32_t LastTid = -1;
     uint32_t LastPc = 0;

@@ -42,15 +42,16 @@ TransCache::TransCache(const isa::Program &P, StaticHintFn Hints) : Prog(P) {
       if (EndPc < Code.size())
         B.FallBlock = static_cast<int32_t>(TT.BlockOf[EndPc]);
       const Instruction &Last = Code[EndPc - 1];
-      switch (Last.Op) {
-      case Opcode::Beqz:
-      case Opcode::Bnez:
-      case Opcode::Jmp:
-      case Opcode::Call:
+      switch (isa::flowOf(Last.Op)) {
+      case isa::FlowClass::CondBranch:
+      case isa::FlowClass::Jump:
+      case isa::FlowClass::Call:
         B.TakenPc = static_cast<uint32_t>(Last.Imm);
         B.TakenBlock = static_cast<int32_t>(TT.BlockOf[B.TakenPc]);
         break;
-      default:
+      case isa::FlowClass::Next:
+      case isa::FlowClass::Ret:
+      case isa::FlowClass::Halt:
         break;
       }
     }

@@ -149,39 +149,6 @@ TEST(Harness, OverheadMeasurementProducesTimes) {
   EXPECT_GT(M.DetectorBytes, 0u);
 }
 
-TEST(Harness, PerMillionMath) {
-  SampleMetrics M;
-  M.Steps = 2'000'000;
-  EXPECT_DOUBLE_EQ(M.perMillion(4), 2.0);
-  M.Steps = 0;
-  EXPECT_DOUBLE_EQ(M.perMillion(4), 0.0);
-}
-
-TEST(Harness, AggregateAccumulates) {
-  Aggregate A;
-  SampleMetrics M1;
-  M1.Steps = 1'000'000;
-  M1.Manifested = true;
-  M1.DetectedBug = true;
-  M1.DynamicFalse = 3;
-  M1.StaticFalse = 2;
-  M1.CusFormed = 100;
-  SampleMetrics M2;
-  M2.Steps = 1'000'000;
-  M2.DynamicFalse = 1;
-  M2.StaticFalse = 5;
-  M2.CusFormed = 50;
-  A.add(M1);
-  A.add(M2);
-  EXPECT_EQ(A.Samples, 2u);
-  EXPECT_EQ(A.SamplesManifested, 1u);
-  EXPECT_EQ(A.SamplesDetected, 1u);
-  EXPECT_EQ(A.DynamicFalse, 4u);
-  EXPECT_EQ(A.StaticFalseMax, 5u);
-  EXPECT_DOUBLE_EQ(A.dynamicFalsePerMillion(), 2.0);
-  EXPECT_DOUBLE_EQ(A.cusPerMillion(), 75.0);
-}
-
 TEST(Harness, TextTableRendersAligned) {
   TextTable T({"name", "value"});
   T.addRow({"alpha", "1"});
@@ -305,26 +272,8 @@ TEST(Runner, ParallelMatchesSerialUnderCompletionPermutations) {
     for (size_t I = 0; I < Base.size(); ++I)
       expectSameMetrics(Base[I], Par[I], I);
 
-    // Aggregates fold identically...
-    Aggregate AggBase, AggPar;
-    for (size_t I = 0; I < Base.size(); ++I) {
-      AggBase.add(Base[I]);
-      AggPar.add(Par[I]);
-    }
-    EXPECT_EQ(AggBase.Samples, AggPar.Samples);
-    EXPECT_EQ(AggBase.TotalSteps, AggPar.TotalSteps);
-    EXPECT_EQ(AggBase.SamplesManifested, AggPar.SamplesManifested);
-    EXPECT_EQ(AggBase.SamplesDetected, AggPar.SamplesDetected);
-    EXPECT_EQ(AggBase.SamplesLogFound, AggPar.SamplesLogFound);
-    EXPECT_EQ(AggBase.DynamicFalse, AggPar.DynamicFalse);
-    EXPECT_EQ(AggBase.DynamicTrue, AggPar.DynamicTrue);
-    EXPECT_EQ(AggBase.StaticFalseMax, AggPar.StaticFalseMax);
-    EXPECT_EQ(AggBase.StaticFalseTotal, AggPar.StaticFalseTotal);
-    EXPECT_EQ(AggBase.CusFormed, AggPar.CusFormed);
-    EXPECT_EQ(AggBase.StaticLogEntries, AggPar.StaticLogEntries);
-
-    // ... and so do the cross-sample static-key unions (the Table 2
-    // "static FP per row" sets).
+    // The cross-sample static-key unions (the Table 2 "static FP per
+    // row" sets) fold identically too.
     std::set<uint64_t> FalseBase, FalsePar, TrueBase, TruePar;
     for (size_t I = 0; I < Base.size(); ++I) {
       FalseBase.insert(Base[I].StaticFalseKeys.begin(),
