@@ -12,8 +12,9 @@
 //
 // With no arguments it prints usage plus a demo on a built-in program,
 // so it is safe to invoke from scripts. A malformed option or value
-// prints usage and exits 2; an unreadable file, an assembly error or a
-// diverged replay exits 1.
+// prints usage and exits 2, and so do the bad input files: an unreadable
+// .asm file, an assembly error or a schedule file that fails to load. A
+// replay that diverges from its schedule exits 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -218,7 +219,7 @@ int main(int Argc, char **Argv) {
     std::ifstream In(O.File);
     if (!In) {
       std::fprintf(stderr, "error: cannot open '%s'\n", O.File.c_str());
-      return 1;
+      return support::ExitUsage;
     }
     std::ostringstream SS;
     SS << In.rdbuf();
@@ -232,7 +233,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "%s:%u: error: %s\n",
                    O.File.empty() ? "<demo>" : O.File.c_str(), E.Line,
                    E.Message.c_str());
-    return 1;
+    return support::ExitUsage;
   }
   if (O.Disasm) {
     std::fputs(P.disassemble().c_str(), stdout);
@@ -244,7 +245,7 @@ int main(int Argc, char **Argv) {
     std::string Error;
     if (!vm::loadSchedule(O.ReplayFile, Rec, Error)) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
+      return support::ExitUsage;
     }
     std::printf("replaying %zu recorded scheduling decisions from %s\n",
                 Rec.Schedule.size(), O.ReplayFile.c_str());

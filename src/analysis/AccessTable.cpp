@@ -2,13 +2,7 @@
 
 #include "analysis/AccessTable.h"
 
-#include "analysis/Escape.h"
-#include "analysis/StaticLockset.h"
-#include "analysis/ValueFlow.h"
-#include "isa/Cfg.h"
-
-#include <memory>
-#include <optional>
+#include "analysis/ProgramPasses.h"
 
 using namespace svd;
 using namespace svd::analysis;
@@ -38,47 +32,24 @@ uint64_t analysis::countAccessSites(const isa::Program &P,
 
 AccessTable analysis::buildAccessTable(const isa::Program &P,
                                        uint32_t BlockShift) {
-  AccessTableOptions O;
-  O.BlockShift = BlockShift;
-  return buildAccessTable(P, O);
+  return buildAccessTable(ProgramPasses(P, /*ValueFlow=*/true), BlockShift);
 }
 
-AccessTable analysis::buildAccessTable(const isa::Program &P,
-                                       const AccessTableOptions &O) {
+AccessTable analysis::buildAccessTable(const ProgramPasses &PP,
+                                       uint32_t BlockShift) {
+  const isa::Program &P = PP.program();
   uint32_t NumThreads = P.numThreads();
-  AccessTable Table(O.BlockShift, NumThreads);
-
-  // Per-thread passes. With ValueFlow on, its reduced product supplies
-  // the (sharpened) access bounds; otherwise raw Escape intervals do.
-  std::optional<ValueFlowAnalysis> VF;
-  if (O.UseValueFlow)
-    VF.emplace(P);
-  std::vector<std::unique_ptr<isa::ThreadCfg>> Cfgs;
-  std::vector<std::unique_ptr<EscapeAnalysis>> Escapes;
-  std::vector<StaticLockset> Locksets;
-  std::vector<std::vector<AccessSite>> Sites(NumThreads);
-  Locksets.reserve(NumThreads);
-  for (isa::ThreadId Tid = 0; Tid < NumThreads; ++Tid) {
-    const std::vector<isa::Instruction> &Code = P.Threads[Tid].Code;
-    Cfgs.push_back(std::make_unique<isa::ThreadCfg>(Code));
-    Locksets.emplace_back(*Cfgs.back(), Code,
-                          static_cast<uint32_t>(P.Mutexes.size()));
-    if (VF) {
-      Sites[Tid] = VF->sharpenedAccesses(Tid);
-    } else {
-      Escapes.push_back(
-          std::make_unique<EscapeAnalysis>(*Cfgs.back(), Code, Tid));
-      Sites[Tid] = Escapes.back()->accesses();
-    }
-    Table.resizeThread(Tid, Code.size());
-  }
+  AccessTable Table(BlockShift, NumThreads);
+  for (isa::ThreadId Tid = 0; Tid < NumThreads; ++Tid)
+    Table.resizeThread(Tid, P.Threads[Tid].Code.size());
 
   // Block-expanded address bound of every access, for the cross-thread
   // alias check.
   std::vector<std::vector<Interval>> Expanded(NumThreads);
   for (isa::ThreadId Tid = 0; Tid < NumThreads; ++Tid)
-    for (const AccessSite &S : Sites[Tid])
-      Expanded[Tid].push_back(blockExpand(S.Addr, O.BlockShift));
+    for (const AccessSite &S : PP.escape(Tid).accesses())
+      Expanded[Tid].push_back(
+          blockExpand(PP.addressOf(Tid, S.Pc), BlockShift));
 
   auto OtherThreadMayTouch = [&](isa::ThreadId Tid, const Interval &Range) {
     for (isa::ThreadId U = 0; U < NumThreads; ++U) {
@@ -92,8 +63,9 @@ AccessTable analysis::buildAccessTable(const isa::Program &P,
   };
 
   for (isa::ThreadId Tid = 0; Tid < NumThreads; ++Tid) {
-    for (size_t K = 0; K < Sites[Tid].size(); ++K) {
-      const AccessSite &S = Sites[Tid][K];
+    const std::vector<AccessSite> &Sites = PP.escape(Tid).accesses();
+    for (size_t K = 0; K < Sites.size(); ++K) {
+      const AccessSite &S = Sites[K];
       const Interval &Range = Expanded[Tid][K];
       if (Range.empty() || Range.isFull() || Range.Lo < 0)
         continue; // stays PossiblyShared
@@ -114,7 +86,7 @@ AccessTable analysis::buildAccessTable(const isa::Program &P,
       // block granularity, which is the actual proof.
       bool Local = false;
       for (const isa::DataSymbol &Sym : P.Symbols) {
-        if (VF) {
+        if (PP.hasValueFlow()) {
           int64_t Size = Sym.IsThreadLocal
                              ? int64_t(P.numThreads()) * Sym.Size
                              : Sym.Size;
@@ -141,7 +113,7 @@ AccessTable analysis::buildAccessTable(const isa::Program &P,
 
       // LockProtected: bounded within one symbol and under a non-empty
       // must-lockset. (Informational — the detectors never filter on it.)
-      if (Locksets[Tid].mustHeldBefore(S.Pc) == 0)
+      if (PP.lockset(Tid).mustHeldBefore(S.Pc) == 0)
         continue;
       for (const isa::DataSymbol &Sym : P.Symbols) {
         int64_t Base = Sym.Base;

@@ -89,27 +89,22 @@ private:
   std::vector<std::vector<AccessClass>> Classes;
 };
 
-/// Knobs for buildAccessTable. ValueFlow (ValueFlow.h) is on by
-/// default: it sharpens every address bound (never wider than Escape's
-/// raw interval) and enables the *slab rule* — an access whose
+class ProgramPasses;
+
+/// Classifies every static access site of the bundle's program at block
+/// granularity \p BlockShift (0 = the paper's word-size blocks), from
+/// the bundle's address bounds and must-locksets. A bundle with value
+/// flow (ValueFlow.h) sharpens every address bound (never wider than
+/// Escape's raw interval) and enables the *slab rule*: an access whose
 /// sharpened block-expanded range no other thread can reach classifies
 /// ThreadLocal even inside a `.global` symbol (the Tid-strided
 /// per-thread slab pattern interval analysis alone cannot split).
-/// Turning it off reproduces the pre-ValueFlow Escape-only classifier,
-/// which the monotonicity property test compares against.
-struct AccessTableOptions {
-  uint32_t BlockShift = 0;
-  bool UseValueFlow = true;
-};
+/// Without value flow the classic Escape-only classifier runs, which the
+/// predictor uses and the monotonicity property test compares against.
+AccessTable buildAccessTable(const ProgramPasses &PP, uint32_t BlockShift);
 
-/// Runs the escape and lockset passes over every thread of \p P and
-/// classifies every static access site at block granularity
-/// \p BlockShift (0 = the paper's word-size blocks).
+/// As above, on a value-flow bundle built for \p P alone.
 AccessTable buildAccessTable(const isa::Program &P, uint32_t BlockShift = 0);
-
-/// As above, with explicit options.
-AccessTable buildAccessTable(const isa::Program &P,
-                             const AccessTableOptions &O);
 
 /// Number of static memory-access sites of \p P whose class in \p T is
 /// \p C. Needs the program because the table alone cannot tell a

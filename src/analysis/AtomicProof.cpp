@@ -2,19 +2,16 @@
 
 #include "analysis/AtomicProof.h"
 
-#include "analysis/Escape.h"
 #include "analysis/Liveness.h"
+#include "analysis/ProgramPasses.h"
 #include "analysis/ReachingDefs.h"
 #include "analysis/StaticCu.h"
-#include "analysis/StaticLockset.h"
-#include "analysis/ValueFlow.h"
-#include "isa/Cfg.h"
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <memory>
 #include <numeric>
-#include <optional>
 
 using namespace svd;
 using namespace svd::analysis;
@@ -51,12 +48,13 @@ struct TaintDomain {
   }
 };
 
-/// Everything the proof needs about one thread, built once.
+/// Everything the proof needs about one thread: the bundle's CFG and
+/// lockset, plus the passes only the proof reads.
 struct ThreadPasses {
   const std::vector<Instruction> *Code = nullptr;
-  std::unique_ptr<isa::ThreadCfg> Cfg;
+  const isa::ThreadCfg *Cfg = nullptr;
+  const StaticLockset *Locks = nullptr;
   std::unique_ptr<isa::ThreadCallGraph> Cg;
-  std::unique_ptr<StaticLockset> Locks;
   std::unique_ptr<ReachingDefs> Reach;
   std::unique_ptr<Liveness> Live;
   std::unique_ptr<DataflowSolver<TaintDomain>> Taint;
@@ -92,52 +90,44 @@ bool singleBlock(const Interval &E, uint32_t Shift) {
 } // namespace
 
 CuProofs analysis::proveAtomicCus(const isa::Program &P,
-                                  const AccessTableOptions &O) {
+                                  uint32_t BlockShift) {
+  return proveAtomicCus(ProgramPasses(P, /*ValueFlow=*/true), BlockShift);
+}
+
+CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
+                                  uint32_t BlockShift) {
+  assert(PP.hasValueFlow() && "the proofs need value-flow address bounds");
+  const isa::Program &P = PP.program();
   CuProofs R;
-  R.Shift = O.BlockShift;
+  R.Shift = BlockShift;
   uint32_t NumThreads = P.numThreads();
   R.ProvenPc.resize(NumThreads);
   uint32_t NumMutexes = static_cast<uint32_t>(P.Mutexes.size());
-
-  AccessTable Table = buildAccessTable(P, O);
-  std::optional<ValueFlowAnalysis> VF;
-  if (O.UseValueFlow)
-    VF.emplace(P);
+  AccessTable Table = buildAccessTable(PP, BlockShift);
 
   // Per-thread passes.
   std::vector<ThreadPasses> TP(NumThreads);
-  std::vector<std::unique_ptr<EscapeAnalysis>> RawEscapes(NumThreads);
   for (isa::ThreadId Tid = 0; Tid < NumThreads; ++Tid) {
     ThreadPasses &T = TP[Tid];
     T.Code = &P.Threads[Tid].Code;
     R.ProvenPc[Tid].assign(T.Code->size(), false);
-    T.Cfg = std::make_unique<isa::ThreadCfg>(*T.Code);
+    T.Cfg = &PP.cfg(Tid);
+    T.Locks = &PP.lockset(Tid);
     T.Cg = std::make_unique<isa::ThreadCallGraph>(*T.Code);
-    T.Locks = std::make_unique<StaticLockset>(*T.Cfg, *T.Code, NumMutexes);
     T.Reach = std::make_unique<ReachingDefs>(*T.Cfg, *T.Code);
     T.Live = std::make_unique<Liveness>(*T.Cfg, *T.Code);
     T.Taint = std::make_unique<DataflowSolver<TaintDomain>>(
         *T.Cfg, *T.Code, TaintDomain(), Direction::Forward);
-    const EscapeAnalysis *EA;
-    if (VF) {
-      EA = &VF->escape(Tid);
-    } else {
-      RawEscapes[Tid] =
-          std::make_unique<EscapeAnalysis>(*T.Cfg, *T.Code, Tid);
-      EA = RawEscapes[Tid].get();
-    }
+    const EscapeAnalysis &EA = PP.escape(Tid);
     T.Cus = std::make_unique<StaticCuInference>(
-        *T.Cfg, *T.Code, *EA, [&Table, Tid](uint32_t Pc) {
+        *T.Cfg, *T.Code, EA, *T.Reach, [&Table, Tid](uint32_t Pc) {
           return Table.classify(Tid, Pc) != AccessClass::ThreadLocal;
         });
     T.SiteExpanded.assign(T.Code->size(), Interval());
     T.SiteIsWrite.assign(T.Code->size(), false);
     T.SiteIsCas.assign(T.Code->size(), false);
-    const std::vector<AccessSite> &Sites = EA->accesses();
-    for (size_t K = 0; K < Sites.size(); ++K) {
-      const AccessSite &S = Sites[K];
-      Interval Addr = VF ? VF->addressOf(Tid, S.Pc) : S.Addr;
-      T.SiteExpanded[S.Pc] = blockExpand(Addr, O.BlockShift);
+    for (const AccessSite &S : EA.accesses()) {
+      T.SiteExpanded[S.Pc] = blockExpand(PP.addressOf(Tid, S.Pc), BlockShift);
       T.SiteIsWrite[S.Pc] = S.IsWrite;
       T.SiteIsCas[S.Pc] = S.IsCas;
     }
@@ -191,7 +181,7 @@ CuProofs analysis::proveAtomicCus(const isa::Program &P,
           if (Code[Pc].Op != Opcode::Ld)
             continue;
           const Interval &LE = T.SiteExpanded[Pc];
-          if (!singleBlock(LE, O.BlockShift)) {
+          if (!singleBlock(LE, BlockShift)) {
             Ok = false;
             break;
           }

@@ -127,8 +127,8 @@ public:
   const std::vector<ProofDiag> &diagnostics() const { return Diags; }
 
 private:
-  friend CuProofs proveAtomicCus(const isa::Program &P,
-                                 const AccessTableOptions &O);
+  friend CuProofs proveAtomicCus(const ProgramPasses &PP,
+                                 uint32_t BlockShift);
   uint32_t Shift = 0;
   std::vector<std::vector<bool>> ProvenPc; ///< per (thread, pc)
   std::vector<ProvenCu> Proven;
@@ -136,11 +136,16 @@ private:
   uint64_t NumPrunable = 0;
 };
 
-/// Runs the whole proof pipeline (ValueFlow-sharpened access table,
-/// per-thread static CU inference, obligations O1-O6, alias-group
-/// fixpoint) over \p P at the granularity of \p O.
-CuProofs proveAtomicCus(const isa::Program &P,
-                        const AccessTableOptions &O = AccessTableOptions());
+/// Runs the whole proof pipeline (the access table, per-thread static CU
+/// inference, obligations O1-O6, alias-group fixpoint) over the bundle's
+/// program at block granularity \p BlockShift. The bundle must carry
+/// value flow: every address bound the proofs use is the sharpened one.
+/// Per thread the proof adds one ReachingDefs, one Liveness, one taint
+/// solve and one call graph to the bundle's passes.
+CuProofs proveAtomicCus(const ProgramPasses &PP, uint32_t BlockShift);
+
+/// As above, on a value-flow bundle built for \p P alone.
+CuProofs proveAtomicCus(const isa::Program &P, uint32_t BlockShift = 0);
 
 } // namespace analysis
 } // namespace svd

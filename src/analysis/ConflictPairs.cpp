@@ -2,8 +2,7 @@
 
 #include "analysis/ConflictPairs.h"
 
-#include "analysis/StaticLockset.h"
-#include "isa/Cfg.h"
+#include "analysis/ProgramPasses.h"
 
 using namespace svd;
 using namespace svd::analysis;
@@ -22,14 +21,12 @@ bool ConflictPairs::conflicts(const ConflictSite &A, const ConflictSite &B) {
   return true;
 }
 
-ConflictPairs::ConflictPairs(const isa::Program &P, uint32_t BlockShift)
-    : Shift(BlockShift), Sites(P.numThreads()) {
+ConflictPairs::ConflictPairs(const ProgramPasses &PP, uint32_t BlockShift)
+    : Shift(BlockShift), Sites(PP.program().numThreads()) {
+  const isa::Program &P = PP.program();
   for (isa::ThreadId Tid = 0; Tid < P.numThreads(); ++Tid) {
-    const std::vector<isa::Instruction> &Code = P.Threads[Tid].Code;
-    isa::ThreadCfg Cfg(Code);
-    EscapeAnalysis EA(Cfg, Code, Tid);
-    StaticLockset LS(Cfg, Code, static_cast<uint32_t>(P.Mutexes.size()));
-    for (const AccessSite &S : EA.accesses()) {
+    const StaticLockset &LS = PP.lockset(Tid);
+    for (const AccessSite &S : PP.escape(Tid).accesses()) {
       ConflictSite C;
       C.Tid = Tid;
       C.Pc = S.Pc;

@@ -11,11 +11,12 @@
 /// These are the remote accesses a predicted unserializable interleaving
 /// can be built from (predict.h enumerates the patterns over them).
 ///
-/// Two ingredients are reused from PR 1's passes:
+/// Two of a ProgramPasses bundle's per-thread passes are read:
 ///
 ///  * `EscapeAnalysis` bounds every access's effective address, so "may
 ///    touch the same block" is an interval-intersection test at the
-///    detector's block granularity;
+///    detector's block granularity. The raw Escape bound is used even
+///    when the bundle carries value flow: the predictor favours recall;
 ///  * `StaticLockset` supplies the must-held mutex mask at each site —
 ///    a pair whose masks share a mutex is ordered by mutual exclusion
 ///    and cannot conflict.
@@ -39,6 +40,8 @@
 
 namespace svd {
 namespace analysis {
+
+class ProgramPasses;
 
 /// One static access site, annotated for conflict reasoning.
 struct ConflictSite {
@@ -65,7 +68,7 @@ struct ConflictPair {
 /// block granularity.
 class ConflictPairs {
 public:
-  explicit ConflictPairs(const isa::Program &P, uint32_t BlockShift = 0);
+  explicit ConflictPairs(const ProgramPasses &PP, uint32_t BlockShift = 0);
 
   /// All conflicting pairs, ordered by (A.Tid, A.Pc, B.Tid, B.Pc).
   const std::vector<ConflictPair> &pairs() const { return Pairs; }

@@ -4,9 +4,8 @@
 
 #include "analysis/AtomicProof.h"
 #include "analysis/Liveness.h"
+#include "analysis/ProgramPasses.h"
 #include "analysis/ReachingDefs.h"
-#include "analysis/StaticLockset.h"
-#include "isa/Cfg.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -27,10 +26,7 @@ std::string mutexName(const isa::Program &P, uint32_t Id) {
 }
 
 void lintLocksets(const isa::Program &P, isa::ThreadId Tid,
-                  const isa::ThreadCfg &Cfg,
-                  const std::vector<Instruction> &Code,
-                  std::vector<LintDiag> &Out) {
-  StaticLockset LS(Cfg, Code, static_cast<uint32_t>(P.Mutexes.size()));
+                  const StaticLockset &LS, std::vector<LintDiag> &Out) {
   for (const LocksetDiag &D : LS.diagnostics()) {
     LintDiag L;
     L.Tid = Tid;
@@ -115,11 +111,7 @@ void lintDeadWrites(isa::ThreadId Tid, const isa::ThreadCfg &Cfg,
   }
 }
 
-void lintProofs(const isa::Program &P, const LintOptions &O,
-                std::vector<LintDiag> &Out) {
-  AccessTableOptions AO;
-  AO.BlockShift = O.BlockShift;
-  CuProofs Proofs = proveAtomicCus(P, AO);
+void lintProofs(const CuProofs &Proofs, std::vector<LintDiag> &Out) {
   for (const ProofDiag &D : Proofs.diagnostics()) {
     LintDiag L;
     L.Severity = LintSeverity::Warning;
@@ -180,19 +172,24 @@ ProcContext procContext(const isa::Program &P, isa::ThreadId Tid,
 
 std::vector<LintDiag> analysis::lintProgram(const isa::Program &P,
                                             const LintOptions &O) {
+  return lintProgram(ProgramPasses(P, /*ValueFlow=*/O.Prove), O);
+}
+
+std::vector<LintDiag> analysis::lintProgram(const ProgramPasses &PP,
+                                            const LintOptions &O) {
+  const isa::Program &P = PP.program();
   std::vector<LintDiag> Out;
   for (isa::ThreadId Tid = 0; Tid < P.numThreads(); ++Tid) {
     const std::vector<Instruction> &Code = P.Threads[Tid].Code;
-    isa::ThreadCfg Cfg(Code);
     if (O.Lockset)
-      lintLocksets(P, Tid, Cfg, Code, Out);
+      lintLocksets(P, Tid, PP.lockset(Tid), Out);
     if (O.UninitReads)
-      lintUninitReads(Tid, Cfg, Code, Out);
+      lintUninitReads(Tid, PP.cfg(Tid), Code, Out);
     if (O.DeadWrites)
-      lintDeadWrites(Tid, Cfg, Code, Out);
+      lintDeadWrites(Tid, PP.cfg(Tid), Code, Out);
   }
   if (O.Prove)
-    lintProofs(P, O, Out);
+    lintProofs(proveAtomicCus(PP, O.BlockShift), Out);
   sortLintDiags(Out);
   return Out;
 }

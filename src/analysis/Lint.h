@@ -61,8 +61,18 @@ struct LintOptions {
   uint32_t BlockShift = 0;
 };
 
-/// Runs all enabled checks on every thread of \p P; diagnostics come out
-/// in sortLintDiags order.
+class ProgramPasses;
+
+/// Runs all enabled checks on every thread of the bundle's program;
+/// diagnostics come out in sortLintDiags order. The lockset family reads
+/// the bundle's StaticLockset, the register families build their passes
+/// over its CFG, and Prove proves on the same bundle (which must then
+/// carry value flow).
+std::vector<LintDiag> lintProgram(const ProgramPasses &PP,
+                                  const LintOptions &O);
+
+/// As above, on a bundle built for \p P alone (with value flow exactly
+/// when O.Prove is set).
 std::vector<LintDiag> lintProgram(const isa::Program &P,
                                   const LintOptions &O = LintOptions());
 

@@ -3,9 +3,8 @@
 #include "analysis/Predict.h"
 
 #include "analysis/AccessTable.h"
+#include "analysis/ProgramPasses.h"
 #include "analysis/StaticCu.h"
-#include "analysis/StaticLockset.h"
-#include "isa/Cfg.h"
 
 #include <algorithm>
 #include <set>
@@ -60,25 +59,6 @@ std::vector<uint32_t> codeClasses(const isa::Program &P) {
   return Class;
 }
 
-/// Everything predictProgram derives per thread, kept together so the
-/// enumeration loop reads like the algorithm.
-struct ThreadPasses {
-  isa::ThreadCfg Cfg;
-  EscapeAnalysis EA;
-  StaticLockset LS;
-  StaticCuInference CU;
-
-  ThreadPasses(const isa::Program &P, isa::ThreadId Tid,
-               const AccessTable &Table)
-      : Cfg(P.Threads[Tid].Code),
-        EA(Cfg, P.Threads[Tid].Code, Tid),
-        LS(Cfg, P.Threads[Tid].Code,
-           static_cast<uint32_t>(P.Mutexes.size())),
-        CU(Cfg, P.Threads[Tid].Code, EA, [&Table, Tid](uint32_t Pc) {
-          return Table.classify(Tid, Pc) != AccessClass::ThreadLocal;
-        }) {}
-};
-
 } // namespace
 
 std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
@@ -92,12 +72,12 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
   // exclusivity of e.g. single-writer globals — sound for pruning
   // dynamic detection of this exact program, but a predictor silent
   // about such publish sites would miss precisely the patterns that
-  // surface when a concurrent reader is added later.
-  AccessTableOptions AO;
-  AO.BlockShift = O.BlockShift;
-  AO.UseValueFlow = false;
-  AccessTable Table = buildAccessTable(P, AO);
-  ConflictPairs CP(P, O.BlockShift);
+  // surface when a concurrent reader is added later. One escape-only
+  // bundle feeds the table, the conflict pairs and the per-thread
+  // unit inference below.
+  ProgramPasses PP(P, /*ValueFlow=*/false);
+  AccessTable Table = buildAccessTable(PP, O.BlockShift);
+  ConflictPairs CP(PP, O.BlockShift);
   std::vector<uint32_t> Class = codeClasses(P);
 
   // (local class, pcs, kind, remote class, remote pc) — one prediction
@@ -108,12 +88,17 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
 
   for (isa::ThreadId L = 0; L < P.numThreads(); ++L) {
     const std::vector<Instruction> &Code = P.Threads[L].Code;
-    ThreadPasses TP(P, L, Table);
+    const EscapeAnalysis &EA = PP.escape(L);
+    const StaticLockset &LS = PP.lockset(L);
+    ReachingDefs RD(PP.cfg(L), Code);
+    StaticCuInference CU(PP.cfg(L), Code, EA, RD, [&Table, L](uint32_t Pc) {
+      return Table.classify(L, Pc) != AccessClass::ThreadLocal;
+    });
 
     // Block-expanded bound of a local access, for same-variable tests at
     // the granularity the detector uses.
     auto AddrOf = [&](uint32_t Pc) {
-      return blockExpand(TP.EA.addressOf(Pc), O.BlockShift);
+      return blockExpand(EA.addressOf(Pc), O.BlockShift);
     };
 
     // Mutexes must-held at *every* reachable pc of [Lo, Hi]. A remote
@@ -121,12 +106,12 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
     // (The pc range over-approximates the paths between the endpoints;
     // extra pcs only shrink the mask, i.e. prune less — conservative.)
     auto HeldThrough = [&](uint32_t Lo, uint32_t Hi) -> uint64_t {
-      if (!TP.LS.analyzable())
+      if (!LS.analyzable())
         return 0;
       uint64_t Held = ~uint64_t(0);
       for (uint32_t Pc = Lo; Pc <= Hi && Pc < Code.size(); ++Pc)
-        if (TP.EA.reachable(Pc))
-          Held &= TP.LS.mustHeldBefore(Pc);
+        if (EA.reachable(Pc))
+          Held &= LS.mustHeldBefore(Pc);
       return Held == ~uint64_t(0) ? 0 : Held;
     };
 
@@ -161,12 +146,12 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
       Out.push_back(Pr);
     };
 
-    for (const StaticCu &U : TP.CU.units()) {
+    for (const StaticCu &U : CU.units()) {
       // lost-update / stale-read: read feeding a dependent write; a
       // remote write to the read's variable lands between them.
       for (uint32_t R : U.SharedReads) {
         for (uint32_t W : U.SharedWrites) {
-          if (!TP.CU.dependsOn(W, R))
+          if (!CU.dependsOn(W, R))
             continue;
           PatternKind Kind = AddrOf(R).intersects(AddrOf(W))
                                  ? PatternKind::LostUpdate
@@ -187,7 +172,7 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
           // The check fires at the first store depending on both reads.
           uint32_t S = StaticCuInference::NoUnit;
           for (uint32_t W : U.SharedWrites)
-            if (TP.CU.dependsOn(W, R1) && TP.CU.dependsOn(W, R2)) {
+            if (CU.dependsOn(W, R1) && CU.dependsOn(W, R2)) {
               S = W;
               break;
             }
@@ -210,7 +195,7 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
           // control registers carry, so demand a dependence connection
           // (stores define no registers — a shared ancestor is how two
           // stores end up in one dynamic CU's check set).
-          if (!TP.CU.dependsOn(W2, W1) && !TP.CU.shareAncestor(W1, W2))
+          if (!CU.dependsOn(W2, W1) && !CU.shareAncestor(W1, W2))
             continue;
           for (const ConflictSite &M : CP.conflictsWith(L, W1))
             if (M.IsRead)

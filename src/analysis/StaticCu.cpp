@@ -3,7 +3,6 @@
 #include "analysis/StaticCu.h"
 
 #include "analysis/Liveness.h"
-#include "analysis/ReachingDefs.h"
 
 #include <algorithm>
 #include <map>
@@ -55,18 +54,18 @@ struct UnionFind {
 
 StaticCuInference::StaticCuInference(
     const isa::ThreadCfg &Cfg, const std::vector<Instruction> &Code,
-    const EscapeAnalysis &EA, std::function<bool(uint32_t)> IsSharedAccess)
+    const EscapeAnalysis &EA, const ReachingDefs &RD,
+    std::function<bool(uint32_t)> IsSharedAccess)
     : NumInstrs(static_cast<uint32_t>(Code.size())) {
   DepPreds.resize(NumInstrs);
   PcUnit.assign(NumInstrs, NoUnit);
-  buildDepEdges(Cfg, Code);
+  buildDepEdges(Cfg, Code, RD);
   partition(Cfg, Code, EA, IsSharedAccess);
 }
 
 void StaticCuInference::buildDepEdges(const isa::ThreadCfg &Cfg,
-                                      const std::vector<Instruction> &Code) {
-  ReachingDefs RD(Cfg, Code);
-
+                                      const std::vector<Instruction> &Code,
+                                      const ReachingDefs &RD) {
   // Data and address dependences: every used register pulls in its
   // reaching definition sites (the entry pseudo-def carries nothing).
   for (uint32_t Pc = 0; Pc < NumInstrs; ++Pc) {

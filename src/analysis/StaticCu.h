@@ -46,6 +46,7 @@
 #define SVD_ANALYSIS_STATICCU_H
 
 #include "analysis/Escape.h"
+#include "analysis/ReachingDefs.h"
 #include "isa/Cfg.h"
 #include "isa/Program.h"
 
@@ -74,12 +75,14 @@ public:
   /// unreachable code).
   static constexpr uint32_t NoUnit = UINT32_MAX;
 
-  /// \p IsSharedAccess decides whether the memory access at a pc may
-  /// touch data another thread can reach (typically: its AccessTable
-  /// class is not ThreadLocal). Non-access pcs are never queried.
+  /// \p EA and \p RD are the thread's passes over \p Cfg; the register
+  /// dependence edges come from \p RD. \p IsSharedAccess decides whether
+  /// the memory access at a pc may touch data another thread can reach
+  /// (typically: its AccessTable class is not ThreadLocal). Non-access
+  /// pcs are never queried.
   StaticCuInference(const isa::ThreadCfg &Cfg,
                     const std::vector<isa::Instruction> &Code,
-                    const EscapeAnalysis &EA,
+                    const EscapeAnalysis &EA, const ReachingDefs &RD,
                     std::function<bool(uint32_t)> IsSharedAccess);
 
   /// The inferred units, ordered by their smallest member pc.
@@ -110,7 +113,8 @@ public:
 
 private:
   void buildDepEdges(const isa::ThreadCfg &Cfg,
-                     const std::vector<isa::Instruction> &Code);
+                     const std::vector<isa::Instruction> &Code,
+                     const ReachingDefs &RD);
   void partition(const isa::ThreadCfg &Cfg,
                  const std::vector<isa::Instruction> &Code,
                  const EscapeAnalysis &EA,

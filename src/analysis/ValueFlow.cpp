@@ -2,8 +2,6 @@
 
 #include "analysis/ValueFlow.h"
 
-#include "isa/Cfg.h"
-
 #include <algorithm>
 
 using namespace svd;
@@ -42,7 +40,7 @@ namespace svd {
 namespace analysis {
 
 /// The affine SCCP domain for one thread (internal to ValueFlow.cpp;
-/// named so ThreadState can hold its solver).
+/// named so ValueFlowAnalysis can hold its solver).
 struct ValueFlowDomain {
   struct Value {
     std::array<AffineTerm, isa::NumRegs> Regs; ///< default: all bottom
@@ -315,87 +313,49 @@ struct ValueFlowDomain {
   }
 };
 
-struct ValueFlowAnalysis::ThreadState {
-  std::unique_ptr<isa::ThreadCfg> Cfg;
-  const std::vector<Instruction> *Code = nullptr;
-  std::unique_ptr<EscapeAnalysis> Esc;
-  std::unique_ptr<DataflowSolver<ValueFlowDomain>> Solver;
-  isa::ThreadId Tid = 0;
-};
-
 } // namespace analysis
 } // namespace svd
 
-ValueFlowAnalysis::ValueFlowAnalysis(const isa::Program &P) {
-  Threads.reserve(P.numThreads());
-  for (isa::ThreadId Tid = 0; Tid < P.numThreads(); ++Tid) {
-    ThreadState TS;
-    TS.Tid = Tid;
-    TS.Code = &P.Threads[Tid].Code;
-    TS.Cfg = std::make_unique<isa::ThreadCfg>(*TS.Code);
-    TS.Esc = std::make_unique<EscapeAnalysis>(*TS.Cfg, *TS.Code, Tid);
-    ValueFlowDomain D;
-    D.NumThreads = static_cast<int64_t>(P.numThreads());
-    TS.Solver = std::make_unique<DataflowSolver<ValueFlowDomain>>(
-        *TS.Cfg, *TS.Code, D, Direction::Forward);
-    Threads.push_back(std::move(TS));
-  }
+ValueFlowAnalysis::ValueFlowAnalysis(const isa::ThreadCfg &Cfg,
+                                     const std::vector<Instruction> &Code,
+                                     const EscapeAnalysis &Esc,
+                                     isa::ThreadId Tid, uint32_t NumThreads)
+    : Code(Code), Esc(Esc), Tid(Tid) {
+  ValueFlowDomain D;
+  D.NumThreads = static_cast<int64_t>(NumThreads);
+  Solver = std::make_unique<DataflowSolver<ValueFlowDomain>>(
+      Cfg, Code, D, Direction::Forward);
 }
 
 ValueFlowAnalysis::~ValueFlowAnalysis() = default;
-ValueFlowAnalysis::ValueFlowAnalysis(ValueFlowAnalysis &&) noexcept = default;
-ValueFlowAnalysis &
-ValueFlowAnalysis::operator=(ValueFlowAnalysis &&) noexcept = default;
 
-uint32_t ValueFlowAnalysis::numThreads() const {
-  return static_cast<uint32_t>(Threads.size());
+AffineTerm ValueFlowAnalysis::termBefore(uint32_t Pc, isa::Reg R) const {
+  if (Pc >= Code.size() || !Solver->reached(Pc))
+    return AffineTerm();
+  return Solver->entry(Pc).Regs[R];
 }
 
-AffineTerm ValueFlowAnalysis::termBefore(isa::ThreadId Tid, uint32_t Pc,
-                                         isa::Reg R) const {
-  const ThreadState &TS = Threads[Tid];
-  if (Pc >= TS.Code->size() || !TS.Solver->reached(Pc))
+AffineTerm ValueFlowAnalysis::addressTerm(uint32_t Pc) const {
+  if (Pc >= Code.size() || !Solver->reached(Pc))
     return AffineTerm();
-  return TS.Solver->entry(Pc).Regs[R];
-}
-
-AffineTerm ValueFlowAnalysis::addressTerm(isa::ThreadId Tid,
-                                          uint32_t Pc) const {
-  const ThreadState &TS = Threads[Tid];
-  if (Pc >= TS.Code->size() || !TS.Solver->reached(Pc))
-    return AffineTerm();
-  const Instruction &I = (*TS.Code)[Pc];
+  const Instruction &I = Code[Pc];
   if (!isa::isMemoryAccess(I.Op))
     return AffineTerm();
   if (I.Op == Opcode::Cas)
     return AffineTerm::constant(I.Imm);
-  return ValueFlowDomain::addTerm(TS.Solver->entry(Pc).Regs[I.Ra],
+  return ValueFlowDomain::addTerm(Solver->entry(Pc).Regs[I.Ra],
                                   AffineTerm::constant(I.Imm));
 }
 
-Interval ValueFlowAnalysis::valueBefore(isa::ThreadId Tid, uint32_t Pc,
-                                        isa::Reg R) const {
-  return intersectIv(termBefore(Tid, Pc, R).concretize(Tid),
-                     Threads[Tid].Esc->valueBefore(Pc, R));
+Interval ValueFlowAnalysis::valueBefore(uint32_t Pc, isa::Reg R) const {
+  return intersectIv(termBefore(Pc, R).concretize(Tid),
+                     Esc.valueBefore(Pc, R));
 }
 
-Interval ValueFlowAnalysis::addressOf(isa::ThreadId Tid, uint32_t Pc) const {
-  return intersectIv(addressTerm(Tid, Pc).concretize(Tid),
-                     Threads[Tid].Esc->addressOf(Pc));
+Interval ValueFlowAnalysis::addressOf(uint32_t Pc) const {
+  return intersectIv(addressTerm(Pc).concretize(Tid), Esc.addressOf(Pc));
 }
 
-bool ValueFlowAnalysis::reachable(isa::ThreadId Tid, uint32_t Pc) const {
-  return Threads[Tid].Solver->reached(Pc);
-}
-
-const EscapeAnalysis &ValueFlowAnalysis::escape(isa::ThreadId Tid) const {
-  return *Threads[Tid].Esc;
-}
-
-std::vector<AccessSite>
-ValueFlowAnalysis::sharpenedAccesses(isa::ThreadId Tid) const {
-  std::vector<AccessSite> Sites = Threads[Tid].Esc->accesses();
-  for (AccessSite &S : Sites)
-    S.Addr = addressOf(Tid, S.Pc);
-  return Sites;
+bool ValueFlowAnalysis::reachable(uint32_t Pc) const {
+  return Solver->reached(Pc);
 }

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A whole-program value-flow analysis that sharpens the raw intervals
-/// of Escape.h in two ways:
+/// A per-thread value-flow analysis that sharpens the raw intervals of
+/// Escape.h in two ways:
 ///
 ///  1. **Affine address terms.** Every register is tracked as the
 ///     symbolic term `Base + TidStride * Tid + Rem` with `Rem` a
@@ -23,7 +23,7 @@
 ///     dead to the analysis instead of polluting every join after it
 ///     (the classic SCCP refinement over plain interval analysis).
 ///
-/// Queries are a *reduced product* with the per-thread EscapeAnalysis:
+/// Queries are a *reduced product* with the thread's EscapeAnalysis:
 /// every concretized interval is intersected with Escape's bound for
 /// the same point, so a ValueFlow answer is never wider than Escape's
 /// by construction, and operations the affine domain does not model
@@ -89,47 +89,44 @@ struct AffineTerm {
   }
 };
 
-/// Affine + SCCP value flow for every thread of one program, reduced
-/// against a per-thread EscapeAnalysis. Immutable after construction.
+struct ValueFlowDomain;
+
+/// Affine + SCCP value flow for one thread, reduced against that
+/// thread's EscapeAnalysis over the same CFG. Immutable after
+/// construction; ProgramPasses builds one per thread.
 class ValueFlowAnalysis {
 public:
-  explicit ValueFlowAnalysis(const isa::Program &P);
+  /// \p NumThreads bounds Tid when a join drops a term's Tid stride.
+  ValueFlowAnalysis(const isa::ThreadCfg &Cfg,
+                    const std::vector<isa::Instruction> &Code,
+                    const EscapeAnalysis &Esc, isa::ThreadId Tid,
+                    uint32_t NumThreads);
   ~ValueFlowAnalysis();
-  ValueFlowAnalysis(ValueFlowAnalysis &&) noexcept;
-  ValueFlowAnalysis &operator=(ValueFlowAnalysis &&) noexcept;
 
-  uint32_t numThreads() const;
+  /// The affine term of register \p R just before \p Pc executes;
+  /// bottom when SCCP proves the point unreachable.
+  AffineTerm termBefore(uint32_t Pc, isa::Reg R) const;
 
-  /// The affine term of register \p R just before (\p Tid, \p Pc)
-  /// executes; bottom when SCCP proves the point unreachable.
-  AffineTerm termBefore(isa::ThreadId Tid, uint32_t Pc, isa::Reg R) const;
-
-  /// The affine effective-address term of the memory access at
-  /// (\p Tid, \p Pc); bottom for non-accesses and unreachable code.
-  AffineTerm addressTerm(isa::ThreadId Tid, uint32_t Pc) const;
+  /// The affine effective-address term of the memory access at \p Pc;
+  /// bottom for non-accesses and unreachable code.
+  AffineTerm addressTerm(uint32_t Pc) const;
 
   /// Sharpened value bound: affine concretization intersected with
   /// Escape's interval — never wider than EscapeAnalysis::valueBefore.
-  Interval valueBefore(isa::ThreadId Tid, uint32_t Pc, isa::Reg R) const;
+  Interval valueBefore(uint32_t Pc, isa::Reg R) const;
 
-  /// Sharpened effective-address bound of the access at (\p Tid, \p Pc)
-  /// — never wider than EscapeAnalysis::addressOf.
-  Interval addressOf(isa::ThreadId Tid, uint32_t Pc) const;
+  /// Sharpened effective-address bound of the access at \p Pc — never
+  /// wider than EscapeAnalysis::addressOf.
+  Interval addressOf(uint32_t Pc) const;
 
   /// SCCP-feasible reachability; implies Escape-reachability.
-  bool reachable(isa::ThreadId Tid, uint32_t Pc) const;
-
-  /// The underlying per-thread interval analysis (the other half of the
-  /// reduced product).
-  const EscapeAnalysis &escape(isa::ThreadId Tid) const;
-
-  /// Access sites of \p Tid (same order as escape(Tid).accesses()) with
-  /// the sharpened address bound substituted.
-  std::vector<AccessSite> sharpenedAccesses(isa::ThreadId Tid) const;
+  bool reachable(uint32_t Pc) const;
 
 private:
-  struct ThreadState;
-  std::vector<ThreadState> Threads;
+  const std::vector<isa::Instruction> &Code;
+  const EscapeAnalysis &Esc;
+  isa::ThreadId Tid;
+  std::unique_ptr<DataflowSolver<ValueFlowDomain>> Solver;
 };
 
 } // namespace analysis

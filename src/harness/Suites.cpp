@@ -11,6 +11,7 @@
 
 #include "analysis/AccessTable.h"
 #include "analysis/AtomicProof.h"
+#include "analysis/ProgramPasses.h"
 #include "cu/CuPartition.h"
 #include "harness/Harness.h"
 #include "harness/Runner.h"
@@ -194,15 +195,26 @@ struct PerfRow {
   }
 };
 
-PerfRow measurePerfRow(const Workload &W) {
-  analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
-  analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+/// The access table and the CU proofs of one program, from one set of
+/// per-thread passes.
+struct StaticLayer {
+  analysis::AccessTable Table;
+  analysis::CuProofs Proofs;
+
+  explicit StaticLayer(const isa::Program &P) {
+    analysis::ProgramPasses Passes(P, /*ValueFlow=*/true);
+    Table = analysis::buildAccessTable(Passes, 0);
+    Proofs = analysis::proveAtomicCus(Passes, 0);
+  }
+};
+
+PerfRow measurePerfRow(const Workload &W, const StaticLayer &S) {
   SampleConfig C;
   C.Seed = 1;
   vm::Machine M(W.Program, machineConfigFor(C));
   detect::OnlineSvdConfig SC;
-  SC.Access = &Table;
-  SC.Proofs = &Proofs;
+  SC.Access = &S.Table;
+  SC.Proofs = &S.Proofs;
   detect::OnlineSvd Svd(W.Program, SC);
   M.addObserver(&Svd);
   M.run();
@@ -211,7 +223,7 @@ PerfRow measurePerfRow(const Workload &W) {
   R.Events = Svd.eventsObserved();
   R.PrunedEvents = Svd.prunedAccesses();
   R.FilteredEvents = Svd.filteredAccesses();
-  R.ProvenCus = Proofs.proven().size();
+  R.ProvenCus = S.Proofs.proven().size();
   return R;
 }
 
@@ -231,7 +243,7 @@ int runTable1(const SuiteOptions &O) {
   std::vector<PerfRow> Perf;
   if (O.Perf)
     for (const Workload &W : Ws)
-      Perf.push_back(measurePerfRow(W));
+      Perf.push_back(measurePerfRow(W, StaticLayer(W.Program)));
 
   if (O.Json) {
     std::string J = "{\"suite\":\"table1\",\"rows\":[";
@@ -471,13 +483,12 @@ void printSec73Perf() {
                "Detector KiB", "Pruned %"});
   auto Ratio = [](double A, double B) { return B <= 0.0 ? 0.0 : A / B; };
   for (const Workload &W : sec73OverheadWorkloads()) {
-    PerfRow R = measurePerfRow(W);
-    analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
-    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+    StaticLayer S(W.Program);
+    PerfRow R = measurePerfRow(W, S);
     detect::OnlineSvdConfig Filtered;
-    Filtered.Access = &Table;
+    Filtered.Access = &S.Table;
     detect::OnlineSvdConfig Pruned = Filtered;
-    Pruned.Proofs = &Proofs;
+    Pruned.Proofs = &S.Proofs;
     struct Config {
       const char *Name;
       const char *Detector;

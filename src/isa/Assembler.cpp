@@ -87,10 +87,11 @@ private:
   std::optional<Reg> parseReg(const std::string &Tok);
   std::optional<int64_t> parseImm(const std::string &Tok);
   std::optional<MemRef> parseMem(const std::string &Tok);
-  Reg expectReg(const std::vector<std::string> &Ops, size_t I);
-  int64_t expectImm(const std::vector<std::string> &Ops, size_t I);
-  MemRef expectMem(const std::vector<std::string> &Ops, size_t I,
-                   bool *Ok);
+  // parseInstruction checks the operand count against the form first,
+  // so these only see tokens that are present.
+  Reg expectReg(const std::string &Tok);
+  int64_t expectImm(const std::string &Tok);
+  std::optional<MemRef> expectMem(const std::string &Tok);
 
   // --- resolution ---
   bool layout(Program &Out);
@@ -417,41 +418,25 @@ std::optional<MemRef> Parser::parseMem(const std::string &Tok) {
   return M;
 }
 
-Reg Parser::expectReg(const std::vector<std::string> &Ops, size_t I) {
-  if (I >= Ops.size()) {
-    error("missing register operand");
-    return 0;
-  }
-  if (std::optional<Reg> R = parseReg(Ops[I]))
+Reg Parser::expectReg(const std::string &Tok) {
+  if (std::optional<Reg> R = parseReg(Tok))
     return *R;
-  error("expected register, got '" + Ops[I] + "'");
+  error("expected register, got '" + Tok + "'");
   return 0;
 }
 
-int64_t Parser::expectImm(const std::vector<std::string> &Ops, size_t I) {
-  if (I >= Ops.size()) {
-    error("missing immediate operand");
-    return 0;
-  }
-  if (std::optional<int64_t> V = parseImm(Ops[I]))
+int64_t Parser::expectImm(const std::string &Tok) {
+  if (std::optional<int64_t> V = parseImm(Tok))
     return *V;
-  error("expected immediate, got '" + Ops[I] + "'");
+  error("expected immediate, got '" + Tok + "'");
   return 0;
 }
 
-MemRef Parser::expectMem(const std::vector<std::string> &Ops, size_t I,
-                         bool *Ok) {
-  *Ok = false;
-  if (I >= Ops.size()) {
-    error("missing memory operand");
-    return MemRef();
-  }
-  if (std::optional<MemRef> M = parseMem(Ops[I])) {
-    *Ok = true;
-    return *M;
-  }
-  error("expected memory operand like [r1+@sym], got '" + Ops[I] + "'");
-  return MemRef();
+std::optional<MemRef> Parser::expectMem(const std::string &Tok) {
+  std::optional<MemRef> M = parseMem(Tok);
+  if (!M)
+    error("expected memory operand like [r1+@sym], got '" + Tok + "'");
+  return M;
 }
 
 void Parser::parseInstruction(const std::string &Mnemonic,
@@ -489,26 +474,27 @@ void Parser::parseInstruction(const std::string &Mnemonic,
   for (size_t K = 0; K < Max; ++K) {
     switch (Slots.Slots[K]) {
     case Operand::Rd:
-      P.Rd = expectReg(Ops, K);
+      P.Rd = expectReg(Ops[K]);
       break;
     case Operand::Ra:
-      P.Ra = expectReg(Ops, K);
+      P.Ra = expectReg(Ops[K]);
       break;
     case Operand::Rb:
-      P.Rb = expectReg(Ops, K);
+      P.Rb = expectReg(Ops[K]);
       break;
     case Operand::Imm:
       if (K < Ops.size())
-        P.Imm = expectImm(Ops, K);
+        P.Imm = expectImm(Ops[K]);
       break;
     case Operand::Mem:
     case Operand::AbsMem: {
-      bool Ok = false;
-      P.Mem = expectMem(Ops, K, &Ok);
-      P.HasMem = Ok;
+      std::optional<MemRef> M = expectMem(Ops[K]);
+      if (!M)
+        break;
+      P.Mem = *M;
+      P.HasMem = true;
       // Cas keeps Ra for its expected value, so its address is absolute.
-      if (Ok && Slots.Slots[K] == Operand::AbsMem &&
-          P.Mem.Base != ZeroReg) {
+      if (Slots.Slots[K] == Operand::AbsMem && P.Mem.Base != ZeroReg) {
         error(formatString(
             "'%s' requires an absolute address (no base register)",
             Info->Name));

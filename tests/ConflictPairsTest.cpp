@@ -1,6 +1,7 @@
 //===- tests/ConflictPairsTest.cpp - Conflict-pair enumeration tests ------===//
 
 #include "analysis/ConflictPairs.h"
+#include "analysis/ProgramPasses.h"
 #include "isa/Assembler.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@ TEST(ConflictPairs, UnlockedSharedWritesConflict) {
   st r1, [@x]
   halt
 )");
-  ConflictPairs CP(P);
+  ConflictPairs CP(ProgramPasses(P, false));
   // (ld0, st1), (st0, ld1), (st0, st1): every cross-thread pair with at
   // least one write; read-read does not conflict.
   ASSERT_EQ(CP.pairs().size(), 3u);
@@ -49,7 +50,7 @@ TEST(ConflictPairs, CommonMustLockOrdersThePair) {
   unlock @m
   halt
 )");
-  ConflictPairs CP(P);
+  ConflictPairs CP(ProgramPasses(P, false));
   EXPECT_TRUE(CP.pairs().empty());
 }
 
@@ -70,7 +71,7 @@ TEST(ConflictPairs, LockOnOneSideOnlyStillConflicts) {
   st r1, [@x]
   halt
 )");
-  ConflictPairs CP(P);
+  ConflictPairs CP(ProgramPasses(P, false));
   EXPECT_FALSE(CP.pairs().empty());
 }
 
@@ -85,7 +86,7 @@ TEST(ConflictPairs, ThreadLocalCopiesDoNotAlias) {
   st r2, [r1+@scratch]
   halt
 )");
-  ConflictPairs CP(P);
+  ConflictPairs CP(ProgramPasses(P, false));
   // The effective address is Tid-indexed, which the interval analysis
   // resolves per thread to disjoint singletons.
   EXPECT_TRUE(CP.pairs().empty());
@@ -103,7 +104,7 @@ TEST(ConflictPairs, CasCountsAsReadAndWrite) {
   ld r1, [@g]
   halt
 )");
-  ConflictPairs CP(P);
+  ConflictPairs CP(ProgramPasses(P, false));
   // Remote read vs local Cas: the Cas's write half makes it a conflict.
   ASSERT_EQ(CP.pairs().size(), 1u);
   EXPECT_TRUE(CP.pairs()[0].A.IsCas);
@@ -126,9 +127,10 @@ TEST(ConflictPairs, BlockGranularityMergesNeighbours) {
   st r1, [@arr+1]
   halt
 )");
-  EXPECT_TRUE(ConflictPairs(P, 0).pairs().empty());
-  EXPECT_EQ(ConflictPairs(P, 1).pairs().size(), 1u);
-  EXPECT_EQ(ConflictPairs(P, 1).blockShift(), 1u);
+  ProgramPasses PP(P, false);
+  EXPECT_TRUE(ConflictPairs(PP, 0).pairs().empty());
+  EXPECT_EQ(ConflictPairs(PP, 1).pairs().size(), 1u);
+  EXPECT_EQ(ConflictPairs(PP, 1).blockShift(), 1u);
 }
 
 TEST(ConflictPairs, MayHappenInParallelIsCrossThread) {

@@ -19,12 +19,13 @@ struct CuHarness {
   Program P;
   isa::ThreadCfg Cfg;
   EscapeAnalysis EA;
+  ReachingDefs RD;
   StaticCuInference CU;
 
   explicit CuHarness(const std::string &Src)
       : P(isa::assembleOrDie(Src)), Cfg(P.Threads[0].Code),
-        EA(Cfg, P.Threads[0].Code, 0),
-        CU(Cfg, P.Threads[0].Code, EA, [](uint32_t) { return true; }) {}
+        EA(Cfg, P.Threads[0].Code, 0), RD(Cfg, P.Threads[0].Code),
+        CU(Cfg, P.Threads[0].Code, EA, RD, [](uint32_t) { return true; }) {}
 };
 
 } // namespace

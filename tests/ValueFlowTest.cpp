@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AccessTable.h"
-#include "analysis/ValueFlow.h"
+#include "analysis/ProgramPasses.h"
 #include "isa/Assembler.h"
 #include "workloads/Workloads.h"
 
@@ -68,25 +68,26 @@ std::vector<Program> propertyPrograms() {
 // pc, register) of the whole program population.
 TEST(ValueFlowProperty, NeverWiderThanEscape) {
   for (const Program &P : propertyPrograms()) {
-    ValueFlowAnalysis VF(P);
+    ProgramPasses PP(P, /*ValueFlow=*/true);
     for (isa::ThreadId Tid = 0; Tid < P.numThreads(); ++Tid) {
-      const EscapeAnalysis &E = VF.escape(Tid);
+      const ValueFlowAnalysis &VF = PP.valueFlow(Tid);
+      const EscapeAnalysis &E = PP.escape(Tid);
       const std::vector<isa::Instruction> &Code = P.Threads[Tid].Code;
       for (uint32_t Pc = 0; Pc < Code.size(); ++Pc) {
         for (isa::Reg R = 0; R < isa::NumRegs; ++R) {
-          Interval Sharp = VF.valueBefore(Tid, Pc, R);
+          Interval Sharp = VF.valueBefore(Pc, R);
           Interval Wide = E.valueBefore(Pc, R);
           EXPECT_TRUE(subsetOf(Sharp, Wide))
               << "thread " << unsigned(Tid) << " pc " << Pc << " r"
               << unsigned(R) << ": [" << Sharp.Lo << "," << Sharp.Hi
               << "] not within [" << Wide.Lo << "," << Wide.Hi << "]";
         }
-        Interval SharpA = VF.addressOf(Tid, Pc);
+        Interval SharpA = VF.addressOf(Pc);
         Interval WideA = E.addressOf(Pc);
         EXPECT_TRUE(subsetOf(SharpA, WideA))
             << "thread " << unsigned(Tid) << " pc " << Pc << " address";
         // SCCP reachability implies Escape reachability.
-        if (VF.reachable(Tid, Pc)) {
+        if (VF.reachable(Pc)) {
           EXPECT_TRUE(E.reachable(Pc));
         }
       }
@@ -100,12 +101,8 @@ TEST(ValueFlowProperty, NeverWiderThanEscape) {
 // LockProtected.
 TEST(ValueFlowProperty, ClassificationMonotone) {
   for (const Program &P : propertyPrograms()) {
-    AccessTableOptions Off;
-    Off.UseValueFlow = false;
-    AccessTableOptions On;
-    On.UseValueFlow = true;
-    AccessTable TOff = buildAccessTable(P, Off);
-    AccessTable TOn = buildAccessTable(P, On);
+    AccessTable TOff = buildAccessTable(ProgramPasses(P, false), 0);
+    AccessTable TOn = buildAccessTable(ProgramPasses(P, true), 0);
     for (isa::ThreadId Tid = 0; Tid < P.numThreads(); ++Tid) {
       const std::vector<isa::Instruction> &Code = P.Threads[Tid].Code;
       for (uint32_t Pc = 0; Pc < Code.size(); ++Pc) {
@@ -149,14 +146,15 @@ dead:
   st r3, [@x]
   halt
 )");
-  ValueFlowAnalysis VF(P);
+  ProgramPasses PP(P, /*ValueFlow=*/true);
+  const ValueFlowAnalysis &VF = PP.valueFlow(0);
   // pc 5 = "li r3, 7", pc 6 = the dead store.
-  EXPECT_FALSE(VF.reachable(0, 5));
-  EXPECT_FALSE(VF.reachable(0, 6));
-  EXPECT_TRUE(VF.escape(0).reachable(5));
+  EXPECT_FALSE(VF.reachable(5));
+  EXPECT_FALSE(VF.reachable(6));
+  EXPECT_TRUE(PP.escape(0).reachable(5));
   // The live side stays live and the stored value is the constant 1.
-  EXPECT_TRUE(VF.reachable(0, 3));
-  Interval V = VF.valueBefore(0, 3, 2);
+  EXPECT_TRUE(VF.reachable(3));
+  Interval V = VF.valueBefore(3, 2);
   EXPECT_EQ(V.Lo, 1);
   EXPECT_EQ(V.Hi, 1);
 }
@@ -174,14 +172,15 @@ TEST(ValueFlow, AffineTermTracksTidStride) {
   ld r3, [r2+@slab]
   halt
 )");
-  ValueFlowAnalysis VF(P);
+  ProgramPasses PP(P, /*ValueFlow=*/true);
   for (isa::ThreadId Tid = 0; Tid < 4; ++Tid) {
-    AffineTerm T = VF.addressTerm(Tid, 4);
+    const ValueFlowAnalysis &VF = PP.valueFlow(Tid);
+    AffineTerm T = VF.addressTerm(4);
     ASSERT_FALSE(T.Top);
     ASSERT_FALSE(T.bottom());
     EXPECT_EQ(T.TidStride, 8);
     EXPECT_EQ(T.Rem.Hi - T.Rem.Lo, 7);
-    Interval A = VF.addressOf(Tid, 4);
+    Interval A = VF.addressOf(4);
     EXPECT_EQ(A.Lo, int64_t(Tid) * 8);
     EXPECT_EQ(A.Hi, int64_t(Tid) * 8 + 7);
   }
@@ -208,12 +207,8 @@ loop:
   bnez r5, loop
   halt
 )");
-  AccessTableOptions Off;
-  Off.UseValueFlow = false;
-  AccessTableOptions On;
-  On.UseValueFlow = true;
-  AccessTable TOff = buildAccessTable(P, Off);
-  AccessTable TOn = buildAccessTable(P, On);
+  AccessTable TOff = buildAccessTable(ProgramPasses(P, false), 0);
+  AccessTable TOn = buildAccessTable(ProgramPasses(P, true), 0);
   for (isa::ThreadId Tid = 0; Tid < 4; ++Tid) {
     // pc 5 = ld, pc 7 = st.
     for (uint32_t Pc : {5u, 7u}) {
@@ -237,18 +232,19 @@ TEST(ValueFlow, RndBoundIsHalfOpen) {
   st r1, [@x]
   halt
 )");
-  ValueFlowAnalysis VF(P);
-  Interval R1 = VF.valueBefore(0, 3, 1);
+  ProgramPasses PP(P, /*ValueFlow=*/true);
+  const ValueFlowAnalysis &VF = PP.valueFlow(0);
+  Interval R1 = VF.valueBefore(3, 1);
   EXPECT_EQ(R1.Lo, 0);
   EXPECT_EQ(R1.Hi, 7);
   // A bound of 1 pins the register to exactly 0.
-  Interval R2 = VF.valueBefore(0, 3, 2);
+  Interval R2 = VF.valueBefore(3, 2);
   EXPECT_TRUE(R2.isConstant());
   EXPECT_EQ(R2.Lo, 0);
   // Bound 0 is the unreduced stream.
-  EXPECT_TRUE(VF.valueBefore(0, 3, 3).isFull());
+  EXPECT_TRUE(VF.valueBefore(3, 3).isFull());
   // The plain interval domain agrees on the half-open bound.
-  const EscapeAnalysis &E = VF.escape(0);
+  const EscapeAnalysis &E = PP.escape(0);
   EXPECT_EQ(E.valueBefore(3, 1).Lo, 0);
   EXPECT_EQ(E.valueBefore(3, 1).Hi, 7);
   EXPECT_TRUE(E.valueBefore(3, 3).isFull());

@@ -23,6 +23,7 @@
 #include "analysis/AccessTable.h"
 #include "analysis/AtomicProof.h"
 #include "analysis/Lint.h"
+#include "analysis/ProgramPasses.h"
 #include "isa/Assembler.h"
 #include "support/Cli.h"
 #include "support/StringUtils.h"
@@ -74,8 +75,10 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
   return !O.Files.empty();
 }
 
-void printEscapeTable(const isa::Program &P, uint32_t BlockShift) {
-  analysis::AccessTable Table = analysis::buildAccessTable(P, BlockShift);
+void printEscapeTable(const analysis::ProgramPasses &Passes,
+                      uint32_t BlockShift) {
+  const isa::Program &P = Passes.program();
+  analysis::AccessTable Table = analysis::buildAccessTable(Passes, BlockShift);
   std::printf("access classification (block shift %u): %llu local, "
               "%llu locked, %llu shared\n",
               BlockShift,
@@ -117,17 +120,15 @@ int lintFile(const std::string &File, const Options &O) {
     return 2;
   }
 
-  std::vector<analysis::LintDiag> Diags = analysis::lintProgram(P, O.Lint);
-
-  // The proof summary (re)runs proveAtomicCus; lintProgram already did
-  // once for the diagnostics, but programs are tiny and the CLI is cold
-  // anyway — simpler than widening the lint API to return both.
+  // One set of passes serves the lint families, the proofs and the
+  // access table. The proof summary proves a second time on it; lintProgram
+  // already did once for the diagnostics, but programs are tiny and the
+  // CLI is cold anyway — simpler than widening the lint API to return both.
+  analysis::ProgramPasses Passes(P, /*ValueFlow=*/O.Lint.Prove || O.Escape);
+  std::vector<analysis::LintDiag> Diags = analysis::lintProgram(Passes, O.Lint);
   analysis::CuProofs Proofs;
-  if (O.Lint.Prove) {
-    analysis::AccessTableOptions AO;
-    AO.BlockShift = O.BlockShift;
-    Proofs = analysis::proveAtomicCus(P, AO);
-  }
+  if (O.Lint.Prove)
+    Proofs = analysis::proveAtomicCus(Passes, O.BlockShift);
 
   if (O.Json) {
     std::string J = analysis::lintDiagsToJson(P, File, Diags);
@@ -155,7 +156,7 @@ int lintFile(const std::string &File, const Options &O) {
                 static_cast<unsigned long long>(Proofs.prunableSites()),
                 Proofs.prunableSites() == 1 ? "" : "s");
   if (O.Escape)
-    printEscapeTable(P, O.BlockShift);
+    printEscapeTable(Passes, O.BlockShift);
   return Diags.empty() ? 0 : 1;
 }
 
