@@ -6,10 +6,10 @@
 #include "analysis/ProgramPasses.h"
 #include "analysis/ReachingDefs.h"
 #include "analysis/StaticCu.h"
+#include "support/Error.h"
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <memory>
 #include <numeric>
 
@@ -96,7 +96,9 @@ CuProofs analysis::proveAtomicCus(const isa::Program &P,
 
 CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
                                   uint32_t BlockShift) {
-  assert(PP.hasValueFlow() && "the proofs need value-flow address bounds");
+  if (!PP.hasValueFlow())
+    support::fatalError("proveAtomicCus needs a bundle built with value "
+                        "flow: the proofs read its sharpened address bounds");
   const isa::Program &P = PP.program();
   CuProofs R;
   R.Shift = BlockShift;

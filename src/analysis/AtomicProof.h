@@ -140,6 +140,7 @@ private:
 /// inference, obligations O1-O6, alias-group fixpoint) over the bundle's
 /// program at block granularity \p BlockShift. The bundle must carry
 /// value flow: every address bound the proofs use is the sharpened one.
+/// A bundle without it is a fatal error in every build.
 /// Per thread the proof adds one ReachingDefs, one Liveness, one taint
 /// solve and one call graph to the bundle's passes.
 CuProofs proveAtomicCus(const ProgramPasses &PP, uint32_t BlockShift);

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -574,6 +575,44 @@ void runSession(SessionState &S, const StageTimers &Timers,
   }
 }
 
+/// The process-wide pool of idle assembled-trace buffers (DESIGN.md
+/// section 17), each bound to the empty program Unbound.
+struct TraceBufferPool {
+  const isa::Program Unbound;
+  std::mutex M;
+  std::vector<trace::ProgramTrace> Idle;
+};
+
+TraceBufferPool &traceBufferPool() {
+  static TraceBufferPool Pool;
+  return Pool;
+}
+
+/// A worker's lease on one pooled trace buffer, taken when the worker
+/// starts and returned when it ends. The buffer keeps its capacity
+/// across runServe calls; on return it is reset to the empty program,
+/// so an idle buffer never points into a caller's program and carries
+/// no shared-address cache.
+struct TraceBufferLease {
+  TraceBufferPool &Pool = traceBufferPool();
+  trace::ProgramTrace Buffer{Pool.Unbound};
+
+  TraceBufferLease() {
+    std::lock_guard<std::mutex> L(Pool.M);
+    if (!Pool.Idle.empty()) {
+      Buffer = std::move(Pool.Idle.back());
+      Pool.Idle.pop_back();
+    }
+  }
+  ~TraceBufferLease() {
+    Buffer.reset(Pool.Unbound);
+    std::lock_guard<std::mutex> L(Pool.M);
+    Pool.Idle.push_back(std::move(Buffer));
+  }
+  TraceBufferLease(const TraceBufferLease &) = delete;
+  TraceBufferLease &operator=(const TraceBufferLease &) = delete;
+};
+
 } // namespace
 
 ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
@@ -630,10 +669,11 @@ ServeReport serve::runServe(const std::vector<SessionInput> &Sessions,
   // level yields identical results.
   std::atomic<uint32_t> NextShard{0};
   auto Worker = [&]() {
-    // The worker's one trace buffer: every admission attempt resets and
-    // refills it, so its capacity is the largest session it assembled.
-    const isa::Program Unbound;
-    trace::ProgramTrace Buffer(Unbound);
+    // The worker's one trace buffer, leased from the pool: every
+    // admission attempt resets and refills it, so its capacity is the
+    // largest session it has assembled, in this call or an earlier one.
+    TraceBufferLease Lease;
+    trace::ProgramTrace &Buffer = Lease.Buffer;
     for (;;) {
       uint32_t K = NextShard.fetch_add(1);
       if (K >= Shards)

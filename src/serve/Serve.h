@@ -211,7 +211,10 @@ struct ServeReport {
 /// every shard's producer/consumer event loop (in parallel across
 /// shards up to Cfg.Jobs), and returns the classified report. Never
 /// throws for any input or fault plan — that is the contract under
-/// test.
+/// test. Each worker's assembled-trace buffer outlives the call: it is
+/// leased from a process-wide pool and returned, emptied, when the
+/// worker ends, so idle memory is at most one buffer per peak
+/// concurrent worker (DESIGN.md section 17).
 ServeReport runServe(const std::vector<SessionInput> &Sessions,
                      const ServeConfig &Cfg);
 

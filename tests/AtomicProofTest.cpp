@@ -9,6 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/AtomicProof.h"
+#include "analysis/ProgramPasses.h"
 #include "analysis/StaticLockset.h"
 #include "isa/Assembler.h"
 #include "isa/Cfg.h"
@@ -70,6 +71,71 @@ loop:
   for (const ProvenCu &U : Proofs.proven())
     EXPECT_EQ(U.MutexId, 0u);
   EXPECT_TRUE(Proofs.diagnostics().empty());
+}
+
+// A proof that only value flow's sharpened bounds decide. The counter
+// index is 0 on every feasible path, but the arm behind the constant
+// `bnez r6` guard sets it to 3, and Escape's raw bound joins both arms
+// into [0, 3]. Value flow drops the dead arm, so the member load covers
+// one block (O3) and both threads' units are proven; a proof that
+// expanded its sites from the raw bound would prove nothing. The index
+// and the guard are computed under the lock because their definitions
+// join the unit (address and control dependences), and O1 needs the
+// whole unit span under `m`.
+TEST(AtomicProof, OnlySharpenedBoundsProveGuardedCounter) {
+  Program P = asmProg(R"(
+.global counters 4
+.lock m
+.thread w x2
+  lock @m
+  li r6, 0
+  li r1, 0
+  bnez r6, skew
+  jmp bump
+skew:
+  li r1, 3
+bump:
+  ld r3, [r1+@counters]
+  addi r3, r3, 1
+  st r3, [r1+@counters]
+  unlock @m
+  halt
+)");
+  int64_t Base = P.findSymbol("counters")->Base;
+  ProgramPasses PP(P, /*ValueFlow=*/true);
+  for (isa::ThreadId Tid = 0; Tid < 2; ++Tid) {
+    // pc 6 = ld, pc 8 = st.
+    for (uint32_t Pc : {6u, 8u}) {
+      EXPECT_EQ(PP.addressOf(Tid, Pc), Interval::constant(Base));
+      EXPECT_EQ(PP.escape(Tid).addressOf(Pc),
+                Interval::range(Base, Base + 3));
+    }
+  }
+  CuProofs Proofs = proveAtomicCus(PP, 0);
+  ASSERT_EQ(Proofs.proven().size(), 2u);
+  EXPECT_EQ(Proofs.prunableSites(), 4u);
+  for (isa::ThreadId Tid = 0; Tid < 2; ++Tid) {
+    EXPECT_TRUE(Proofs.provenAt(Tid, 6));
+    EXPECT_TRUE(Proofs.provenAt(Tid, 8));
+  }
+}
+
+// The proofs read value flow's bounds, so a bundle built without value
+// flow is refused in every build type, not only where asserts are on.
+TEST(AtomicProofDeathTest, BundleWithoutValueFlowIsFatal) {
+  Program P = asmProg(R"(
+.global counter
+.lock m
+.thread w x2
+  lock @m
+  ld r1, [@counter]
+  addi r1, r1, 1
+  st r1, [@counter]
+  unlock @m
+  halt
+)");
+  ProgramPasses PP(P, /*ValueFlow=*/false);
+  EXPECT_DEATH((void)proveAtomicCus(PP, 0), "built with value flow");
 }
 
 // The same program without the lock: nothing is proven and, with no

@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace svd;
 using namespace svd::serve;
 using workloads::Workload;
@@ -429,6 +431,77 @@ TEST(Serve, ReusedShardTraceBufferMatchesBatch) {
       EXPECT_EQ(Ok, Sessions.size());
     }
   }
+}
+
+TEST(Serve, TraceBufferPoolCarriesNoStateAcrossCalls) {
+  // Trace buffers outlive runServe calls: each worker leases one from a
+  // process-wide pool and returns it, emptied, when it ends. References
+  // come from calls made before any large session has grown a pooled
+  // buffer. Then come a large-session call whose workloads die before
+  // the next call (so ASan flags any read through a pooled buffer that
+  // still points at their program), a small call, a shard-crash call,
+  // and two concurrent calls (so TSan sweeps the pool lock); each must
+  // reproduce its reference.
+  Workload Small = testWorkload();
+  std::vector<SessionInput> Sessions = makeSessions(Small, {1, 2, 3, 4, 5, 6});
+  fault::FaultPlanConfig Crash;
+  Crash.Name = "crash-some";
+  Crash.PlanSeed = 0x5e46;
+  Crash.ShardCrashRatePerMyriad = 800;
+  ServeConfig Cfg;
+  Cfg.Shards = 2;
+  Cfg.Jobs = 2;
+  ServeConfig CrashCfg = Cfg;
+  CrashCfg.FaultCfg = &Crash;
+  const ServeReport SmallRef = runServe(Sessions, Cfg);
+  const ServeReport CrashRef = runServe(Sessions, CrashCfg);
+
+  auto ExpectMatches = [&](const ServeReport &Ref, const ServeReport &Rep) {
+    ASSERT_EQ(Rep.Sessions.size(), Ref.Sessions.size());
+    for (size_t I = 0; I < Rep.Sessions.size(); ++I) {
+      const SessionReport &S = Rep.Sessions[I];
+      expectSameSession(Ref.Sessions[I], S);
+      if (S.Outcome == SessionOutcome::Ok) {
+        EXPECT_EQ(S.detectionSignature(),
+                  batchSessionReport(Sessions[I], Cfg).detectionSignature())
+            << "session " << I;
+      }
+    }
+  };
+
+  {
+    WorkloadParams BigP;
+    BigP.Threads = 4;
+    BigP.Iterations = 64;
+    BigP.WorkPadding = 5;
+    BigP.TouchOneIn = 1;
+    Workload Big = workloads::apacheLog(BigP);
+    std::vector<SessionInput> BigSessions = makeSessions(Big, {7, 8});
+    ServeReport Rep = runServe(BigSessions, Cfg);
+    ASSERT_EQ(Rep.Sessions.size(), 2u);
+    for (size_t I = 0; I < Rep.Sessions.size(); ++I) {
+      EXPECT_EQ(Rep.Sessions[I].Outcome, SessionOutcome::Ok);
+      EXPECT_GT(Rep.Sessions[I].EventsStreamed,
+                4 * SmallRef.Sessions[0].EventsStreamed);
+      EXPECT_EQ(Rep.Sessions[I].detectionSignature(),
+                batchSessionReport(BigSessions[I], Cfg).detectionSignature());
+    }
+  }
+
+  ExpectMatches(SmallRef, runServe(Sessions, Cfg));
+  ServeReport Crashed = runServe(Sessions, CrashCfg);
+  ExpectMatches(CrashRef, Crashed);
+  uint32_t Readmissions = 0;
+  for (const SessionReport &S : Crashed.Sessions)
+    Readmissions += S.Readmissions;
+  EXPECT_GT(Readmissions, 0u);
+
+  ServeReport Concurrent;
+  std::thread Other([&] { Concurrent = runServe(Sessions, CrashCfg); });
+  ServeReport Mine = runServe(Sessions, Cfg);
+  Other.join();
+  ExpectMatches(SmallRef, Mine);
+  ExpectMatches(CrashRef, Concurrent);
 }
 
 TEST(Serve, ExhaustedRetryBudgetFailsTheSessionOnly) {
