@@ -1,9 +1,17 @@
 //===- tests/OfflineDetectorTest.cpp - Figure 6 offline algorithm tests ---===//
 
 #include "TestUtil.h"
+#include "fault/Fault.h"
+#include "harness/Harness.h"
+#include "harness/Suites.h"
 #include "svd/OfflineDetector.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 
 using namespace svd;
 using namespace svd::detect;
@@ -30,6 +38,60 @@ std::vector<Violation> offlineReports(const ProgramTrace &T) {
   OfflineAnalysis A = runOfflinePipeline(T);
   EXPECT_EQ(A.Error, "");
   return A.Reports;
+}
+
+/// Expects runOfflinePipeline(T) to agree with the materialized path: an
+/// invalid trace yields validate's diagnostic and nothing else; a valid
+/// one yields CuPartition::compute(T)'s unit count and
+/// detectOffline(T, compute(T))'s reports, every field, in order.
+void expectPipelineMatchesPartition(const ProgramTrace &T,
+                                    const std::string &What) {
+  SCOPED_TRACE(What);
+  OfflineAnalysis A = runOfflinePipeline(T);
+  std::string Err;
+  if (!trace::validate(T, Err)) {
+    EXPECT_EQ(A.Error, "trace validation failed: " + Err);
+    EXPECT_EQ(A.CusFormed, 0u);
+    EXPECT_TRUE(A.Reports.empty());
+    return;
+  }
+  EXPECT_EQ(A.Error, "");
+  cu::CuPartition CUs = cu::CuPartition::compute(T);
+  EXPECT_EQ(A.CusFormed, CUs.units().size());
+  std::vector<Violation> Want = detectOffline(T, CUs);
+  ASSERT_EQ(A.Reports.size(), Want.size());
+  for (size_t I = 0; I < Want.size(); ++I) {
+    const Violation &Got = A.Reports[I], &W = Want[I];
+    EXPECT_EQ(Got.Seq, W.Seq) << "report " << I;
+    EXPECT_EQ(Got.Tid, W.Tid) << "report " << I;
+    EXPECT_EQ(Got.Pc, W.Pc) << "report " << I;
+    EXPECT_EQ(Got.OtherTid, W.OtherTid) << "report " << I;
+    EXPECT_EQ(Got.OtherPc, W.OtherPc) << "report " << I;
+    EXPECT_EQ(Got.OtherSeq, W.OtherSeq) << "report " << I;
+    EXPECT_EQ(Got.Address, W.Address) << "report " << I;
+  }
+}
+
+/// Checks \p T and its copies under every trace-perturbing plan of the
+/// offline detector's fault matrix, plus a truncation that leaves a
+/// valid prefix ending mid-CU.
+void expectPipelineMatchesOnPerturbations(const ProgramTrace &T,
+                                          uint64_t Seed,
+                                          const std::string &What) {
+  expectPipelineMatchesPartition(T, What);
+  std::vector<fault::FaultPlanConfig> Plans = fault::defaultPlanMatrix(12);
+  fault::FaultPlanConfig Truncate;
+  Truncate.Name = "truncate-half";
+  Truncate.TraceTruncateAt = std::max<uint64_t>(T.size() / 2, 1);
+  Plans.push_back(Truncate);
+  for (const fault::FaultPlanConfig &C : Plans) {
+    fault::FaultPlan Plan(C, Seed);
+    if (!Plan.perturbsTrace())
+      continue;
+    uint64_t Lost = 0;
+    expectPipelineMatchesPartition(Plan.corruptedCopy(T, Lost),
+                                   What + " plan " + C.Name);
+  }
 }
 
 } // namespace
@@ -129,4 +191,54 @@ TEST(OfflineDetector, StaticKeyGroupsSameCodePair) {
   C.Pc = 3;
   C.OtherPc = 8;
   EXPECT_NE(A.staticKey(), C.staticKey());
+}
+
+// runOfflinePipeline reads the CU count and each access's CU end straight
+// from Figure 5's final union-find; the materialized CuPartition is its
+// oracle on every suite workload, every example program and the traces
+// the offline detector's fault plans perturb. Each suite run stops at a
+// step budget, so the shadow suite's multi-million-event heaps contribute
+// a valid prefix rather than a whole trace.
+TEST(OfflineDetector, PipelineMatchesMaterializedPartition) {
+  const char *const Suites[] = {"table1", "table2",    "sec73",
+                                "fig1",   "interproc", "predict",
+                                "shadow", "serve"};
+  for (const char *Suite : Suites) {
+    std::vector<workloads::Workload> Ws = harness::suiteWorkloads(Suite);
+    ASSERT_FALSE(Ws.empty()) << Suite;
+    for (const workloads::Workload &W : Ws)
+      for (uint64_t Seed = 1; Seed <= 4; ++Seed) {
+        harness::SampleConfig SC;
+        SC.Seed = Seed;
+        SC.MaxSteps = 200'000;
+        vm::Machine M(W.Program, harness::machineConfigFor(SC));
+        trace::TraceRecorder R(W.Program);
+        M.addObserver(&R);
+        M.run();
+        expectPipelineMatchesOnPerturbations(
+            R.trace(), Seed,
+            std::string(Suite) + "/" + W.Name + " seed " +
+                std::to_string(Seed));
+      }
+  }
+
+  std::vector<std::filesystem::path> Files;
+  for (const auto &E :
+       std::filesystem::directory_iterator(SVD_EXAMPLES_ASM_DIR))
+    if (E.path().extension() == ".asm")
+      Files.push_back(E.path());
+  std::sort(Files.begin(), Files.end());
+  ASSERT_FALSE(Files.empty());
+  for (const std::filesystem::path &F : Files) {
+    std::ifstream In(F);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    isa::Program P;
+    std::vector<isa::AsmError> Errors;
+    ASSERT_TRUE(isa::assembleProgram(SS.str(), P, Errors)) << F;
+    for (uint64_t Seed = 1; Seed <= 4; ++Seed)
+      expectPipelineMatchesOnPerturbations(
+          recordRun(P, Seed), Seed,
+          F.filename().string() + " seed " + std::to_string(Seed));
+  }
 }

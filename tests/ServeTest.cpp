@@ -304,6 +304,36 @@ TEST(Serve, TenantBudgetDegradesStickyAndMatchesBatch) {
             batchSessionReport(Sessions[0], Cfg).detectionSignature());
 }
 
+TEST(Serve, TenantBudgetAtFrameBoundariesMatchesBatch) {
+  // Events frames carry 256 events, so these budgets run out one event
+  // before, on, and one event after the first frame boundary, and on the
+  // second: the kept prefix ends mid-frame or exactly at a frame's end.
+  Workload W = testWorkload();
+  std::vector<SessionInput> Sessions = makeSessions(W, {1, 2});
+  for (uint64_t Budget : {255u, 256u, 257u, 512u}) {
+    SCOPED_TRACE(Budget);
+    fault::FaultPlanConfig Plan;
+    Plan.Name = "tenant-budget";
+    Plan.DetectorEntryBudget = Budget;
+    ServeConfig Cfg;
+    Cfg.FaultCfg = &Plan;
+    ServeReport Rep = runServe(Sessions, Cfg);
+    ASSERT_EQ(Rep.Sessions.size(), Sessions.size());
+    for (size_t I = 0; I < Sessions.size(); ++I) {
+      const SessionReport &S = Rep.Sessions[I];
+      SessionReport B = batchSessionReport(Sessions[I], Cfg);
+      ASSERT_GT(S.EventsStreamed, Budget + FrameStreamer::EventsPerFrame);
+      EXPECT_EQ(S.EventsIngested, B.EventsIngested) << "session " << I;
+      EXPECT_EQ(S.EventsBudgetDropped, B.EventsBudgetDropped)
+          << "session " << I;
+      EXPECT_EQ(S.EventsBudgetDropped, S.EventsStreamed - Budget);
+      EXPECT_EQ(S.DegradedReason, B.DegradedReason) << "session " << I;
+      EXPECT_EQ(S.detectionSignature(), B.detectionSignature())
+          << "session " << I;
+    }
+  }
+}
+
 TEST(Serve, IngestionPlansCarryNoDetectorBudget) {
   // The tenant budget comes from the session's plan, so a plan with a
   // detector state budget would cap ingestion. No plan of the svd-serve
