@@ -105,7 +105,8 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
   uint32_t NumThreads = P.numThreads();
   R.ProvenPc.resize(NumThreads);
   uint32_t NumMutexes = static_cast<uint32_t>(P.Mutexes.size());
-  AccessTable Table = buildAccessTable(PP, BlockShift);
+  R.Table = buildAccessTable(PP, BlockShift);
+  const AccessTable &Table = R.Table;
 
   // Per-thread passes.
   std::vector<ThreadPasses> TP(NumThreads);

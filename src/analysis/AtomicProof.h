@@ -126,10 +126,16 @@ public:
   /// lock-order-cycle), unordered; Lint sorts after conversion.
   const std::vector<ProofDiag> &diagnostics() const { return Diags; }
 
+  /// The access table the proofs classified sites with, at the same
+  /// block granularity; callers that need both read it here instead of
+  /// building a second one.
+  const AccessTable &accessTable() const { return Table; }
+
 private:
   friend CuProofs proveAtomicCus(const ProgramPasses &PP,
                                  uint32_t BlockShift);
   uint32_t Shift = 0;
+  AccessTable Table;
   std::vector<std::vector<bool>> ProvenPc; ///< per (thread, pc)
   std::vector<ProvenCu> Proven;
   std::vector<ProofDiag> Diags;
@@ -138,7 +144,8 @@ private:
 
 /// Runs the whole proof pipeline (the access table, per-thread static CU
 /// inference, obligations O1-O6, alias-group fixpoint) over the bundle's
-/// program at block granularity \p BlockShift. The bundle must carry
+/// program at block granularity \p BlockShift. The result keeps the
+/// access table (CuProofs::accessTable). The bundle must carry
 /// value flow: every address bound the proofs use is the sharpened one.
 /// A bundle without it is a fatal error in every build.
 /// Per thread the proof adds one ReachingDefs, one Liveness, one taint

@@ -17,37 +17,28 @@ using trace::EventKind;
 using trace::ProgramTrace;
 using trace::TraceEvent;
 
+CuForest::CuForest(size_t N) : Parent(N), Last(N) {
+  for (size_t I = 0; I < N; ++I)
+    Parent[I] = static_cast<uint32_t>(I);
+}
+
 namespace {
 
-/// Union-find over event indices with per-root CU payload (the `active`
-/// flag and shVars set of Figure 5's CU_T), united by member count. A
-/// root's shVars set is a sorted vector in a pool, allocated when the
-/// root's CU first writes a shared word; most CUs never do.
-class UnionFind {
+/// The forest plus Figure 5's per-root CU payload (the `active` flag and
+/// shVars set of CU_T), united by member count. Every operation but
+/// find takes roots. A root's shVars set is a sorted vector in a pool,
+/// allocated when the root's CU first writes a shared word; most CUs
+/// never do.
+class UnionFind : public CuForest {
 public:
   static constexpr uint32_t NoShVars = UINT32_MAX;
 
   explicit UnionFind(size_t N)
-      : Parent(N), Size(N, 1), Active(N, 0), ShVarsOf(N, NoShVars) {
-    for (size_t I = 0; I < N; ++I)
-      Parent[I] = static_cast<uint32_t>(I);
-  }
+      : CuForest(N), Size(N, 1), Active(N, 0), ShVarsOf(N, NoShVars) {}
 
-  uint32_t find(uint32_t X) {
-    while (Parent[X] != X) {
-      Parent[X] = Parent[Parent[X]];
-      X = Parent[X];
-    }
-    return X;
-  }
-
-  /// Merges the sets of \p A and \p B; returns the new root. The payload
-  /// (active, shVars) is combined.
+  /// Merges the sets of roots \p A and \p B, one CU fewer; returns the
+  /// new root. The payload (active, shVars) is combined.
   uint32_t merge(uint32_t A, uint32_t B) {
-    A = find(A);
-    B = find(B);
-    if (A == B)
-      return A;
     // Union by member count keeps every tree shallow: a long CU absorbing
     // one new statement at a time would otherwise grow a parent chain.
     if (Size[A] < Size[B])
@@ -55,6 +46,7 @@ public:
     Parent[B] = A;
     Size[A] += Size[B];
     Active[A] = Active[A] | Active[B];
+    --Units;
     // The larger shVars set stays with the root, so only the smaller
     // one is copied; when B still has a pool entry, A has one too.
     if (shVarCount(A) < shVarCount(B))
@@ -72,15 +64,24 @@ public:
     return A;
   }
 
-  bool isActive(uint32_t X) { return Active[find(X)] != 0; }
-  void setActive(uint32_t X, bool V) { Active[find(X)] = V; }
-  bool hasShVar(uint32_t X, isa::Addr A) {
-    uint32_t Idx = ShVarsOf[find(X)];
+  /// Counts one more statement: it starts as a singleton CU.
+  void addStatement() { ++Units; }
+  /// Closes the step of statement \p E, which ended in \p Root's CU:
+  /// the CU stays active (line 14) and E is its newest member.
+  void endStep(uint32_t Root, uint32_t E) {
+    Active[Root] = 1;
+    Last[Root] = E;
+  }
+
+  bool isActive(uint32_t Root) const { return Active[Root] != 0; }
+  void deactivate(uint32_t Root) { Active[Root] = 0; }
+  bool hasShVar(uint32_t Root, isa::Addr A) const {
+    uint32_t Idx = ShVarsOf[Root];
     return Idx != NoShVars &&
            std::binary_search(Pool[Idx].begin(), Pool[Idx].end(), A);
   }
-  void addShVar(uint32_t X, isa::Addr A) {
-    uint32_t &Idx = ShVarsOf[find(X)];
+  void addShVar(uint32_t Root, isa::Addr A) {
+    uint32_t &Idx = ShVarsOf[Root];
     if (Idx == NoShVars) {
       Idx = static_cast<uint32_t>(Pool.size());
       Pool.push_back({A});
@@ -99,7 +100,6 @@ public:
   }
 
 private:
-  std::vector<uint32_t> Parent;
   /// Member count of each root's set.
   std::vector<uint32_t> Size;
   std::vector<uint8_t> Active;
@@ -127,14 +127,11 @@ bool isStatement(const TraceEvent &E) {
   }
 }
 
-} // namespace
-
+/// Figure 5 over \p T: \p Feed calls the statement step it is given once
+/// per event, ascending, with that event's incoming arcs.
 template <typename FeedFn>
-CuPartition CuPartition::run(const ProgramTrace &T, FeedFn &&Feed) {
-  CuPartition Out;
-  size_t N = T.size();
-  Out.EventUnit.assign(N, NoUnit);
-  UnionFind UF(N);
+UnionFind run(const ProgramTrace &T, FeedFn &&Feed) {
+  UnionFind UF(T.size());
 
   // Figure 5, per thread trace, in execution order. Processing the global
   // order restricted to statements is equivalent since all inspected arcs
@@ -143,34 +140,54 @@ CuPartition CuPartition::run(const ProgramTrace &T, FeedFn &&Feed) {
     const TraceEvent &Ev = T[E];
     if (!isStatement(Ev))
       return;
+    UF.addStatement();
 
-    // Lines 4-9: if s reads word v and some dependence predecessor's
-    // active CU has v among its shared writes, that CU is cut here.
-    if (Ev.Kind == EventKind::Load) {
-      for (const DepArc &A : In) {
-        if (A.Kind == DepKind::Conflict)
-          continue; // depPred holds true/control predecessors only
-        uint32_t PredRoot = UF.find(A.From);
-        if (UF.isActive(PredRoot) && UF.hasShVar(PredRoot, Ev.Address))
-          UF.setActive(PredRoot, false);
-      }
-    }
-
-    // Lines 10-13: merge the still-active predecessor CUs into s's CU.
+    // No earlier step can have merged s, so its CU starts as itself.
+    // Each arc resolves its predecessor's root once. A predecessor CU is
+    // judged on its own payload, which no merge of this step touches, so
+    // cutting and merging in one pass is Figure 5's two loops.
+    uint32_t Root = E;
+    bool IsLoad = Ev.Kind == EventKind::Load;
     for (const DepArc &A : In) {
       if (A.Kind == DepKind::Conflict)
+        continue; // depPred holds true/control predecessors only
+      uint32_t Pred = UF.find(A.From);
+      if (Pred == Root || !UF.isActive(Pred))
         continue;
-      if (UF.isActive(A.From))
-        UF.merge(E, A.From);
+      // Lines 4-9: if s reads word v and the predecessor's active CU has
+      // v among its shared writes, that CU is cut here.
+      if (IsLoad && UF.hasShVar(Pred, Ev.Address)) {
+        UF.deactivate(Pred);
+        continue;
+      }
+      // Lines 10-13: merge the still-active predecessor CU into s's CU.
+      Root = UF.merge(Root, Pred);
     }
 
     // Line 14: the grown CU keeps connecting to future statements.
-    UF.setActive(E, true);
+    UF.endStep(Root, E);
 
     // Lines 15-16: record shared words written by the CU.
     if (Ev.Kind == EventKind::Store && T.isSharedAddress(Ev.Address))
-      UF.addShVar(E, Ev.Address);
+      UF.addShVar(Root, Ev.Address);
   });
+  return UF;
+}
+
+} // namespace
+
+CuForest CuForest::compute(const ProgramTrace &T) {
+  // Only the forest survives; the CU payload dies with the union-find.
+  return static_cast<CuForest &&>(
+      run(T, [&T](auto &&Step) { pdg::forEachIncoming(T, Step); }));
+}
+
+template <typename FeedFn>
+CuPartition CuPartition::materialize(const ProgramTrace &T, FeedFn &&Feed) {
+  UnionFind UF = run(T, Feed);
+  CuPartition Out;
+  size_t N = T.size();
+  Out.EventUnit.assign(N, NoUnit);
 
   // Collect the final weakly connected components into CU records,
   // numbered by first member event.
@@ -198,12 +215,12 @@ CuPartition CuPartition::run(const ProgramTrace &T, FeedFn &&Feed) {
 }
 
 CuPartition CuPartition::compute(const ProgramTrace &T) {
-  return run(T, [&T](auto &&Step) { pdg::forEachIncoming(T, Step); });
+  return materialize(T, [&T](auto &&Step) { pdg::forEachIncoming(T, Step); });
 }
 
 CuPartition CuPartition::compute(const ProgramTrace &T,
                                  const pdg::DynamicPdg &G) {
-  return run(T, [&](auto &&Step) {
+  return materialize(T, [&](auto &&Step) {
     for (uint32_t E = 0; E < T.size(); ++E)
       Step(E, G.incoming(E));
   });

@@ -21,7 +21,16 @@
 ///
 /// The statement step (lines 4-16) is written once and fed either
 /// straight from pdg::forEachIncoming, one event at a time, or from a
-/// stored DynamicPdg.
+/// stored DynamicPdg. It runs one union-find `find` per dependence arc,
+/// and each union-find root keeps its CU's last member event.
+///
+/// Two results come out of the same run. CuForest is the final
+/// union-find itself: the CU count and, per statement, its CU's last
+/// member, which is all Figure 6 reads of a CU (its cu.maxSeqId), so the
+/// offline pipeline (svd/OfflineDetector.h) scans straight off it.
+/// CuPartition materializes full CU records (members, seq span, shVars)
+/// for the callers that print or inspect units: the figure benches, the
+/// exact checker and the tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +62,41 @@ struct ComputationalUnit {
   std::vector<isa::Addr> SharedWrites;
 };
 
+/// Figure 5's union-find as its last statement leaves it: the set of a
+/// statement's root is its CU, and each root keeps the CU's last member
+/// event.
+class CuForest {
+public:
+  /// Runs Figure 5 over every thread trace of \p T, fed each event's
+  /// arcs by pdg::forEachIncoming.
+  static CuForest compute(const trace::ProgramTrace &T);
+
+  /// CUs formed: statements minus successful unions.
+  uint64_t numUnits() const { return Units; }
+
+  /// Root of \p X's set (path halving).
+  uint32_t find(uint32_t X) {
+    while (Parent[X] != X) {
+      Parent[X] = Parent[Parent[X]];
+      X = Parent[X];
+    }
+    return X;
+  }
+
+  /// Last member event of statement \p E's CU; its Seq is the CU's
+  /// EndSeq because trace Seq never decreases.
+  uint32_t lastMemberOf(uint32_t E) { return Last[find(E)]; }
+
+protected:
+  /// N singleton sets; Last is written by each statement's step.
+  explicit CuForest(size_t N);
+
+  std::vector<uint32_t> Parent;
+  /// Per root: the CU's newest member event.
+  std::vector<uint32_t> Last;
+  uint64_t Units = 0;
+};
+
 /// The partition of a trace's dynamic statements into CUs.
 class CuPartition {
 public:
@@ -73,6 +117,12 @@ public:
   /// CU id of \p Event, or NoUnit.
   uint32_t unitOf(uint32_t Event) const { return EventUnit[Event]; }
 
+  /// EndSeq of \p Event's CU, or 0 when it has none.
+  uint64_t endSeqOf(uint32_t Event) const {
+    uint32_t U = EventUnit[Event];
+    return U == NoUnit ? 0 : Units[U].EndSeq;
+  }
+
   /// Human-readable dump (one line per CU) for debugging and the figure
   /// benches.
   std::string describe(const trace::ProgramTrace &T) const;
@@ -81,10 +131,11 @@ private:
   std::vector<ComputationalUnit> Units;
   std::vector<uint32_t> EventUnit;
 
-  /// Figure 5 over \p T: \p Feed calls the statement step it is given
-  /// once per event, ascending, with that event's incoming arcs.
+  /// Figure 5 over \p T fed by \p Feed, then the records of the final
+  /// union-find.
   template <typename FeedFn>
-  static CuPartition run(const trace::ProgramTrace &T, FeedFn &&Feed);
+  static CuPartition materialize(const trace::ProgramTrace &T,
+                                 FeedFn &&Feed);
 };
 
 } // namespace cu

@@ -9,9 +9,7 @@
 
 #include "harness/Suites.h"
 
-#include "analysis/AccessTable.h"
 #include "analysis/AtomicProof.h"
-#include "analysis/ProgramPasses.h"
 #include "cu/CuPartition.h"
 #include "harness/Harness.h"
 #include "harness/Runner.h"
@@ -195,26 +193,14 @@ struct PerfRow {
   }
 };
 
-/// The access table and the CU proofs of one program, from one set of
-/// per-thread passes.
-struct StaticLayer {
-  analysis::AccessTable Table;
-  analysis::CuProofs Proofs;
-
-  explicit StaticLayer(const isa::Program &P) {
-    analysis::ProgramPasses Passes(P, /*ValueFlow=*/true);
-    Table = analysis::buildAccessTable(Passes, 0);
-    Proofs = analysis::proveAtomicCus(Passes, 0);
-  }
-};
-
-PerfRow measurePerfRow(const Workload &W, const StaticLayer &S) {
+/// \p Proofs are \p W's CU proofs; their access table filters the run.
+PerfRow measurePerfRow(const Workload &W, const analysis::CuProofs &Proofs) {
   SampleConfig C;
   C.Seed = 1;
   vm::Machine M(W.Program, machineConfigFor(C));
   detect::OnlineSvdConfig SC;
-  SC.Access = &S.Table;
-  SC.Proofs = &S.Proofs;
+  SC.Access = &Proofs.accessTable();
+  SC.Proofs = &Proofs;
   detect::OnlineSvd Svd(W.Program, SC);
   M.addObserver(&Svd);
   M.run();
@@ -223,7 +209,7 @@ PerfRow measurePerfRow(const Workload &W, const StaticLayer &S) {
   R.Events = Svd.eventsObserved();
   R.PrunedEvents = Svd.prunedAccesses();
   R.FilteredEvents = Svd.filteredAccesses();
-  R.ProvenCus = S.Proofs.proven().size();
+  R.ProvenCus = Proofs.proven().size();
   return R;
 }
 
@@ -243,7 +229,7 @@ int runTable1(const SuiteOptions &O) {
   std::vector<PerfRow> Perf;
   if (O.Perf)
     for (const Workload &W : Ws)
-      Perf.push_back(measurePerfRow(W, StaticLayer(W.Program)));
+      Perf.push_back(measurePerfRow(W, analysis::proveAtomicCus(W.Program)));
 
   if (O.Json) {
     std::string J = "{\"suite\":\"table1\",\"rows\":[";
@@ -483,12 +469,12 @@ void printSec73Perf() {
                "Detector KiB", "Pruned %"});
   auto Ratio = [](double A, double B) { return B <= 0.0 ? 0.0 : A / B; };
   for (const Workload &W : sec73OverheadWorkloads()) {
-    StaticLayer S(W.Program);
-    PerfRow R = measurePerfRow(W, S);
+    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+    PerfRow R = measurePerfRow(W, Proofs);
     detect::OnlineSvdConfig Filtered;
-    Filtered.Access = &S.Table;
+    Filtered.Access = &Proofs.accessTable();
     detect::OnlineSvdConfig Pruned = Filtered;
-    Pruned.Proofs = &S.Proofs;
+    Pruned.Proofs = &Proofs;
     struct Config {
       const char *Name;
       const char *Detector;

@@ -236,10 +236,16 @@ DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
         support::formatString("frame seq %u wraps the sequence", FrameSeq));
   const uint8_t *P = Data + HeaderBytes;
 
-  Out = DecodedFrame();
+  // Refill Out in place: a consumer that decodes every frame into one
+  // DecodedFrame keeps its event buffer's capacity across frames.
   Out.Op = Op;
   Out.Session = FrameSession;
   Out.FrameSeq = FrameSeq;
+  Out.Events.clear();
+  Out.ShedSpanFrames = 0;
+  Out.ShedEpoch = 0;
+  Out.ShedDroppedEvents = 0;
+  Out.EndTotalEvents = 0;
 
   switch (Op) {
   case Opcode::Hello: {

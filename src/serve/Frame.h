@@ -160,7 +160,10 @@ public:
   /// Decodes one frame. \p MinSeq is the session's last ingested event
   /// sequence; the first event of the frame must not precede it (the
   /// cross-frame half of the nondecreasing-Seq invariant). Never
-  /// throws; every failure is a classified DecodeResult.
+  /// throws; every failure is a classified DecodeResult. Once the
+  /// header checks pass, \p Out is refilled in place: its Events are
+  /// cleared, not reallocated, so a consumer decoding into one frame
+  /// keeps the buffer's capacity.
   DecodeResult decode(const uint8_t *Data, size_t Size, uint64_t MinSeq,
                       DecodedFrame &Out) const;
   DecodeResult decode(const std::vector<uint8_t> &Bytes, uint64_t MinSeq,

@@ -15,6 +15,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 
 using namespace svd;
@@ -285,17 +286,22 @@ void ingestFrame(const DecodedFrame &F, Assembly &A, SessionReport &R,
       A.NextFrame = F.FrameSeq + 1;
       break;
     }
-    for (const trace::TraceEvent &E : F.Events) {
-      ++R.EventsIngested;
-      if (A.Ledger.overBudget(A.Trace.size())) {
-        ++R.EventsBudgetDropped;
-        A.Ledger.recordEviction();
-      } else {
-        A.Trace.appendUnchecked(E);
+    if (!F.Events.empty()) {
+      // The events that fit the tenant budget go in with one insert; the
+      // rest are booked dropped, one eviction each.
+      std::span<const trace::TraceEvent> Kept(
+          F.Events.data(),
+          std::min<uint64_t>(F.Events.size(),
+                             A.Ledger.room(A.Trace.size())));
+      A.Trace.append(Kept);
+      for (const trace::TraceEvent &E : Kept)
         if (E.isMemory())
           Seen.touch(E.Address) = 1;
-      }
-      A.LastSeq = E.Seq;
+      for (size_t I = Kept.size(); I < F.Events.size(); ++I)
+        A.Ledger.recordEviction();
+      R.EventsIngested += F.Events.size();
+      R.EventsBudgetDropped += F.Events.size() - Kept.size();
+      A.LastSeq = F.Events.back().Seq;
     }
     A.NextFrame = F.FrameSeq + 1;
     break;
@@ -322,9 +328,10 @@ void flushHeld(Assembly &A, SessionReport &R, shadow::Table<uint8_t> &Seen) {
 }
 
 /// Resequencer: in-order frames ingest immediately; one out-of-order
-/// frame is held; a second forces an ascending flush with the gap
-/// recorded as lost. Duplicates (sequence already passed) drop.
-void admitDecoded(DecodedFrame &&F, Assembly &A, SessionReport &R,
+/// frame is held (moved out of \p F); a second forces an ascending flush
+/// with the gap recorded as lost. Duplicates (sequence already passed)
+/// drop.
+void admitDecoded(DecodedFrame &F, Assembly &A, SessionReport &R,
                   shadow::Table<uint8_t> &Seen) {
   // Decode guarantees the sum neither wraps nor is empty.
   uint32_t EndSeq =
@@ -343,14 +350,14 @@ void admitDecoded(DecodedFrame &&F, Assembly &A, SessionReport &R,
     if (A.Held->FrameSeq > F.FrameSeq)
       std::swap(*A.Held, F);
     flushHeld(A, R, Seen);
-    admitDecoded(std::move(F), A, R, Seen);
+    admitDecoded(F, A, R, Seen);
     return;
   }
   ingestFrame(F, A, R, Seen);
   if (A.Held && A.Held->FrameSeq <= A.NextFrame) {
     DecodedFrame Next = std::move(*A.Held);
     A.Held.reset();
-    admitDecoded(std::move(Next), A, R, Seen);
+    admitDecoded(Next, A, R, Seen);
   }
 }
 
@@ -393,6 +400,9 @@ std::optional<std::string> runAttempt(SessionState &S, uint32_t Attempt,
   uint32_t ConsecutiveBlocks = 0;
   uint64_t ConsumerStall = 0;
   uint64_t DeliveredPos = 0;
+  // Every frame decodes into this one, which keeps its event buffer's
+  // capacity from frame to frame.
+  DecodedFrame Decoded;
 
   auto ShedOldestEpoch = [&]() {
     // Find the oldest un-pushed Events frame and drop its whole epoch
@@ -478,13 +488,12 @@ std::optional<std::string> runAttempt(SessionState &S, uint32_t Attempt,
         ConsumerStall += Plan->frameStallTicks();
       if (R.Outcome == SessionOutcome::Poisoned)
         continue; // drain-and-drop; the stream is already untrusted
-      DecodedFrame Decoded;
       // Intra-frame validation happens here (MinSeq 0); cross-frame
       // order is enforced at ingest time, after duplicate frames have
       // been dropped (a duplicate legitimately replays old sequences).
       DecodeResult DR = Codec.decode(S.Wire[At].Bytes, /*MinSeq=*/0, Decoded);
       if (DR.Ok) {
-        admitDecoded(std::move(Decoded), A, R, Seen);
+        admitDecoded(Decoded, A, R, Seen);
         if (!A.SeqReject)
           continue;
         DR = DecodeResult::fail(Reject::NonMonotonicSeq, *A.SeqReject);

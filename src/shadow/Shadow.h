@@ -194,6 +194,12 @@ public:
   /// entries would exceed the budget (0 = unbounded).
   bool overBudget(uint64_t Live) const { return Max != 0 && Live >= Max; }
 
+  /// Entries a lane with \p Live live entries may still create before
+  /// overBudget holds (UINT64_MAX when unbounded).
+  uint64_t room(uint64_t Live) const {
+    return Max == 0 ? UINT64_MAX : Live >= Max ? 0 : Max - Live;
+  }
+
   /// Records one deterministic eviction and raises the sticky flag.
   void recordEviction() {
     DegradedFlag = true;

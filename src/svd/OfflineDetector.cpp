@@ -90,8 +90,14 @@ void detect::registerOfflineDetector(DetectorRegistry &R) {
          }});
 }
 
-std::vector<Violation> detect::detectOffline(const ProgramTrace &T,
-                                             const CuPartition &CUs) {
+namespace {
+
+/// Figure 6's scan over \p T. \p EndSeqOf(E) is the Seq of the last
+/// statement of memory access E's CU (its cu.maxSeqId), or 0 when E
+/// has no CU. Returns the strict-2PL violations in detection order.
+template <typename EndSeqFn>
+std::vector<Violation> scanOpenCus(const ProgramTrace &T,
+                                   EndSeqFn &&EndSeqOf) {
   std::vector<Violation> Out;
 
   // Per word: the memory accesses whose owning CU has not yet finished.
@@ -139,14 +145,18 @@ std::vector<Violation> detect::detectOffline(const ProgramTrace &T,
     }
 
     // This access joins its own CU's open window.
-    uint32_t Unit = CUs.unitOf(E);
-    if (Unit != CuPartition::NoUnit) {
-      uint64_t End = CUs.units()[Unit].EndSeq;
-      if (End > Ev.Seq)
-        Slot.push_back({E, End, IsWrite});
-    }
+    uint64_t End = EndSeqOf(E);
+    if (End > Ev.Seq)
+      Slot.push_back({E, End, IsWrite});
   }
   return Out;
+}
+
+} // namespace
+
+std::vector<Violation> detect::detectOffline(const ProgramTrace &T,
+                                             const CuPartition &CUs) {
+  return scanOpenCus(T, [&CUs](uint32_t E) { return CUs.endSeqOf(E); });
 }
 
 OfflineAnalysis detect::runOfflinePipeline(const ProgramTrace &T) {
@@ -156,8 +166,11 @@ OfflineAnalysis detect::runOfflinePipeline(const ProgramTrace &T) {
     A.Error = "trace validation failed: " + Err;
     return A;
   }
-  CuPartition CUs = CuPartition::compute(T);
-  A.CusFormed = CUs.units().size();
-  A.Reports = detectOffline(T, CUs);
+  // Figure 6 reads one fact of a CU, its end, so it scans straight off
+  // Figure 5's final union-find; no CU record is built.
+  cu::CuForest CUs = cu::CuForest::compute(T);
+  A.CusFormed = CUs.numUnits();
+  A.Reports = scanOpenCus(
+      T, [&](uint32_t E) { return T[CUs.lastMemberOf(E)].Seq; });
   return A;
 }

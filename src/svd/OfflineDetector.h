@@ -8,10 +8,15 @@
 /// The offline, multi-pass serializability-violation detector of Section
 /// 4.1. Pass 1 is the CU computation (cu/CuPartition.h, Figure 5); pass 2
 /// assigns the total order and records where each CU finishes (the trace
-/// already carries sequence numbers, and CuPartition records EndSeq);
-/// pass 3 (this file, Figure 6) scans the total order and reports a
-/// strict-2PL violation whenever a statement conflicts with a statement
-/// of another thread's still-unfinished CU.
+/// already carries sequence numbers, and each union-find root keeps its
+/// CU's last member event); pass 3 (this file, Figure 6) scans the total
+/// order and reports a strict-2PL violation whenever a statement
+/// conflicts with a statement of another thread's still-unfinished CU.
+///
+/// Figure 6 reads one fact of a CU, its end, so its scan is written once
+/// over an "end seq of E's CU" lookup. runOfflinePipeline runs it
+/// straight off Figure 5's final union-find (cu::CuForest) and builds
+/// no CU record; detectOffline runs it over a materialized CuPartition.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,9 +65,10 @@ struct OfflineAnalysis {
   std::string Error;
 };
 
-/// The whole offline pipeline: validates \p T (trace::validate), builds
-/// its d-PDG, computes CUs (Figure 5), and runs the strict-2PL scan
-/// (Figure 6).
+/// The whole offline pipeline: validates \p T (trace::validate), then
+/// runs the d-PDG and Figure 5 as one pass and the strict-2PL scan
+/// (Figure 6) over the resulting union-find. Its counts and reports
+/// equal CuPartition::compute(T) and detectOffline(T, compute(T)).
 OfflineAnalysis runOfflinePipeline(const trace::ProgramTrace &T);
 
 } // namespace detect

@@ -23,6 +23,19 @@ void ProgramTrace::append(const TraceEvent &E) {
   appendUnchecked(E);
 }
 
+void ProgramTrace::append(std::span<const TraceEvent> Es) {
+#ifndef NDEBUG
+  uint64_t Prev = Events.empty() ? 0 : Events.back().Seq;
+  for (const TraceEvent &E : Es) {
+    assert(Prev <= E.Seq && "events must arrive in execution order");
+    assert(E.Tid < numThreads() && "thread id out of range");
+    Prev = E.Seq;
+  }
+#endif
+  SharedBuilt = false;
+  Events.insert(Events.end(), Es.begin(), Es.end());
+}
+
 void ProgramTrace::appendUnchecked(const TraceEvent &E) {
   SharedBuilt = false;
   Events.push_back(E);

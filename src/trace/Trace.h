@@ -19,6 +19,7 @@
 #include "vm/Observer.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,9 @@ public:
 
   /// Appends \p E; events must arrive in nondecreasing Seq order.
   void append(const TraceEvent &E);
+
+  /// Appends \p Es in one insert, under append(E)'s contract for each.
+  void append(std::span<const TraceEvent> Es);
 
   /// Appends \p E without invariant checks — the fault-injection path
   /// (fault/Fault.h) uses it to build deliberately malformed traces;

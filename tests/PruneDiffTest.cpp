@@ -17,7 +17,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/AccessTable.h"
 #include "analysis/AtomicProof.h"
 #include "fault/Fault.h"
 #include "harness/Suites.h"
@@ -46,9 +45,9 @@ struct DiffResult {
 /// Runs \p W once under \p MC with a full and a pruned OnlineSvd on the
 /// SAME machine and asserts report equivalence. Returns the pruned
 /// detector's counters so callers can assert pruning actually engaged.
-/// \p Proofs/\p Table belong to the caller (shared across runs).
+/// \p Proofs belongs to the caller (shared across runs); the pruned
+/// detector also reads the access table the proofs classified with.
 DiffResult runDiff(const workloads::Workload &W, vm::MachineConfig MC,
-                   const analysis::AccessTable &Table,
                    const analysis::CuProofs &Proofs,
                    const std::string &Ctx) {
   vm::Machine M(W.Program, MC);
@@ -57,7 +56,7 @@ DiffResult runDiff(const workloads::Workload &W, vm::MachineConfig MC,
   detect::OnlineSvd Full(W.Program, FullCfg);
 
   detect::OnlineSvdConfig PrunedCfg;
-  PrunedCfg.Access = &Table;
+  PrunedCfg.Access = &Proofs.accessTable();
   PrunedCfg.Proofs = &Proofs;
   detect::OnlineSvd Pruned(W.Program, PrunedCfg);
 
@@ -97,13 +96,6 @@ vm::MachineConfig configFor(uint64_t Seed, uint32_t MinTs, uint32_t MaxTs) {
   return MC;
 }
 
-/// Shared static artifacts for one workload.
-struct Statics {
-  analysis::AccessTable Table;
-  analysis::CuProofs Proofs;
-  explicit Statics(const isa::Program &P)
-      : Table(analysis::buildAccessTable(P)), Proofs(analysis::proveAtomicCus(P)) {}
-};
 
 } // namespace
 
@@ -117,7 +109,7 @@ TEST(PruneDiff, AllSuitesAllSeeds) {
     std::vector<workloads::Workload> Ws = harness::suiteWorkloads(Suite);
     ASSERT_FALSE(Ws.empty()) << Suite;
     for (const workloads::Workload &W : Ws) {
-      Statics S(W.Program);
+      analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
       for (uint64_t Seed : {1, 7, 23}) {
         for (auto [MinTs, MaxTs] : {std::pair<uint32_t, uint32_t>{1, 4},
                                     std::pair<uint32_t, uint32_t>{8, 32}}) {
@@ -125,7 +117,7 @@ TEST(PruneDiff, AllSuitesAllSeeds) {
                             std::to_string(Seed) + " ts " +
                             std::to_string(MinTs) + ".." +
                             std::to_string(MaxTs);
-          runDiff(W, configFor(Seed, MinTs, MaxTs), S.Table, S.Proofs, Ctx);
+          runDiff(W, configFor(Seed, MinTs, MaxTs), Proofs, Ctx);
         }
       }
     }
@@ -147,13 +139,13 @@ TEST(PruneDiff, ChaosPlanMatrix) {
 
   std::vector<fault::FaultPlanConfig> Plans = fault::defaultPlanMatrix(5);
   for (const workloads::Workload &W : Ws) {
-    Statics S(W.Program);
+    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
     for (const fault::FaultPlanConfig &PC : Plans) {
       for (uint64_t Seed : {1, 11}) {
         fault::FaultPlan Plan(PC, Seed);
         vm::MachineConfig MC = configFor(Seed, 1, 4);
         MC.Faults = &Plan;
-        runDiff(W, MC, S.Table, S.Proofs,
+        runDiff(W, MC, Proofs,
                 W.Name + " plan " + PC.Name + " seed " +
                     std::to_string(Seed));
       }
@@ -171,8 +163,8 @@ TEST(PruneDiff, ShowcaseWorkloadsPruneNonzero) {
   uint64_t TotalPruned = 0;
   for (workloads::Workload W :
        {workloads::lockedCounters(WP), workloads::tidSlab(WP)}) {
-    Statics S(W.Program);
-    DiffResult R = runDiff(W, configFor(5, 1, 4), S.Table, S.Proofs, W.Name);
+    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+    DiffResult R = runDiff(W, configFor(5, 1, 4), Proofs, W.Name);
     EXPECT_GT(R.Pruned, 0u) << W.Name;
     TotalPruned += R.Pruned;
   }
@@ -192,15 +184,15 @@ TEST(PruneDiff, ProcWorkloadsPruneNonzeroAndStayEquivalent) {
   WP.WorkPadding = 8;
   workloads::Workload Cache = workloads::procCache(WP);
   {
-    Statics S(Cache.Program);
+    analysis::CuProofs Proofs = analysis::proveAtomicCus(Cache.Program);
     DiffResult R =
-        runDiff(Cache, configFor(3, 1, 4), S.Table, S.Proofs, Cache.Name);
+        runDiff(Cache, configFor(3, 1, 4), Proofs, Cache.Name);
     EXPECT_GT(R.Pruned, 0u) << "cross-function proof never engaged";
   }
   workloads::Workload Gap = workloads::procGap(WP);
-  Statics S(Gap.Program);
+  analysis::CuProofs Proofs = analysis::proveAtomicCus(Gap.Program);
   for (uint64_t Seed : {1, 7, 23})
-    runDiff(Gap, configFor(Seed, 1, 4), S.Table, S.Proofs,
+    runDiff(Gap, configFor(Seed, 1, 4), Proofs,
             Gap.Name + " seed " + std::to_string(Seed));
 }
 
@@ -212,7 +204,7 @@ TEST(PruneDiff, PgsqlPrunesAtTable1Size) {
   WP.Iterations = 150;
   WP.WorkPadding = 80;
   workloads::Workload W = workloads::pgsqlOltp(WP);
-  Statics S(W.Program);
-  DiffResult R = runDiff(W, configFor(1, 1, 4), S.Table, S.Proofs, W.Name);
+  analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+  DiffResult R = runDiff(W, configFor(1, 1, 4), Proofs, W.Name);
   EXPECT_GT(R.Pruned, 0u);
 }

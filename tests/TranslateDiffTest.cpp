@@ -322,8 +322,8 @@ TEST(TranslateDiff, StaticHintFoldMatchesTableLookups) {
       Ws.push_back(std::move(W));
   ASSERT_EQ(Ws.size(), 3u);
   for (const workloads::Workload &W : Ws) {
-    analysis::AccessTable Table = analysis::buildAccessTable(W.Program);
     analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+    const analysis::AccessTable &Table = Proofs.accessTable();
     vm::TransCache Hinted(W.Program, [&](isa::ThreadId Tid, uint32_t Pc) {
       uint8_t H = vm::HintClassified;
       if (Table.classify(Tid, Pc) == analysis::AccessClass::ThreadLocal)
