@@ -145,9 +145,6 @@ std::vector<uint8_t> FrameCodec::encodeEvents(const trace::TraceEvent *Events,
     W.put32(E.Pc);
     W.put8(static_cast<uint8_t>(E.Kind));
     W.put32(E.Address);
-    W.put64(static_cast<uint64_t>(E.Value));
-    W.put8(E.Taken ? 1 : 0);
-    W.put32(E.Target);
     W.put32(E.MutexId);
   }
   return W.seal();
@@ -285,10 +282,7 @@ DecodeResult FrameCodec::decode(const uint8_t *Data, size_t Size,
       E.Pc = get32(P + 12);
       uint8_t KindByte = P[16];
       E.Address = get32(P + 17);
-      E.Value = static_cast<isa::Word>(get64(P + 21));
-      E.Taken = P[29] != 0;
-      E.Target = get32(P + 30);
-      E.MutexId = get32(P + 34);
+      E.MutexId = get32(P + 21);
 
       // The frame-level mirror of trace::validate: every field an
       // analysis pass will index with, checked before Instr resolution.

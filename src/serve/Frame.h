@@ -17,24 +17,25 @@
 /// FrameStreamer is the producer side: it encodes a running execution
 /// into frames without recording the whole trace first.
 ///
-/// Frame layout (version 2; all integers little-endian):
+/// Frame layout (version 3; all integers little-endian):
 ///
 ///   header (20 bytes): 'S' 'V' version opcode session[4] frameseq[4]
 ///                      payload_len[4] checksum[4]
 ///   checksum: CRC-32C (support/Crc32c.h) over the first 16 header
 ///             bytes then the payload, so any in-flight bit flip —
-///             including in fields no analysis pass would otherwise
-///             validate, like an event's Value — downgrades to one
-///             classified reject instead of silently changing detection
-///             results. Every one- and two-bit error in a frame is
-///             caught. Version 1 frames carried an FNV-1a checksum and
-///             are rejected as bad-version.
+///             including in fields no range check would otherwise
+///             catch, like a memory event's mutex field or an in-range
+///             FrameSeq — downgrades to one classified reject instead of
+///             silently changing detection results. Every one- and
+///             two-bit error in a frame is caught. Version 1 frames
+///             carried an FNV-1a checksum and version 2 frames 38-byte
+///             event records with load/store values and branch outcomes;
+///             both are rejected as bad-version.
 ///   payload:
 ///     Hello  — threads[4] memory_words[4] mutexes[4] instructions[8]
 ///              (a program fingerprint; mismatch poisons the session)
-///     Events — N x 38-byte event records:
-///              seq[8] tid[4] pc[4] kind[1] addr[4] value[8] taken[1]
-///              target[4] mutex[4]
+///     Events — N x 25-byte event records:
+///              seq[8] tid[4] pc[4] kind[1] addr[4] mutex[4]
 ///     Shed   — span_frames[4] epoch[4] dropped_events[8]
 ///              (an overloaded producer's never-silent loss marker)
 ///     End    — total_events[8]
@@ -134,9 +135,9 @@ class FrameCodec {
 public:
   static constexpr uint8_t Magic0 = 'S';
   static constexpr uint8_t Magic1 = 'V';
-  static constexpr uint8_t Version = 2;
+  static constexpr uint8_t Version = 3;
   static constexpr size_t HeaderBytes = 20;
-  static constexpr size_t EventBytes = 38;
+  static constexpr size_t EventBytes = 25;
   /// Hard frame-size limit: a length prefix admitting more than this
   /// many events is rejected before any allocation sized from it.
   static constexpr size_t MaxEventsPerFrame = 65536;

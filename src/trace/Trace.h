@@ -38,6 +38,10 @@ enum class EventKind : uint8_t {
 };
 
 /// One dynamic statement (or synchronization operation) of the trace.
+/// It carries only what a verdict reads: thread, pc, kind, address and
+/// lock, in trace order. The value a load or store moved and a branch's
+/// outcome are not kept; a branch's direction shows in the pc of its
+/// thread's next event.
 struct TraceEvent {
   uint64_t Seq = 0;  ///< position in the total order
   isa::ThreadId Tid = 0;
@@ -45,9 +49,6 @@ struct TraceEvent {
   const isa::Instruction *Instr = nullptr;
   EventKind Kind = EventKind::Alu;
   isa::Addr Address = 0;  ///< Load/Store: the accessed word
-  isa::Word Value = 0;    ///< Load/Store: the transferred value
-  bool Taken = false;     ///< Branch
-  uint32_t Target = 0;    ///< Branch: next pc
   uint32_t MutexId = 0;   ///< Lock/Unlock
 
   bool isMemory() const {
@@ -126,11 +127,10 @@ bool validate(const ProgramTrace &T, std::string &Error);
 template <typename Sink>
 class TraceEventBuilder : public vm::ExecutionObserver {
 public:
-  void onLoad(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
-  void onStore(const vm::EventCtx &Ctx, isa::Addr A, isa::Word V) override;
+  void onLoad(const vm::EventCtx &Ctx, isa::Addr A, isa::Word) override;
+  void onStore(const vm::EventCtx &Ctx, isa::Addr A, isa::Word) override;
   void onAlu(const vm::EventCtx &Ctx) override;
-  void onBranch(const vm::EventCtx &Ctx, bool Taken,
-                uint32_t Target) override;
+  void onBranch(const vm::EventCtx &Ctx, bool, uint32_t) override;
   void onLock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
   void onUnlock(const vm::EventCtx &Ctx, uint32_t MutexId) override;
   void onThreadFinished(const vm::EventCtx &Ctx) override;
@@ -154,19 +154,17 @@ private:
 // which keeps record() inlinable into every callback.
 template <typename Sink>
 void TraceEventBuilder<Sink>::onLoad(const vm::EventCtx &Ctx, isa::Addr A,
-                                     isa::Word V) {
+                                     isa::Word) {
   TraceEvent E = base(Ctx, EventKind::Load);
   E.Address = A;
-  E.Value = V;
   emit(E);
 }
 
 template <typename Sink>
 void TraceEventBuilder<Sink>::onStore(const vm::EventCtx &Ctx, isa::Addr A,
-                                      isa::Word V) {
+                                      isa::Word) {
   TraceEvent E = base(Ctx, EventKind::Store);
   E.Address = A;
-  E.Value = V;
   emit(E);
 }
 
@@ -176,12 +174,9 @@ void TraceEventBuilder<Sink>::onAlu(const vm::EventCtx &Ctx) {
 }
 
 template <typename Sink>
-void TraceEventBuilder<Sink>::onBranch(const vm::EventCtx &Ctx, bool Taken,
-                                       uint32_t Target) {
-  TraceEvent E = base(Ctx, EventKind::Branch);
-  E.Taken = Taken;
-  E.Target = Target;
-  emit(E);
+void TraceEventBuilder<Sink>::onBranch(const vm::EventCtx &Ctx, bool,
+                                       uint32_t) {
+  emit(base(Ctx, EventKind::Branch));
 }
 
 template <typename Sink>

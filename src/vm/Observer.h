@@ -60,6 +60,11 @@ struct EventCtx {
 /// and not yet notified is notified exactly once; a removed observer
 /// receives no further callbacks. Adding observers mid-run is not part
 /// of the contract.
+///
+/// The trace (trace::TraceEvent) and the serve wire keep none of the
+/// load/store Value, branch Taken or Target; the callbacks still pass
+/// them because EngineDigestTest folds them into its translated ==
+/// interpreted oracle, and the VM computes them anyway.
 class ExecutionObserver {
 public:
   virtual ~ExecutionObserver();

@@ -125,7 +125,7 @@ std::vector<uint8_t> referenceFrame(Opcode Op, uint32_t Session,
   return B;
 }
 
-/// The 38-byte wire records of \p Events, field by field.
+/// The 25-byte wire records of \p Events, field by field.
 std::vector<uint8_t>
 referenceEventPayload(const std::vector<trace::TraceEvent> &Events) {
   std::vector<uint8_t> B;
@@ -135,9 +135,6 @@ referenceEventPayload(const std::vector<trace::TraceEvent> &Events) {
     putLE(B, E.Pc, 4);
     putLE(B, static_cast<uint8_t>(E.Kind), 1);
     putLE(B, E.Address, 4);
-    putLE(B, static_cast<uint64_t>(E.Value), 8);
-    putLE(B, E.Taken ? 1 : 0, 1);
-    putLE(B, E.Target, 4);
     putLE(B, E.MutexId, 4);
   }
   return B;
@@ -211,9 +208,6 @@ TEST(ServeCodec, EventsRoundTripPreservesEveryField) {
     EXPECT_EQ(A.Pc, B.Pc) << I;
     EXPECT_EQ(A.Kind, B.Kind) << I;
     EXPECT_EQ(A.Address, B.Address) << I;
-    EXPECT_EQ(A.Value, B.Value) << I;
-    EXPECT_EQ(A.Taken, B.Taken) << I;
-    EXPECT_EQ(A.Target, B.Target) << I;
     EXPECT_EQ(A.MutexId, B.MutexId) << I;
     // The decoder re-resolves the Instr pointer against its own
     // program — decoded events are safe to hand to any analysis pass.
@@ -242,8 +236,7 @@ TEST(ServeCodec, ShedAndEndRoundTrip) {
 
 TEST(ServeCodec, EncodeEventsMatchesByteReference) {
   // The encoder does not validate, so every field can take its extreme
-  // value: Seq up to UINT64_MAX, negative Values, both Taken values and
-  // all-ones Tid/Pc/Address/Target/MutexId.
+  // value: Seq up to UINT64_MAX and all-ones Tid/Pc/Address/MutexId.
   isa::Program P = testProgram();
   FrameCodec C(P, UINT32_MAX);
   for (size_t Count : {size_t(0), size_t(1), FrameCodec::MaxEventsPerFrame}) {
@@ -257,10 +250,6 @@ TEST(ServeCodec, EncodeEventsMatchesByteReference) {
       E.Kind = static_cast<trace::EventKind>(
           I % (static_cast<size_t>(trace::EventKind::ThreadEnd) + 1));
       E.Address = UINT32_MAX ^ Lo;
-      E.Value = I % 2 ? INT64_MIN + static_cast<int64_t>(I)
-                      : -1 - static_cast<int64_t>(I);
-      E.Taken = I % 2 == 0;
-      E.Target = UINT32_MAX - 2 * Lo;
       E.MutexId = UINT32_MAX >> (I % 32);
     }
     SCOPED_TRACE(Count);
@@ -370,6 +359,11 @@ TEST(ServeCodec, RejectsBadVersion) {
   B[2] = 1;
   reseal(B);
   expectReject(C, B, Reject::BadVersion);
+  // So is a version 2 frame, whose 38-byte event records carried load
+  // and store values and branch outcomes: one wire version is decoded.
+  B[2] = 2;
+  reseal(B);
+  expectReject(C, B, Reject::BadVersion);
 }
 
 TEST(ServeCodec, RejectsBadOpcode) {
@@ -442,8 +436,8 @@ TEST(ServeCodec, RejectsAnySingleBitFlip) {
 
   // Flip one bit at every byte position past the already-tested
   // magic/version/opcode prefix. Fields no validation pass would
-  // otherwise look at (FrameSeq, an event's Value) still downgrade to
-  // a classified reject — that is what the checksum buys.
+  // otherwise look at (FrameSeq, a memory event's mutex field) still
+  // downgrade to a classified reject — that is what the checksum buys.
   for (size_t Pos = 4; Pos < Orig.size(); ++Pos) {
     std::vector<uint8_t> B = Orig;
     B[Pos] ^= 0x10;
@@ -453,10 +447,20 @@ TEST(ServeCodec, RejectsAnySingleBitFlip) {
     EXPECT_FALSE(R.Detail.empty());
   }
 
-  // And the Value-field flip specifically classifies as BadChecksum.
-  std::vector<uint8_t> B = Orig;
-  B[FrameCodec::HeaderBytes + 21] ^= 0x01; // first event's Value
+  // And a flip in a load's mutex field, which no validator reads,
+  // specifically classifies as BadChecksum.
+  auto Load = std::find_if(T.events().begin(), T.events().end(),
+                           [](const trace::TraceEvent &E) {
+                             return E.Kind == trace::EventKind::Load;
+                           });
+  ASSERT_NE(Load, T.events().end());
+  std::vector<uint8_t> B = C.encodeEvents(&*Load, 1, 0);
+  B[FrameCodec::HeaderBytes + 21] ^= 0x01; // the load's mutex field
   expectReject(C, B, Reject::BadChecksum);
+  // Resealed, the same flip decodes: only the checksum catches it.
+  reseal(B);
+  DecodedFrame Out;
+  EXPECT_TRUE(C.decode(B, 0, Out).Ok);
 }
 
 TEST(ServeCodec, EveryOneAndTwoBitErrorIsRejected) {
