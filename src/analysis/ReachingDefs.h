@@ -19,7 +19,6 @@
 
 #include "analysis/Dataflow.h"
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -52,11 +51,11 @@ public:
   bool reachable(uint32_t Pc) const { return Solver->reached(Pc); }
 
 private:
-  /// Per register: bitset over instruction pcs plus one entry-def bit.
+  /// Per register: bitset over instruction pcs plus one entry-def bit
+  /// (bit NumInstrs). A fact stores the 16 sets back to back in one
+  /// register-major vector: register R's Words words start at R * Words.
   struct Domain {
-    struct Value {
-      std::array<std::vector<uint64_t>, isa::NumRegs> Defs;
-    };
+    using Value = std::vector<uint64_t>;
     uint32_t NumInstrs = 0;
     size_t Words = 0;
 
@@ -66,7 +65,13 @@ private:
     void transfer(uint32_t Pc, const isa::Instruction &I, Value &V) const;
   };
 
+  /// Register \p R's set in the fact just before \p Pc.
+  const uint64_t *setBefore(uint32_t Pc, isa::Reg R) const {
+    return Solver->entry(Pc).data() + R * Words;
+  }
+
   uint32_t NumInstrs;
+  size_t Words;
   std::unique_ptr<DataflowSolver<Domain>> Solver;
 };
 
