@@ -2,9 +2,7 @@
 
 #include "analysis/AtomicProof.h"
 
-#include "analysis/Liveness.h"
 #include "analysis/ProgramPasses.h"
-#include "analysis/ReachingDefs.h"
 #include "analysis/StaticCu.h"
 #include "support/Error.h"
 
@@ -49,14 +47,11 @@ struct TaintDomain {
 };
 
 /// Everything the proof needs about one thread: the bundle's CFG and
-/// lockset, plus the passes only the proof reads.
+/// lockset, plus the state only the proof computes.
 struct ThreadPasses {
   const std::vector<Instruction> *Code = nullptr;
   const isa::ThreadCfg *Cfg = nullptr;
   const StaticLockset *Locks = nullptr;
-  std::unique_ptr<isa::ThreadCallGraph> Cg;
-  std::unique_ptr<ReachingDefs> Reach;
-  std::unique_ptr<Liveness> Live;
   std::unique_ptr<DataflowSolver<TaintDomain>> Taint;
   std::unique_ptr<StaticCuInference> Cus;
   /// Block-expanded sharpened address bound per access pc (empty
@@ -116,14 +111,11 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
     R.ProvenPc[Tid].assign(T.Code->size(), false);
     T.Cfg = &PP.cfg(Tid);
     T.Locks = &PP.lockset(Tid);
-    T.Cg = std::make_unique<isa::ThreadCallGraph>(*T.Code);
-    T.Reach = std::make_unique<ReachingDefs>(*T.Cfg, *T.Code);
-    T.Live = std::make_unique<Liveness>(*T.Cfg, *T.Code);
     T.Taint = std::make_unique<DataflowSolver<TaintDomain>>(
         *T.Cfg, *T.Code, TaintDomain(), Direction::Forward);
     const EscapeAnalysis &EA = PP.escape(Tid);
     T.Cus = std::make_unique<StaticCuInference>(
-        *T.Cfg, *T.Code, EA, *T.Reach, [&Table, Tid](uint32_t Pc) {
+        *T.Cfg, *T.Code, EA, PP.reachingDefs(Tid), [&Table, Tid](uint32_t Pc) {
           return Table.classify(Tid, Pc) != AccessClass::ThreadLocal;
         });
     T.SiteExpanded.assign(T.Code->size(), Interval());
@@ -141,6 +133,9 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
   for (isa::ThreadId Tid = 0; Tid < NumThreads; ++Tid) {
     ThreadPasses &T = TP[Tid];
     const std::vector<Instruction> &Code = *T.Code;
+    const ReachingDefs &Reach = PP.reachingDefs(Tid);
+    const Liveness &Live = PP.liveness(Tid);
+    const isa::ThreadCallGraph &Cg = PP.callGraph(Tid);
     uint32_t N = static_cast<uint32_t>(Code.size());
     const std::vector<StaticCu> &Units = T.Cus->units();
     CandMask[Tid].assign(Units.size(), 0);
@@ -215,7 +210,7 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
               if (!(Used & (uint32_t(1) << Rg)) ||
                   !(Taint & (uint32_t(1) << Rg)))
                 continue;
-              for (uint32_t D : T.Reach->defsBefore(Q, Rg))
+              for (uint32_t D : Reach.defsBefore(Q, Rg))
                 if (D != ReachingDefs::EntryDef && !IsMember(D))
                   Ok = false;
             }
@@ -260,7 +255,7 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
       // region called from a covered area or connecting a covered
       // region to its callers, and the root region's span grows to
       // include the Call pcs that reach covered regions.
-      const isa::RegionMap &RM = T.Cg->regions();
+      const isa::RegionMap &RM = Cg.regions();
       uint32_t Root = RM.regionOf(MinPc);
       uint32_t RootLo = UINT32_MAX, RootHi = 0;
       std::vector<bool> NeedFull(RM.numRegions(), false);
@@ -296,7 +291,7 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
           // Reachable call sites connect the covered region back to its
           // callers: the pcs around those calls execute between unit
           // member executions, so their regions join the obligation.
-          for (uint32_t CallPc : T.Cg->callersOf(Rg)) {
+          for (uint32_t CallPc : Cg.callersOf(Rg)) {
             if (!T.Locks->reachable(CallPc))
               continue;
             uint32_t CR = RM.regionOf(CallPc);
@@ -368,7 +363,7 @@ CuProofs analysis::proveAtomicCus(const ProgramPasses &PP,
             if (!T.Locks->reachable(Q))
               continue;
             if (!(T.Locks->mustHeldBefore(Q) & Bit) &&
-                (T.Live->liveBefore(Q) & DefRegs))
+                (Live.liveBefore(Q) & DefRegs))
               MOk = false;
           }
         }

@@ -148,8 +148,9 @@ private:
 /// access table (CuProofs::accessTable). The bundle must carry
 /// value flow: every address bound the proofs use is the sharpened one.
 /// A bundle without it is a fatal error in every build.
-/// Per thread the proof adds one ReachingDefs, one Liveness, one taint
-/// solve and one call graph to the bundle's passes.
+/// Per thread the proof reads the bundle's CFG, call graph, lockset,
+/// reaching definitions and liveness, and adds only a taint solve and a
+/// StaticCuInference of its own.
 CuProofs proveAtomicCus(const ProgramPasses &PP, uint32_t BlockShift);
 
 /// As above, on a value-flow bundle built for \p P alone.

@@ -2,10 +2,7 @@
 
 #include "analysis/Lint.h"
 
-#include "analysis/AtomicProof.h"
-#include "analysis/Liveness.h"
 #include "analysis/ProgramPasses.h"
-#include "analysis/ReachingDefs.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 
@@ -65,10 +62,9 @@ void lintLocksets(const isa::Program &P, isa::ThreadId Tid,
   }
 }
 
-void lintUninitReads(isa::ThreadId Tid, const isa::ThreadCfg &Cfg,
+void lintUninitReads(isa::ThreadId Tid, const ReachingDefs &RD,
                      const std::vector<Instruction> &Code,
                      std::vector<LintDiag> &Out) {
-  ReachingDefs RD(Cfg, Code);
   for (uint32_t Pc = 0; Pc < Code.size(); ++Pc) {
     if (!RD.reachable(Pc))
       continue;
@@ -96,10 +92,9 @@ void lintUninitReads(isa::ThreadId Tid, const isa::ThreadCfg &Cfg,
   }
 }
 
-void lintDeadWrites(isa::ThreadId Tid, const isa::ThreadCfg &Cfg,
+void lintDeadWrites(isa::ThreadId Tid, const Liveness &LV,
                     const std::vector<Instruction> &Code,
                     std::vector<LintDiag> &Out) {
-  Liveness LV(Cfg, Code);
   for (uint32_t Pc = 0; Pc < Code.size(); ++Pc) {
     if (!LV.isDeadWrite(Pc))
       continue;
@@ -172,26 +167,29 @@ ProcContext procContext(const isa::Program &P, isa::ThreadId Tid,
 
 std::vector<LintDiag> analysis::lintProgram(const isa::Program &P,
                                             const LintOptions &O) {
-  return lintProgram(ProgramPasses(P, /*ValueFlow=*/O.Prove), O);
+  return lintProgram(ProgramPasses(P, /*ValueFlow=*/O.Prove), O).Diags;
 }
 
-std::vector<LintDiag> analysis::lintProgram(const ProgramPasses &PP,
-                                            const LintOptions &O) {
+LintReport analysis::lintProgram(const ProgramPasses &PP,
+                                 const LintOptions &O) {
   const isa::Program &P = PP.program();
-  std::vector<LintDiag> Out;
+  LintReport R;
+  std::vector<LintDiag> &Out = R.Diags;
   for (isa::ThreadId Tid = 0; Tid < P.numThreads(); ++Tid) {
     const std::vector<Instruction> &Code = P.Threads[Tid].Code;
     if (O.Lockset)
       lintLocksets(P, Tid, PP.lockset(Tid), Out);
     if (O.UninitReads)
-      lintUninitReads(Tid, PP.cfg(Tid), Code, Out);
+      lintUninitReads(Tid, PP.reachingDefs(Tid), Code, Out);
     if (O.DeadWrites)
-      lintDeadWrites(Tid, PP.cfg(Tid), Code, Out);
+      lintDeadWrites(Tid, PP.liveness(Tid), Code, Out);
   }
-  if (O.Prove)
-    lintProofs(proveAtomicCus(PP, O.BlockShift), Out);
+  if (O.Prove) {
+    R.Proofs = proveAtomicCus(PP, O.BlockShift);
+    lintProofs(R.Proofs, Out);
+  }
   sortLintDiags(Out);
-  return Out;
+  return R;
 }
 
 void analysis::sortLintDiags(std::vector<LintDiag> &Ds) {

@@ -17,6 +17,7 @@
 #ifndef SVD_ANALYSIS_LINT_H
 #define SVD_ANALYSIS_LINT_H
 
+#include "analysis/AtomicProof.h"
 #include "isa/Program.h"
 
 #include <string>
@@ -63,13 +64,21 @@ struct LintOptions {
 
 class ProgramPasses;
 
+/// What lintProgram found on a bundle: the diagnostics, and the proofs
+/// it ran for them (empty without Prove), so a caller that also reports
+/// the proven CUs or the access table reads them here instead of proving
+/// again.
+struct LintReport {
+  std::vector<LintDiag> Diags;
+  CuProofs Proofs;
+};
+
 /// Runs all enabled checks on every thread of the bundle's program;
-/// diagnostics come out in sortLintDiags order. The lockset family reads
-/// the bundle's StaticLockset, the register families build their passes
-/// over its CFG, and Prove proves on the same bundle (which must then
-/// carry value flow).
-std::vector<LintDiag> lintProgram(const ProgramPasses &PP,
-                                  const LintOptions &O);
+/// diagnostics come out in sortLintDiags order. Every family reads the
+/// bundle's passes: the lockset family its StaticLockset, the register
+/// families its ReachingDefs and Liveness, and Prove proves on the same
+/// bundle (which must then carry value flow).
+LintReport lintProgram(const ProgramPasses &PP, const LintOptions &O);
 
 /// As above, on a bundle built for \p P alone (with value flow exactly
 /// when O.Prove is set).

@@ -90,7 +90,7 @@ std::vector<Prediction> analysis::predictProgram(const isa::Program &P,
     const std::vector<Instruction> &Code = P.Threads[L].Code;
     const EscapeAnalysis &EA = PP.escape(L);
     const StaticLockset &LS = PP.lockset(L);
-    ReachingDefs RD(PP.cfg(L), Code);
+    const ReachingDefs &RD = PP.reachingDefs(L);
     StaticCuInference CU(PP.cfg(L), Code, EA, RD, [&Table, L](uint32_t Pc) {
       return Table.classify(L, Pc) != AccessClass::ThreadLocal;
     });

@@ -6,17 +6,13 @@
 ///
 /// \file
 /// The per-thread passes every static client reads, built once per
-/// program: for each thread one instruction CFG, one EscapeAnalysis and
-/// one StaticLockset over that CFG, and — when value flow is on — one
-/// ValueFlowAnalysis over that same CFG and Escape. The access table,
-/// the CU proofs, the conflict pairs, the predictor and lint all take a
-/// bundle instead of building their own copies (DESIGN.md section 7
-/// lists which client reads which pass).
-///
-/// Clients that need more per-thread state (reaching definitions,
-/// liveness, the call graph) build it themselves over `cfg(Tid)`: not
-/// every client needs them, and the table-only path should not pay for
-/// them.
+/// program: for each thread one instruction CFG and one call graph, and
+/// over them one EscapeAnalysis, one StaticLockset, one ReachingDefs and
+/// one Liveness; when value flow is on, also one ValueFlowAnalysis over
+/// that same CFG and Escape. The access table, the CU proofs, the
+/// conflict pairs, the predictor and lint all take a bundle instead of
+/// building their own copies (DESIGN.md section 7 lists which client
+/// reads which pass).
 ///
 /// The bundle owns every pass and hands out references; it must outlive
 /// them, and the program must outlive the bundle.
@@ -27,6 +23,8 @@
 #define SVD_ANALYSIS_PROGRAMPASSES_H
 
 #include "analysis/Escape.h"
+#include "analysis/Liveness.h"
+#include "analysis/ReachingDefs.h"
 #include "analysis/StaticLockset.h"
 #include "analysis/ValueFlow.h"
 #include "isa/Cfg.h"
@@ -51,11 +49,20 @@ public:
   const isa::ThreadCfg &cfg(isa::ThreadId Tid) const {
     return *Threads[Tid].Cfg;
   }
+  const isa::ThreadCallGraph &callGraph(isa::ThreadId Tid) const {
+    return *Threads[Tid].Cg;
+  }
   const EscapeAnalysis &escape(isa::ThreadId Tid) const {
     return *Threads[Tid].Escape;
   }
   const StaticLockset &lockset(isa::ThreadId Tid) const {
     return *Threads[Tid].Locks;
+  }
+  const ReachingDefs &reachingDefs(isa::ThreadId Tid) const {
+    return *Threads[Tid].Reach;
+  }
+  const Liveness &liveness(isa::ThreadId Tid) const {
+    return *Threads[Tid].Live;
   }
   const ValueFlowAnalysis &valueFlow(isa::ThreadId Tid) const {
     assert(ValueFlow && "bundle built without value flow");
@@ -73,8 +80,11 @@ public:
 private:
   struct Thread {
     std::unique_ptr<isa::ThreadCfg> Cfg;
+    std::unique_ptr<isa::ThreadCallGraph> Cg;
     std::unique_ptr<EscapeAnalysis> Escape;
     std::unique_ptr<StaticLockset> Locks;
+    std::unique_ptr<ReachingDefs> Reach;
+    std::unique_ptr<Liveness> Live;
     std::unique_ptr<ValueFlowAnalysis> VF; ///< null without value flow
   };
 

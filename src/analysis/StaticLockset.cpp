@@ -9,11 +9,11 @@ using namespace svd::analysis;
 
 StaticLockset::StaticLockset(const isa::ThreadCfg &Cfg,
                              const std::vector<isa::Instruction> &Code,
+                             const isa::ThreadCallGraph &Cg,
                              uint32_t NumMutexes)
     : Analyzable(NumMutexes <= 64) {
   if (!Analyzable)
     return;
-  isa::ThreadCallGraph Cg(Code);
   if (Cg.regions().numRegions() > 1) {
     solveInterproc(Code, Cg);
   } else {

@@ -92,9 +92,11 @@ struct RegionSummary {
 /// Static lockset analysis for one thread's code.
 class StaticLockset {
 public:
+  /// \p Cg is the call graph of \p Code; code with Call/Ret is solved
+  /// with its region summaries, flat code on \p Cfg alone.
   StaticLockset(const isa::ThreadCfg &Cfg,
                 const std::vector<isa::Instruction> &Code,
-                uint32_t NumMutexes);
+                const isa::ThreadCallGraph &Cg, uint32_t NumMutexes);
   ~StaticLockset();
 
   /// False when the program has more mutexes than the bitmask domain

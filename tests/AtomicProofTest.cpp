@@ -353,7 +353,7 @@ loop:
 )");
   const std::vector<isa::Instruction> &Code = P.Threads[0].Code;
   isa::ThreadCfg Cfg(Code);
-  StaticLockset LS(Cfg, Code, 1);
+  StaticLockset LS(Cfg, Code, isa::ThreadCallGraph(Code), 1);
   ASSERT_TRUE(LS.analyzable());
   // pc 2 is the loop head (the ld): reached with m held from entry but
   // bare from the back edge -> must = empty, may = {m}.
