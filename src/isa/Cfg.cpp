@@ -328,12 +328,6 @@ std::vector<uint32_t> ThreadCallGraph::pathFromMain(uint32_t R) const {
   return Path;
 }
 
-CallGraph::CallGraph(const Program &P) {
-  PerThread.reserve(P.numThreads());
-  for (const ThreadCode &T : P.Threads)
-    PerThread.emplace_back(T.Code);
-}
-
 uint32_t ThreadCfg::skipperReconvergence(uint32_t BranchPc) const {
   assert(BranchPc < NumInstrs && isConditionalBranch(Code[BranchPc].Op) &&
          "not a conditional branch");

@@ -28,7 +28,6 @@
 #define SVD_ISA_CFG_H
 
 #include "isa/Isa.h"
-#include "isa/Program.h"
 
 #include <cstdint>
 #include <vector>
@@ -212,24 +211,6 @@ private:
   std::vector<uint32_t> Scc;
   std::vector<uint32_t> BottomUp;
   std::vector<bool> Recursive;
-};
-
-/// Whole-program call graph: one ThreadCallGraph per thread. (Procs are
-/// materialized per thread replica, so there are no cross-thread call
-/// edges; "whole program" means every thread's graph is built and
-/// queryable in one place.)
-class CallGraph {
-public:
-  explicit CallGraph(const Program &P);
-  uint32_t numThreads() const {
-    return static_cast<uint32_t>(PerThread.size());
-  }
-  const ThreadCallGraph &thread(ThreadId Tid) const {
-    return PerThread[Tid];
-  }
-
-private:
-  std::vector<ThreadCallGraph> PerThread;
 };
 
 } // namespace isa
