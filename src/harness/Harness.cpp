@@ -35,16 +35,6 @@ const detect::DetectorRegistry &harness::detectorRegistry() {
   return Registry;
 }
 
-namespace {
-
-double secondsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       T0)
-      .count();
-}
-
-} // namespace
-
 vm::MachineConfig harness::machineConfigFor(const SampleConfig &C) {
   vm::MachineConfig MC;
   MC.SchedSeed = C.Seed;
@@ -59,24 +49,14 @@ vm::MachineConfig harness::machineConfigFor(const SampleConfig &C) {
 SampleMetrics harness::runSample(const Workload &W,
                                  const std::string &Detector,
                                  const SampleConfig &C) {
-  vm::MachineConfig MC = machineConfigFor(C);
-
-  SampleMetrics M;
-
-  if (C.MeasureOverhead) {
-    vm::Machine Bare(W.Program, MC);
-    auto T0 = std::chrono::steady_clock::now();
-    Bare.run();
-    M.BareSeconds = secondsSince(T0);
-  }
-
   std::unique_ptr<detect::Detector> D =
       detectorRegistry().create(Detector, W.Program, C.Detector.get());
   if (C.Faults)
     D->injectFaults(C.Faults);
 
-  vm::Machine Machine(W.Program, MC);
+  vm::Machine Machine(W.Program, machineConfigFor(C));
   D->attach(Machine);
+  SampleMetrics M;
   auto T0 = std::chrono::steady_clock::now();
   M.Stop = Machine.run();
   D->finish(Machine);
@@ -113,11 +93,14 @@ SampleMetrics harness::runSample(const Workload &W,
     D->exportStats(R);
     R.timer("harness.sample.detector_run")
         .recordNs(static_cast<uint64_t>(M.DetectorSeconds * 1e9));
-    if (C.MeasureOverhead)
-      R.timer("harness.sample.bare_run")
-          .recordNs(static_cast<uint64_t>(M.BareSeconds * 1e9));
   }
   return M;
+}
+
+double harness::secondsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       T0)
+      .count();
 }
 
 TextTable::TextTable(std::vector<std::string> Headers) {

@@ -29,6 +29,7 @@
 #include "vm/Machine.h"
 #include "workloads/Workloads.h"
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,8 +63,6 @@ struct SampleConfig {
   /// Opaque per-detector configuration (null = detector defaults). Must
   /// belong to the detector the sample runs under.
   std::shared_ptr<const detect::DetectorConfig> Detector;
-  /// Also run the bare program (no detector) to measure overhead.
-  bool MeasureOverhead = false;
   /// Observability sink (obs/Obs.h); when set, runSample adds the
   /// machine's and the detector's counters plus its own spans to it.
   /// Not owned; may be shared across concurrently-running samples.
@@ -109,7 +108,6 @@ struct SampleMetrics : workloads::ReportTally {
   size_t StaticLogEntries = 0;   ///< SVD only (deduped)
   size_t DetectorBytes = 0;
   double DetectorSeconds = 0.0;
-  double BareSeconds = 0.0;      ///< only when MeasureOverhead
   /// Static identities of the CU-log entries (for cross-sample unions
   /// in the Table 2 bench), sorted ascending like the report keys.
   std::vector<uint64_t> StaticLogKeys;
@@ -121,6 +119,9 @@ struct SampleMetrics : workloads::ReportTally {
 SampleMetrics runSample(const workloads::Workload &W,
                         const std::string &Detector,
                         const SampleConfig &C);
+
+/// Wall-clock seconds from \p T0 to now.
+double secondsSince(std::chrono::steady_clock::time_point T0);
 
 /// Minimal fixed-width ASCII table printer for the suites' text output.
 class TextTable {

@@ -24,7 +24,6 @@
 #include "race/HappensBefore.h"
 #include "race/Lockset.h"
 #include "race/StaleValue.h"
-#include "support/Cli.h"
 #include "support/StringUtils.h"
 #include "svd/HardwareSvd.h"
 #include "svd/OfflineDetector.h"
@@ -44,12 +43,6 @@ using support::formatString;
 using workloads::Workload;
 
 namespace {
-
-/// The shared --json rejection of the text-only studies.
-int noJson(const char *Suite) {
-  std::fprintf(stderr, "suite %s has no JSON output\n", Suite);
-  return support::ExitUsage;
-}
 
 /// Runs Fn(sweepSample(S)) for seeds S = 1..N on O.Jobs workers and
 /// returns the results in seed order.
@@ -92,8 +85,6 @@ size_t countTrue(const Workload &W, const std::vector<detect::Violation> &Vs) {
 // Finds the first seed whose access log is corrupted, prints SVD's
 // reports and the instructions the detection hinged on.
 int runFig2(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("fig2");
   unsigned Seeds = O.Seeds ? O.Seeds : 20;
   workloads::WorkloadParams P;
   P.Threads = 4;
@@ -149,8 +140,6 @@ int runFig2(const SuiteOptions &O) {
 // than the atomic region); the a-posteriori CU log's (s, rw, lw)
 // triples reveal the root cause (Section 7.1).
 int runFig3(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("fig3");
   unsigned Seeds = O.Seeds ? O.Seeds : 30;
   workloads::WorkloadParams P;
   P.Threads = 4;
@@ -205,9 +194,7 @@ int runFig3(const SuiteOptions &O) {
 // fig4 — Figure 4: crossing-arc removal around a shared arc
 //===----------------------------------------------------------------------===//
 
-int runFig4(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("fig4");
+int runFig4(const SuiteOptions &) {
   std::puts("== Figure 4: crossing-arc removal around a shared arc ==\n");
 
   // Thread a writes shared g, computes, then reads g back: the read
@@ -265,8 +252,6 @@ int runFig4(const SuiteOptions &O) {
 // 5.1's mitigation). (b) On the correctly locked queue FRD is silent and
 // SVD shows the Section 5.2 "CUs too large" residual.
 int runFig9(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("fig9");
   unsigned Seeds = O.Seeds ? O.Seeds : 8;
   std::puts("== Figure 9: independent computations in an atomic region ==\n");
 
@@ -409,8 +394,6 @@ std::string firstReport(const isa::Program &P,
 // dependence-kind knobs while block granularity trades precision for
 // false sharing.
 int runAblation(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("ablation");
   std::vector<Variant> Variants = ablationVariants();
   std::puts("== Ablation 1: micro-scenarios (deterministic replays) ==\n");
 
@@ -608,8 +591,6 @@ void addBerRow(TextTable &T, const SuiteOptions &O, const Workload &W,
 // detector-triggered rollback, counting corrupted/crashed executions and
 // the recovery cost.
 int runBer(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("ber");
   unsigned Seeds = O.Seeds ? O.Seeds : 10;
   std::puts("== SVD + backward error recovery: bug avoidance ==\n");
   workloads::WorkloadParams AP;
@@ -645,11 +626,6 @@ struct ExactSample {
   double ExactSeconds = 0;
 };
 
-double secondsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
-      .count();
-}
-
 ExactSample compareExact(const isa::Program &P, const SampleConfig &C) {
   vm::Machine M(P, machineConfigFor(C));
   trace::TraceRecorder Rec(P);
@@ -672,8 +648,6 @@ ExactSample compareExact(const isa::Program &P, const SampleConfig &C) {
 // conflict-serializability test (the CU precedence graph) on identical
 // traces; --perf adds what each test costs.
 int runExact(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("exact");
   unsigned Seeds = O.Seeds ? O.Seeds : 8;
   std::puts("== Exact serializability vs strict 2PL (Section 3.3) ==\n");
 
@@ -835,8 +809,6 @@ HwSample runHwSample(const Workload &Apache, const Workload &Pgsql,
 // the cache shrinks (metadata lost to evictions) and lines widen (false
 // sharing), plus the hardware costs: coherence traffic and metadata.
 int runHwSvd(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("hwsvd");
   unsigned Seeds = O.Seeds ? O.Seeds : 8;
   std::puts("== Hardware SVD (Section 4.4): cache-based detection ==\n");
   workloads::WorkloadParams P;
@@ -964,8 +936,6 @@ std::vector<Verdict> runAllDetectors(const SuiteOptions &O, const Workload &W,
 // Five detector families on identical executions of four characteristic
 // workloads, making the property differences concrete.
 int runRelated(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("related");
   unsigned Seeds = O.Seeds ? O.Seeds : 6;
   std::printf("== Related-work detector comparison (Section 8) ==\n"
               "(identical executions, %u seeds each)\n\n",
@@ -1059,8 +1029,6 @@ struct LaneCounts {
 // threads over CPUs, with a thread-keyed (ideal) and a CPU-keyed (the
 // paper's deployment) detector on the identical execution.
 int runMigration(const SuiteOptions &O) {
-  if (O.Json)
-    return noJson("migration");
   unsigned Seeds = O.Seeds ? O.Seeds : 8;
   std::puts("== Thread migration vs per-processor SVD (Section 4.3) ==\n");
   workloads::WorkloadParams P;

@@ -11,7 +11,7 @@
 /// (machineConfigFor). Output is bit-identical for every
 /// Jobs value. The table suites (Suites.cpp) also emit JSON with no
 /// timing or thread-count fields; the paper-study suites (Studies.cpp)
-/// print text only and reject --json.
+/// print text only, and svd-bench rejects --json for them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +51,10 @@ struct SuiteOptions {
   /// wired in (access table + CU atomicity proofs); shadow's holds the
   /// shadow-page and budget-eviction counts. Both are pure functions of
   /// the workload, pinned by goldens (tests/golden/bench_*_perf.json).
-  /// sec73's is the Section 7.3 overhead table (text only, wall-clock);
-  /// exact's adds the wall-clock cost of each test. Rates outside those
+  /// sec73's is the Section 7.3 overhead table (text only, wall-clock:
+  /// each detector configuration's run is timed against a run of the
+  /// same execution under the "none" detector just before it); exact's
+  /// adds the wall-clock cost of each test. Rates outside those
   /// two paper tables are measured by perfbench only.
   bool Perf = false;
   /// Observability sink for the sample fan-out (svd-bench
@@ -68,6 +70,10 @@ struct Suite {
   const char *Name;        ///< CLI name (--suite NAME)
   const char *Description; ///< one line for --list
   int (*Run)(const SuiteOptions &O);
+  /// Builds the workload set the suite executes (suiteWorkloads). Null
+  /// for the paper studies, which build their own programs and print
+  /// text only: svd-bench rejects --json for them.
+  std::vector<workloads::Workload> (*Workloads)() = nullptr;
 };
 
 /// All registered suites, in display order: the table suites, then the
@@ -77,10 +83,11 @@ const std::vector<Suite> &suites();
 /// Finds a suite by name; null when unknown.
 const Suite *findSuite(const std::string &Name);
 
-/// The workload set a suite executes, constructed with the suite's own
-/// parameters — THE single source of truth shared by the suite bodies
-/// and by consumers that re-run suite workloads under different
-/// conditions (svd-chaos). Returns an empty vector for unknown names.
+/// The workload set a suite executes, built by its row's Workloads —
+/// THE single source of truth shared by the suite bodies and by
+/// consumers that re-run suite workloads under different conditions
+/// (svd-chaos, svd-serve, perfbench). Returns an empty vector for
+/// unknown names and for the paper studies.
 std::vector<workloads::Workload> suiteWorkloads(const std::string &Name);
 
 /// The svd-serve session set over \p Ws (which must outlive it): one

@@ -111,7 +111,6 @@ bool obs::isDocumentedKey(const std::string &Name) {
       "fault.lock_failures",
       "fault.preemptions",
       "fault.stalls",
-      "harness.sample.bare_run",
       "harness.sample.detector_run",
       "harness.samples",
       "runner.sample.queue_wait",

@@ -89,6 +89,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "unknown suite '%s'\n", SuiteName.c_str());
     return P.usageError();
   }
+  if (O.Json && !S->Workloads) {
+    std::fprintf(stderr, "suite %s has no JSON output\n", S->Name);
+    return support::ExitUsage;
+  }
 
   obs::Registry Registry;
   obs::TraceCollector Trace;
