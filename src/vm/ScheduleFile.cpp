@@ -3,6 +3,7 @@
 #include "vm/ScheduleFile.h"
 
 #include "support/StringUtils.h"
+#include "vm/Machine.h"
 
 #include <cctype>
 #include <cerrno>
@@ -65,10 +66,11 @@ bool vm::parseSchedule(const std::string &Text, RecordedSchedule &Out,
     Error = "missing 'steps' line";
     return false;
   }
-  // Bound the declared count before any allocation keyed on it; a
-  // negative value fed through %zu wraps to something enormous and
-  // lands here too.
-  constexpr size_t MaxDeclaredSteps = size_t(1) << 31;
+  // Bound the declared count before any allocation keyed on it, by the
+  // step budget a replay runs under: --record cannot write a longer
+  // schedule. A negative value fed through %zu wraps to something
+  // enormous and lands here too.
+  constexpr size_t MaxDeclaredSteps = MachineConfig().MaxSteps;
   if (Steps > MaxDeclaredSteps) {
     Error = formatString("declared step count %zu exceeds limit %zu",
                          Steps, MaxDeclaredSteps);

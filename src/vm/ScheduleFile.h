@@ -46,7 +46,8 @@ struct RecordedSchedule {
 std::string serializeSchedule(const RecordedSchedule &R);
 
 /// Parses the text format; returns false (setting \p Error) on
-/// malformed input.
+/// malformed input, including a declared step count above
+/// MachineConfig's default step budget.
 bool parseSchedule(const std::string &Text, RecordedSchedule &Out,
                    std::string &Error);
 

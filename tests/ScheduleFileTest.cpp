@@ -89,6 +89,11 @@ TEST(ScheduleFile, RejectsHugeDeclaredStepCount) {
   EXPECT_NE(Error.find("exceeds limit"), std::string::npos);
   EXPECT_FALSE(parseSchedule(
       "svd-schedule v1\nrndseed 1\nsteps -1\n", Out, Error));
+  // One step over the replay budget (MachineConfig's default MaxSteps),
+  // which is also the longest schedule --record can write.
+  EXPECT_FALSE(parseSchedule(
+      "svd-schedule v1\nrndseed 1\nsteps 50000001\n", Out, Error));
+  EXPECT_NE(Error.find("exceeds limit"), std::string::npos) << Error;
 }
 
 TEST(ScheduleFile, RejectsSignedAndGarbageTokens) {
