@@ -129,38 +129,31 @@ void lintProofs(const CuProofs &Proofs, std::vector<LintDiag> &Out) {
   }
 }
 
-/// Qualification for diagnostics at pcs inside a materialized proc body.
-/// Main-body diagnostics carry no qualifier, so flat-program output is
-/// byte-identical to what it was before procs existed.
-struct ProcContext {
-  const isa::ProcInfo *Proc = nullptr;
-  /// Region names main -> ... -> Proc; empty when the proc is not
-  /// reachable from the main body.
-  std::vector<std::string> Path;
-};
-
-ProcContext procContext(const isa::Program &P, isa::ThreadId Tid,
-                        uint32_t Pc) {
-  ProcContext Ctx;
-  if (Tid >= P.numThreads())
-    return Ctx;
-  const isa::ThreadCode &T = P.Threads[Tid];
-  Ctx.Proc = T.procAt(Pc);
-  if (!Ctx.Proc)
-    return Ctx;
-  isa::ThreadCallGraph Cg(T.Code);
+/// Qualifies a diagnostic at a pc inside a materialized proc body with
+/// the proc and its call path. Main-body diagnostics carry no
+/// qualifier, so flat-program output is byte-identical to what it was
+/// before procs existed.
+void qualifyProc(const ProgramPasses &PP, LintDiag &D) {
+  const isa::Program &P = PP.program();
+  if (D.Tid >= P.numThreads())
+    return;
+  const isa::ThreadCode &T = P.Threads[D.Tid];
+  const isa::ProcInfo *Proc = T.procAt(D.Pc);
+  if (!Proc)
+    return;
+  D.Proc = Proc->Name;
+  const isa::ThreadCallGraph &Cg = PP.callGraph(D.Tid);
   const isa::RegionMap &RM = Cg.regions();
-  for (uint32_t Region : Cg.pathFromMain(RM.regionOf(Pc))) {
+  for (uint32_t Region : Cg.pathFromMain(RM.regionOf(D.Pc))) {
     if (Region == 0) {
-      Ctx.Path.push_back("main");
+      D.CallPath.push_back("main");
       continue;
     }
     const isa::ProcInfo *PI = T.procAt(RM.entryOf(Region));
-    Ctx.Path.push_back(PI ? PI->Name
-                          : support::formatString(
-                                "pc%u", RM.entryOf(Region)));
+    D.CallPath.push_back(PI ? PI->Name
+                            : support::formatString(
+                                  "pc%u", RM.entryOf(Region)));
   }
-  return Ctx;
 }
 
 } // namespace
@@ -188,6 +181,8 @@ LintReport analysis::lintProgram(const ProgramPasses &PP,
     R.Proofs = proveAtomicCus(PP, O.BlockShift);
     lintProofs(R.Proofs, Out);
   }
+  for (LintDiag &D : Out)
+    qualifyProc(PP, D);
   sortLintDiags(Out);
   return R;
 }
@@ -219,11 +214,10 @@ std::string analysis::lintDiagsToJson(const isa::Program &P,
        << ",\"tid\":" << D.Tid << ",\"pc\":" << D.Pc
        << ",\"line\":" << D.Line
        << ",\"message\":" << jsonString(D.Message);
-    ProcContext Ctx = procContext(P, D.Tid, D.Pc);
-    if (Ctx.Proc) {
-      OS << ",\"proc\":" << jsonString(Ctx.Proc->Name) << ",\"call_path\":[";
-      for (size_t J = 0; J < Ctx.Path.size(); ++J)
-        OS << (J ? "," : "") << jsonString(Ctx.Path[J]);
+    if (!D.Proc.empty()) {
+      OS << ",\"proc\":" << jsonString(D.Proc) << ",\"call_path\":[";
+      for (size_t J = 0; J < D.CallPath.size(); ++J)
+        OS << (J ? "," : "") << jsonString(D.CallPath[J]);
       OS << "]";
     }
     OS << "}";
@@ -244,13 +238,12 @@ std::string analysis::formatLintDiag(const isa::Program &P,
     Where += support::formatString(" (line %u)", D.Line);
   std::string Out =
       Where + ": " + Sev + ": [" + D.Category + "] " + D.Message;
-  ProcContext Ctx = procContext(P, D.Tid, D.Pc);
-  if (Ctx.Proc) {
-    Out += " [proc '" + Ctx.Proc->Name + "'";
-    if (!Ctx.Path.empty()) {
+  if (!D.Proc.empty()) {
+    Out += " [proc '" + D.Proc + "'";
+    if (!D.CallPath.empty()) {
       Out += "; call path ";
-      for (size_t J = 0; J < Ctx.Path.size(); ++J)
-        Out += (J ? " -> " : "") + Ctx.Path[J];
+      for (size_t J = 0; J < D.CallPath.size(); ++J)
+        Out += (J ? " -> " : "") + D.CallPath[J];
     }
     Out += "]";
   }

@@ -40,6 +40,12 @@ struct LintDiag {
   uint32_t Pc = 0;
   uint32_t Line = 0;
   std::string Message;
+  /// The materialized proc whose body holds Pc, and the region names of
+  /// its call path main -> ... -> Proc (empty when the proc is not
+  /// reachable from the main body). Both empty for main-body pcs.
+  /// lintProgram fills them from the bundle's call graph.
+  std::string Proc{};
+  std::vector<std::string> CallPath{};
 };
 
 /// Which diagnostic families to run.
@@ -95,12 +101,12 @@ std::vector<LintDiag> lintProgram(const isa::Program &P,
 void sortLintDiags(std::vector<LintDiag> &Ds);
 
 /// Renders \p D like "thread 'worker' pc 12 (line 7): error: ..." for
-/// terminal output.
+/// terminal output, with its proc and call path when it has one.
 std::string formatLintDiag(const isa::Program &P, const LintDiag &D);
 
 /// Renders one file's diagnostics as a JSON document:
 /// {"file":..., "diagnostics":[{severity, category, thread, tid, pc,
-/// line, message}...], "num_diagnostics":N}. Shared by
+/// line, message[, proc, call_path]}...], "num_diagnostics":N}. Shared by
 /// `svd-lint --json` and the tests that pin the schema.
 std::string lintDiagsToJson(const isa::Program &P, const std::string &File,
                             const std::vector<LintDiag> &Ds);
