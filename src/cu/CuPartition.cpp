@@ -128,14 +128,16 @@ bool isStatement(const TraceEvent &E) {
 }
 
 /// Figure 5 over \p T: \p Feed calls the statement step it is given once
-/// per event, ascending, with that event's incoming arcs.
+/// per event, each thread's events ascending, with that event's incoming
+/// arcs (conflict arcs, if any, are skipped).
 template <typename FeedFn>
 UnionFind run(const ProgramTrace &T, FeedFn &&Feed) {
   UnionFind UF(T.size());
 
-  // Figure 5, per thread trace, in execution order. Processing the global
-  // order restricted to statements is equivalent since all inspected arcs
-  // are intra-thread.
+  // Figure 5, per thread trace, in execution order. All inspected arcs
+  // are intra-thread, so a feed in global order (the stored graph's)
+  // builds the same forest: each thread's sets see the same operations
+  // in the same order.
   Feed([&](uint32_t E, std::span<const DepArc> In) {
     const TraceEvent &Ev = T[E];
     if (!isStatement(Ev))
@@ -179,7 +181,7 @@ UnionFind run(const ProgramTrace &T, FeedFn &&Feed) {
 CuForest CuForest::compute(const ProgramTrace &T) {
   // Only the forest survives; the CU payload dies with the union-find.
   return static_cast<CuForest &&>(
-      run(T, [&T](auto &&Step) { pdg::forEachIncoming(T, Step); }));
+      run(T, [&T](auto &&Step) { pdg::forEachThreadIncoming(T, Step); }));
 }
 
 template <typename FeedFn>
@@ -215,7 +217,9 @@ CuPartition CuPartition::materialize(const ProgramTrace &T, FeedFn &&Feed) {
 }
 
 CuPartition CuPartition::compute(const ProgramTrace &T) {
-  return materialize(T, [&T](auto &&Step) { pdg::forEachIncoming(T, Step); });
+  return materialize(T, [&T](auto &&Step) {
+    pdg::forEachThreadIncoming(T, Step);
+  });
 }
 
 CuPartition CuPartition::compute(const ProgramTrace &T,

@@ -20,8 +20,9 @@
 /// so later statements start a fresh CU.
 ///
 /// The statement step (lines 4-16) is written once and fed either
-/// straight from pdg::forEachIncoming, one event at a time, or from a
-/// stored DynamicPdg. It runs one union-find `find` per dependence arc,
+/// straight from pdg::forEachThreadIncoming, one thread trace at a time
+/// and with no conflict arc built, or from a stored DynamicPdg in event
+/// order. It runs one union-find `find` per dependence arc,
 /// and each union-find root keeps its CU's last member event.
 ///
 /// Two results come out of the same run. CuForest is the final
@@ -68,7 +69,7 @@ struct ComputationalUnit {
 class CuForest {
 public:
   /// Runs Figure 5 over every thread trace of \p T, fed each event's
-  /// arcs by pdg::forEachIncoming.
+  /// true and control arcs by pdg::forEachThreadIncoming.
   static CuForest compute(const trace::ProgramTrace &T);
 
   /// CUs formed: statements minus successful unions.
@@ -104,7 +105,8 @@ public:
   static constexpr uint32_t NoUnit = UINT32_MAX;
 
   /// Runs Figure 5 over every thread trace of \p T, fed each event's
-  /// arcs by pdg::forEachIncoming; no dependence graph is stored.
+  /// true and control arcs by pdg::forEachThreadIncoming; no dependence
+  /// graph is stored.
   static CuPartition compute(const trace::ProgramTrace &T);
 
   /// Runs Figure 5 over \p T reading the arcs stored in \p G, for the

@@ -29,12 +29,30 @@ size_t DynamicPdg::countArcs(DepKind K) const {
 }
 
 DynamicPdg DynamicPdg::build(const ProgramTrace &T) {
-  DynamicPdg G;
+  // The thread walker visits one thread at a time, so its arcs are
+  // parked with each event's span and laid out again in event order,
+  // ahead of the event's conflict arcs, as the conflict walker visits
+  // every event ascending.
+  struct Span {
+    uint32_t Begin = 0, Size = 0;
+  };
+  std::vector<DepArc> ThreadArcs;
+  std::vector<Span> ThreadSpan(T.size());
   // The traced workloads average about two arcs per event.
+  ThreadArcs.reserve(2 * T.size());
+  forEachThreadIncoming(T, [&](uint32_t E, std::span<const DepArc> In) {
+    ThreadSpan[E] = {static_cast<uint32_t>(ThreadArcs.size()),
+                     static_cast<uint32_t>(In.size())};
+    ThreadArcs.insert(ThreadArcs.end(), In.begin(), In.end());
+  });
+
+  DynamicPdg G;
   G.Arcs.reserve(2 * T.size());
   G.InBegin.reserve(T.size() + 1);
-  forEachIncoming(T, [&G](uint32_t, std::span<const DepArc> In) {
+  forEachConflictIncoming(T, [&](uint32_t E, std::span<const DepArc> In) {
     G.InBegin.push_back(static_cast<uint32_t>(G.Arcs.size()));
+    auto First = ThreadArcs.begin() + ThreadSpan[E].Begin;
+    G.Arcs.insert(G.Arcs.end(), First, First + ThreadSpan[E].Size);
     G.Arcs.insert(G.Arcs.end(), In.begin(), In.end());
   });
   G.InBegin.push_back(static_cast<uint32_t>(G.Arcs.size()));

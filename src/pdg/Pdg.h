@@ -19,10 +19,14 @@
 /// Arcs are stored as (From, To) with From executed before To, i.e. the
 /// paper's (a <- b) arc appears here as From = b, To = a.
 ///
-/// forEachIncoming() is the one dependence state machine: it walks the
-/// trace once and hands each event's incoming arcs to a visitor, which
-/// is how the offline pipeline feeds Figure 5 without storing the graph.
-/// DynamicPdg collects the same arcs into compressed sparse row storage
+/// Two walkers split the dependence state machine along those families
+/// and hand each event's incoming arcs of their families to a visitor.
+/// forEachThreadIncoming() yields the true and control arcs one thread
+/// at a time, with only that thread's state live; it is how the offline
+/// pipeline feeds Figure 5 without storing the graph. Its per-thread
+/// order is the paper's: Figure 5 scans each thread trace on its own.
+/// forEachConflictIncoming() yields the conflict arcs in execution
+/// order. DynamicPdg merges the two into compressed sparse row storage
 /// (one arc array sorted by To, one offset per event) for the callers
 /// that need the whole graph.
 ///
@@ -35,6 +39,7 @@
 #include "support/Error.h"
 #include "trace/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -66,44 +71,47 @@ struct DepArc {
   isa::Addr Address = 0;
 };
 
-/// Runs the d-PDG's dependence state machine over \p T, in execution
-/// order, and calls `Visit(E, In)` once per event E, ascending, with In
-/// the `std::span<const DepArc>` of the arcs ending at E (empty for
-/// lock, unlock and thread-end events). In is valid only during the
-/// call. Control dependences use the precise immediate-postdominator
-/// reconvergence policy (the offline algorithm is entitled to exact
-/// information; the online detector's Skipper heuristic lives in
-/// svd/OnlineSvd).
+/// Walks the intra-thread arc families of \p T's d-PDG (true and
+/// control) and calls `Visit(E, In)` once per event E, with In the
+/// `std::span<const DepArc>` of those arcs ending at E (empty for lock,
+/// unlock and thread-end events). Events are visited one thread at a
+/// time — thread 0's in execution order, then thread 1's, and so on —
+/// which is the order Figure 5 scans each thread trace in. In is valid
+/// only during the call. Control dependences use the precise
+/// immediate-postdominator reconvergence policy (the offline algorithm
+/// is entitled to exact information; the online detector's Skipper
+/// heuristic lives in svd/OnlineSvd).
 template <typename VisitFn>
-void forEachIncoming(const trace::ProgramTrace &T, VisitFn &&Visit) {
+void forEachThreadIncoming(const trace::ProgramTrace &T, VisitFn &&Visit) {
   using trace::EventKind;
   const isa::Program &P = T.program();
   uint32_t NumThreads = P.numThreads();
-  constexpr int64_t None = -1;
+  constexpr uint32_t None = UINT32_MAX;
 
-  // Register def-use, per thread.
-  std::vector<std::vector<int64_t>> LastRegWriter(
-      NumThreads, std::vector<int64_t>(isa::NumRegs, None));
+  // One counting pass over Tid: thread Tid's events, ascending, are
+  // Order[ThreadBegin[Tid] .. ThreadBegin[Tid + 1]).
+  std::vector<uint32_t> ThreadBegin(NumThreads + 1, 0);
+  for (uint32_t E = 0; E < T.size(); ++E)
+    ++ThreadBegin[T[E].Tid + 1];
+  for (uint32_t Tid = 0; Tid < NumThreads; ++Tid)
+    ThreadBegin[Tid + 1] += ThreadBegin[Tid];
+  std::vector<uint32_t> Order(T.size());
+  {
+    std::vector<uint32_t> Next(ThreadBegin.begin(), ThreadBegin.end() - 1);
+    for (uint32_t E = 0; E < T.size(); ++E)
+      Order[Next[T[E].Tid]++] = E;
+  }
 
-  // Last same-thread store per word (memory-carried true dependences).
-  std::vector<std::vector<int64_t>> LastLocalStore(
-      NumThreads, std::vector<int64_t>(P.MemoryWords, None));
-
-  // Conflict-dependence state per word: the most recent write (any
-  // thread) and the reads since it.
-  std::vector<int64_t> LastWrite(P.MemoryWords, None);
-  std::vector<std::vector<uint32_t>> ReadsSinceWrite(P.MemoryWords);
-
-  // Dynamic control-dependence stacks: (branch event, reconvergence pc).
+  // The walking thread's register def-use, its last store per word
+  // (memory-carried true dependences) and its dynamic control-dependence
+  // stack of (branch event, reconvergence pc); reset per thread.
+  std::vector<uint32_t> LastRegWriter(isa::NumRegs);
+  std::vector<uint32_t> LastLocalStore(P.MemoryWords);
   struct CtrlFrame {
     uint32_t BranchEvent;
     uint32_t ReconvPc;
   };
-  std::vector<std::vector<CtrlFrame>> CtrlStack(NumThreads);
-  std::vector<isa::ThreadCfg> Cfgs;
-  Cfgs.reserve(NumThreads);
-  for (uint32_t Tid = 0; Tid < NumThreads; ++Tid)
-    Cfgs.emplace_back(P.Threads[Tid].Code);
+  std::vector<CtrlFrame> Stack;
 
   // The current event's incoming arcs.
   std::vector<DepArc> In;
@@ -112,107 +120,149 @@ void forEachIncoming(const trace::ProgramTrace &T, VisitFn &&Visit) {
     assert(From < To && "arcs must point forward in execution order");
     In.push_back({From, To, K, ViaMemory, A});
   };
-  auto AddTrueReg = [&](uint32_t Tid, isa::Reg R, uint32_t To) {
+  auto AddTrueReg = [&](isa::Reg R, uint32_t To) {
     if (R == isa::ZeroReg)
       return;
-    int64_t From = LastRegWriter[Tid][R];
+    uint32_t From = LastRegWriter[R];
     if (From != None)
-      Add(static_cast<uint32_t>(From), To, DepKind::TrueLocal,
-          /*ViaMemory=*/false, 0);
+      Add(From, To, DepKind::TrueLocal, /*ViaMemory=*/false, 0);
+  };
+
+  for (uint32_t Tid = 0; Tid < NumThreads; ++Tid) {
+    if (ThreadBegin[Tid] == ThreadBegin[Tid + 1])
+      continue;
+    std::fill(LastRegWriter.begin(), LastRegWriter.end(), None);
+    std::fill(LastLocalStore.begin(), LastLocalStore.end(), None);
+    Stack.clear();
+    isa::ThreadCfg Cfg(P.Threads[Tid].Code);
+
+    for (uint32_t I = ThreadBegin[Tid]; I < ThreadBegin[Tid + 1]; ++I) {
+      uint32_t E = Order[I];
+      const trace::TraceEvent &Ev = T[E];
+      In.clear();
+
+      if (Ev.Kind == EventKind::Lock || Ev.Kind == EventKind::Unlock ||
+          Ev.Kind == EventKind::ThreadEnd) {
+        Visit(E, std::span<const DepArc>());
+        continue;
+      }
+
+      // --- control dependences -----------------------------------------
+      while (!Stack.empty() && Stack.back().ReconvPc == Ev.Pc)
+        Stack.pop_back();
+      if (!Stack.empty())
+        Add(Stack.back().BranchEvent, E, DepKind::Control,
+            /*ViaMemory=*/false, 0);
+
+      const isa::Instruction &Instr = *Ev.Instr;
+
+      // --- register-carried true dependences ----------------------------
+      if (isa::readsRa(Instr.Op))
+        AddTrueReg(Instr.Ra, E);
+      if (isa::readsRb(Instr.Op))
+        AddTrueReg(Instr.Rb, E);
+
+      switch (Ev.Kind) {
+      case EventKind::Load: {
+        // Memory-carried true dependence from the last same-thread store.
+        uint32_t From = LastLocalStore[Ev.Address];
+        if (From != None)
+          Add(From, E,
+              T.isSharedAddress(Ev.Address) ? DepKind::TrueShared
+                                            : DepKind::TrueLocal,
+              /*ViaMemory=*/true, Ev.Address);
+        break;
+      }
+      case EventKind::Store:
+        LastLocalStore[Ev.Address] = E;
+        break;
+      case EventKind::Branch:
+        if (isa::isConditionalBranch(Instr.Op)) {
+          // Branches reconverging only at thread exit keep their frame
+          // for the rest of the thread (the pc never equals NoNode).
+          Stack.push_back({E, Cfg.preciseReconvergence(Ev.Pc)});
+        }
+        break;
+      case EventKind::Alu:
+        break;
+      default:
+        SVD_UNREACHABLE("unexpected event kind");
+      }
+
+      // --- register definition ------------------------------------------
+      if (isa::writesRd(Instr.Op) && Instr.Rd != isa::ZeroReg)
+        LastRegWriter[Instr.Rd] = E;
+
+      Visit(E, std::span<const DepArc>(In));
+    }
+  }
+}
+
+/// Walks the inter-thread arc family of \p T's d-PDG (conflict: read
+/// after remote write, write after remote write, write after remote
+/// reads) and calls `Visit(E, In)` once per event E, ascending, with In
+/// the conflict arcs ending at E: the last remote writer first, then the
+/// remote readers since it in execution order (empty for every event
+/// but loads and stores). In is valid only during the call.
+template <typename VisitFn>
+void forEachConflictIncoming(const trace::ProgramTrace &T, VisitFn &&Visit) {
+  using trace::EventKind;
+  constexpr uint32_t None = UINT32_MAX;
+
+  // Per word: the most recent write (any thread) and the reads since
+  // it, each with its thread, so no arc test reads back into the trace.
+  struct Access {
+    uint32_t Event;
+    isa::ThreadId Tid;
+  };
+  const uint32_t MemoryWords = T.program().MemoryWords;
+  std::vector<Access> LastWrite(MemoryWords, Access{None, 0});
+  std::vector<std::vector<Access>> ReadsSinceWrite(MemoryWords);
+
+  // The current event's incoming arcs.
+  std::vector<DepArc> In;
+  auto Add = [&In](uint32_t From, uint32_t To, isa::Addr A) {
+    assert(From < To && "arcs must point forward in execution order");
+    In.push_back({From, To, DepKind::Conflict, /*ViaMemory=*/true, A});
   };
 
   for (uint32_t E = 0; E < T.size(); ++E) {
     const trace::TraceEvent &Ev = T[E];
-    uint32_t Tid = Ev.Tid;
     In.clear();
-
-    if (Ev.Kind == EventKind::Lock || Ev.Kind == EventKind::Unlock ||
-        Ev.Kind == EventKind::ThreadEnd) {
-      Visit(E, std::span<const DepArc>());
-      continue;
-    }
-
-    // --- control dependences -------------------------------------------
-    auto &Stack = CtrlStack[Tid];
-    while (!Stack.empty() && Stack.back().ReconvPc == Ev.Pc)
-      Stack.pop_back();
-    if (!Stack.empty())
-      Add(Stack.back().BranchEvent, E, DepKind::Control,
-          /*ViaMemory=*/false, 0);
-
-    const isa::Instruction &I = *Ev.Instr;
-
-    // --- register-carried true dependences ------------------------------
-    if (isa::readsRa(I.Op))
-      AddTrueReg(Tid, I.Ra, E);
-    if (isa::readsRb(I.Op))
-      AddTrueReg(Tid, I.Rb, E);
-
-    switch (Ev.Kind) {
-    case EventKind::Load: {
-      // Memory-carried true dependence from the last same-thread store.
-      int64_t From = LastLocalStore[Tid][Ev.Address];
-      if (From != None)
-        Add(static_cast<uint32_t>(From), E,
-            T.isSharedAddress(Ev.Address) ? DepKind::TrueShared
-                                          : DepKind::TrueLocal,
-            /*ViaMemory=*/true, Ev.Address);
-      // Conflict: read after a remote write.
-      int64_t W = LastWrite[Ev.Address];
-      if (W != None && T[static_cast<size_t>(W)].Tid != Tid)
-        Add(static_cast<uint32_t>(W), E, DepKind::Conflict,
-            /*ViaMemory=*/true, Ev.Address);
-      ReadsSinceWrite[Ev.Address].push_back(E);
-      break;
-    }
-    case EventKind::Store: {
-      // Conflict: write after remote write and after remote reads.
-      int64_t W = LastWrite[Ev.Address];
-      if (W != None && T[static_cast<size_t>(W)].Tid != Tid)
-        Add(static_cast<uint32_t>(W), E, DepKind::Conflict,
-            /*ViaMemory=*/true, Ev.Address);
-      for (uint32_t R : ReadsSinceWrite[Ev.Address])
-        if (T[R].Tid != Tid)
-          Add(R, E, DepKind::Conflict, /*ViaMemory=*/true, Ev.Address);
-      ReadsSinceWrite[Ev.Address].clear();
-      LastWrite[Ev.Address] = E;
-      LastLocalStore[Tid][Ev.Address] = E;
-      break;
-    }
-    case EventKind::Branch: {
-      if (isa::isConditionalBranch(I.Op)) {
-        uint32_t R = Cfgs[Tid].preciseReconvergence(Ev.Pc);
-        // Branches reconverging only at thread exit keep their frame for
-        // the rest of the thread (the pc never equals NoNode).
-        Stack.push_back({E, R});
+    if (Ev.Kind == EventKind::Load || Ev.Kind == EventKind::Store) {
+      isa::Addr A = Ev.Address;
+      const Access &W = LastWrite[A];
+      if (W.Event != None && W.Tid != Ev.Tid)
+        Add(W.Event, E, A);
+      std::vector<Access> &Reads = ReadsSinceWrite[A];
+      if (Ev.Kind == EventKind::Load) {
+        Reads.push_back({E, Ev.Tid});
+      } else {
+        for (const Access &R : Reads)
+          if (R.Tid != Ev.Tid)
+            Add(R.Event, E, A);
+        Reads.clear();
+        LastWrite[A] = {E, Ev.Tid};
       }
-      break;
     }
-    case EventKind::Alu:
-      break;
-    default:
-      SVD_UNREACHABLE("unexpected event kind");
-    }
-
-    // --- register definition --------------------------------------------
-    if (isa::writesRd(I.Op) && I.Rd != isa::ZeroReg)
-      LastRegWriter[Tid][I.Rd] = E;
-
     Visit(E, std::span<const DepArc>(In));
   }
 }
 
 /// The stored dependence graph of one recorded execution, collected
-/// from forEachIncoming(): the fig4 and exact studies, the tests and the
+/// from both walkers: the fig4 and exact studies, the tests and the
 /// benchmark ledger read it whole.
 class DynamicPdg {
 public:
-  /// Collects every arc forEachIncoming() visits over \p T.
+  /// Collects every arc forEachThreadIncoming() and
+  /// forEachConflictIncoming() visit over \p T.
   static DynamicPdg build(const trace::ProgramTrace &T);
 
   const std::vector<DepArc> &arcs() const { return Arcs; }
 
-  /// The arcs ending at \p Event, in forEachIncoming()'s order.
+  /// The arcs ending at \p Event: its true and control arcs in
+  /// forEachThreadIncoming()'s order, then its conflict arcs in
+  /// forEachConflictIncoming()'s.
   std::span<const DepArc> incoming(uint32_t Event) const {
     return std::span<const DepArc>(Arcs).subspan(
         InBegin[Event], InBegin[Event + 1] - InBegin[Event]);

@@ -272,26 +272,81 @@ TEST_P(WorkloadProperty, PdgIncomingVisitsEachArcOnce) {
     ASSERT_EQ(Visits[Idx], 1u) << "arc " << Idx;
 }
 
+namespace {
+
+/// The arcs ending at \p E in \p G whose family the conflict walker
+/// yields (\p Conflict) or the thread walker yields (!\p Conflict), in
+/// stored order.
+std::vector<pdg::DepArc> storedFamily(const pdg::DynamicPdg &G, uint32_t E,
+                                      bool Conflict) {
+  std::vector<pdg::DepArc> Out;
+  for (const pdg::DepArc &A : G.incoming(E))
+    if ((A.Kind == pdg::DepKind::Conflict) == Conflict)
+      Out.push_back(A);
+  return Out;
+}
+
+void expectSameArcs(std::span<const pdg::DepArc> Walked,
+                    const std::vector<pdg::DepArc> &Stored, uint32_t E,
+                    const char *Walker) {
+  ASSERT_EQ(Walked.size(), Stored.size()) << Walker << ", event " << E;
+  for (size_t I = 0; I < Walked.size(); ++I) {
+    const pdg::DepArc &A = Walked[I], &B = Stored[I];
+    EXPECT_EQ(A.From, B.From) << Walker << ", event " << E << " arc " << I;
+    EXPECT_EQ(A.To, B.To) << Walker << ", event " << E << " arc " << I;
+    EXPECT_EQ(A.Kind, B.Kind) << Walker << ", event " << E << " arc " << I;
+    EXPECT_EQ(A.ViaMemory, B.ViaMemory)
+        << Walker << ", event " << E << " arc " << I;
+    EXPECT_EQ(A.Address, B.Address)
+        << Walker << ", event " << E << " arc " << I;
+  }
+}
+
+} // namespace
+
+// One property per walker of the d-PDG: each yields, for every event,
+// exactly the stored graph's arcs of its family, in stored order. The
+// thread walker's property keeps the name of the single walk it split
+// from (forEachThreadIncoming and forEachConflictIncoming).
 TEST_P(WorkloadProperty, ForEachIncomingMatchesBuild) {
   ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
   pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
+
+  // True and control arcs, every event exactly once, each thread's
+  // events ascending and the threads in Tid order.
+  std::vector<uint32_t> Visits(T.size(), 0);
+  int64_t Prev = -1;
+  pdg::forEachThreadIncoming(
+      T, [&](uint32_t E, std::span<const pdg::DepArc> In) {
+        ASSERT_LT(E, T.size());
+        ++Visits[E];
+        if (Prev >= 0) {
+          const trace::TraceEvent &P = T[static_cast<uint32_t>(Prev)];
+          EXPECT_TRUE(P.Tid < T[E].Tid ||
+                      (P.Tid == T[E].Tid && Prev < int64_t(E)))
+              << "event " << E << " after event " << Prev;
+        }
+        Prev = E;
+        expectSameArcs(In, storedFamily(G, E, /*Conflict=*/false), E,
+                       "thread walker");
+      });
+  for (uint32_t E = 0; E < T.size(); ++E)
+    ASSERT_EQ(Visits[E], 1u) << "thread walker, event " << E;
+}
+
+TEST_P(WorkloadProperty, ForEachConflictIncomingMatchesBuild) {
+  ProgramTrace T = testutil::recordRun(W.Program, GetParam().Seed);
+  pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
+
+  // Conflict arcs, every event once, ascending.
   uint32_t Next = 0;
-  size_t At = 0;
-  pdg::forEachIncoming(T, [&](uint32_t E, std::span<const pdg::DepArc> In) {
-    ASSERT_EQ(E, Next++) << "events visited once, ascending";
-    for (const pdg::DepArc &A : In) {
-      ASSERT_LT(At, G.arcs().size());
-      const pdg::DepArc &B = G.arcs()[At++];
-      EXPECT_EQ(A.To, E);
-      EXPECT_EQ(A.From, B.From) << "arc " << At - 1;
-      EXPECT_EQ(A.To, B.To) << "arc " << At - 1;
-      EXPECT_EQ(A.Kind, B.Kind) << "arc " << At - 1;
-      EXPECT_EQ(A.ViaMemory, B.ViaMemory) << "arc " << At - 1;
-      EXPECT_EQ(A.Address, B.Address) << "arc " << At - 1;
-    }
-  });
+  pdg::forEachConflictIncoming(
+      T, [&](uint32_t E, std::span<const pdg::DepArc> In) {
+        ASSERT_EQ(E, Next++) << "conflict walker: events once, ascending";
+        expectSameArcs(In, storedFamily(G, E, /*Conflict=*/true), E,
+                       "conflict walker");
+      });
   EXPECT_EQ(Next, T.size());
-  EXPECT_EQ(At, G.arcs().size());
 }
 
 TEST_P(WorkloadProperty, StreamedFigure5EqualsStoredGraph) {
