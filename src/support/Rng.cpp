@@ -15,43 +15,17 @@ uint64_t SplitMix64::next() {
   return Z ^ (Z >> 31);
 }
 
-static uint64_t rotl(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
+DrawBound::DrawBound(uint64_t Bound) : Bound(Bound) {
+  assert(Bound != 0 && "nextBelow bound must be nonzero");
+  Magic = ~static_cast<unsigned __int128>(0) / Bound + 1;
+  // 2^64 mod Bound, which is (2^64 - Bound) mod Bound.
+  Threshold = reduce(0 - Bound);
 }
 
 Xoshiro256::Xoshiro256(uint64_t Seed) {
   SplitMix64 SM(Seed);
   for (uint64_t &S : State)
     S = SM.next();
-}
-
-uint64_t Xoshiro256::next() {
-  uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
-}
-
-uint64_t Xoshiro256::nextBelow(uint64_t Bound) {
-  assert(Bound != 0 && "nextBelow bound must be nonzero");
-  // Power-of-two bounds (including the degenerate Bound == 1 of
-  // fixed-length timeslices) reject nothing and reduce to a mask —
-  // same single draw, same value, no division.
-  if ((Bound & (Bound - 1)) == 0)
-    return next() & (Bound - 1);
-  // Rejection sampling: retry until the draw falls in the largest multiple
-  // of Bound that fits in 64 bits.
-  uint64_t Threshold = -Bound % Bound;
-  for (;;) {
-    uint64_t R = next();
-    if (R >= Threshold)
-      return R % Bound;
-  }
 }
 
 double Xoshiro256::nextDouble() {

@@ -135,10 +135,9 @@ Machine::scheduleNext(StopReason &WhyStopped) {
     SVD_UNREACHABLE("the ready list was nonempty");
   }
 
-  CurThread = ReadyBuf[Sched.nextBelow(ReadyBuf.size())];
-  uint32_t Range = Cfg.MaxTimeslice - Cfg.MinTimeslice + 1;
-  SliceLeft =
-      Cfg.MinTimeslice + static_cast<uint32_t>(Sched.nextBelow(Range)) - 1;
+  CurThread = ReadyBuf[Sched.nextBelow(ReadyBounds[ReadyBuf.size() - 1])];
+  SliceLeft = Cfg.MinTimeslice +
+              static_cast<uint32_t>(Sched.nextBelow(SliceBound)) - 1;
   // A plan firing on the first step of a fresh slice truncates it to
   // this single step (the draw above is still taken, so the scheduler's
   // PRNG stream stays aligned with the fault-free run).

@@ -33,6 +33,10 @@ Machine::Machine(const isa::Program &P, MachineConfig Cfg)
     support::fatalError("invalid program: " + Problem);
   if (Cfg.MinTimeslice == 0 || Cfg.MaxTimeslice < Cfg.MinTimeslice)
     support::fatalError("invalid timeslice configuration");
+  SliceBound =
+      support::DrawBound(Cfg.MaxTimeslice - Cfg.MinTimeslice + 1);
+  for (uint64_t K = 1; K <= P.numThreads(); ++K)
+    ReadyBounds.emplace_back(K);
 
   Memory.assign(P.MemoryWords, 0);
   Threads.resize(P.numThreads());

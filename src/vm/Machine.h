@@ -381,6 +381,12 @@ private:
   /// restore()) marks it stale and the next decision rebuilds it.
   std::vector<isa::ThreadId> ReadyBuf;
   bool ReadyStale = true;
+  /// The scheduler's draw bounds, built once at construction so no
+  /// decision divides: ReadyBounds[K - 1] draws among K ready threads,
+  /// SliceBound draws the timeslice length in [MinTimeslice,
+  /// MaxTimeslice].
+  std::vector<support::DrawBound> ReadyBounds;
+  support::DrawBound SliceBound{1};
 };
 
 } // namespace vm

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace svd::support;
 
@@ -51,6 +54,51 @@ TEST(Xoshiro256, NextBelowCoversAllValues) {
   for (int I = 0; I < 1000; ++I)
     Seen.insert(R.nextBelow(5));
   EXPECT_EQ(Seen.size(), 5u);
+}
+
+/// The bounded draw as written before bounds were precomputed: the
+/// rejection threshold and the reduction as two 64-bit divisions.
+uint64_t divisionBelow(Xoshiro256 &R, uint64_t Bound) {
+  uint64_t Threshold = -Bound % Bound;
+  for (;;) {
+    uint64_t V = R.next();
+    if (V >= Threshold)
+      return V % Bound;
+  }
+}
+
+TEST(Rng, PrecomputedBoundMatchesNextBelow) {
+  std::vector<uint64_t> Bounds;
+  for (uint64_t B = 1; B <= 64; ++B)
+    Bounds.push_back(B);
+  // 2^63 + 1 rejects almost half of all draws, so the stream alignment
+  // check below sees many rejections.
+  const uint64_t Wide[] = {(uint64_t(1) << 32) - 1, uint64_t(1) << 32,
+                           (uint64_t(1) << 32) + 1,   uint64_t(1) << 63,
+                           (uint64_t(1) << 63) + 1,   UINT64_MAX};
+  Bounds.insert(Bounds.end(), std::begin(Wide), std::end(Wide));
+  for (uint64_t Bound : Bounds) {
+    SCOPED_TRACE("bound " + std::to_string(Bound));
+    DrawBound B(Bound);
+    EXPECT_EQ(B.value(), Bound);
+    EXPECT_EQ(B.threshold(), -Bound % Bound);
+    const uint64_t Edges[] = {0,         1,          Bound - 1, Bound,
+                              Bound + 1, UINT64_MAX - 1, UINT64_MAX};
+    for (uint64_t R : Edges)
+      ASSERT_EQ(B.reduce(R), R % Bound) << "draw " << R;
+
+    Xoshiro256 Pre(Bound), OneOff(Bound), Reference(Bound);
+    for (int I = 0; I < 200; ++I) {
+      uint64_t Want = divisionBelow(Reference, Bound);
+      ASSERT_EQ(Pre.nextBelow(B), Want) << "draw " << I;
+      ASSERT_EQ(OneOff.nextBelow(Bound), Want) << "draw " << I;
+      // The same number of next() calls: all three streams stay aligned.
+      Xoshiro256 P = Pre, O = OneOff, Ref = Reference;
+      uint64_t Following = Ref.next();
+      ASSERT_EQ(P.next(), Following) << "draw " << I;
+      ASSERT_EQ(O.next(), Following) << "draw " << I;
+    }
+  }
 }
 
 TEST(Xoshiro256, NextDoubleInUnitInterval) {
