@@ -13,7 +13,9 @@
 /// FNV-1a does not promise.
 ///
 /// Two implementations with bit-identical results: the SSE4.2
-/// instruction, 8 bytes per step, and a portable slice-by-8 table walk.
+/// instruction, 8 bytes per step in three independent 256-byte lanes
+/// folded together by a zero-shift table, and a portable slice-by-8
+/// table walk, the reference.
 /// crc32c() picks one once per process from the CPU's feature bits; the
 /// two legs are exported so tests can pin them against each other.
 ///

@@ -2,8 +2,9 @@
 //
 // Pins both CRC-32C legs (support/Crc32c.h) to the RFC 3720 B.4 known
 // answers, and the SSE4.2 leg to the slice-by-8 leg on random buffers
-// of every length 0..4096 at every start offset 0..7, so the word loop,
-// the byte tail and unaligned starts are all compared bit for bit.
+// of every length 0..6420 (a full 256-event serve frame) at every start
+// offset 0..7, so the three-lane loop, the word loop, the byte tail and
+// unaligned starts are all compared bit for bit.
 //
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +72,7 @@ TEST(Crc32c, DispatchedMatchesKnownAnswers) {
 TEST(Crc32c, HardwareAgreesWithPortableOnEveryLengthAndOffset) {
   if (!hasHardwareCrc32c())
     GTEST_SKIP() << "CPU lacks SSE4.2; hardware CRC-32C leg not testable";
-  constexpr size_t MaxLen = 4096, MaxOffset = 7;
+  constexpr size_t MaxLen = 6420, MaxOffset = 7;
   const std::vector<uint8_t> Buf = randomBytes(MaxLen + MaxOffset, 0xC32C);
   for (size_t Off = 0; Off <= MaxOffset; ++Off)
     for (size_t Len = 0; Len <= MaxLen; ++Len) {
