@@ -47,9 +47,18 @@ Machine::scheduleNext(StopReason &WhyStopped) {
   if (Replaying) {
     if (ReplayPos >= Replay.size()) {
       // Prefer the natural verdict when the recording covered the whole
-      // run; Paused means the recording ended mid-execution.
-      WhyStopped = finished() ? StopReason::AllHalted
-                              : StopReason::Paused;
+      // run, which ended with every thread halted or with no thread
+      // ready (a deadlock); Paused means the recording ended
+      // mid-execution, with some thread still able to run.
+      if (finished())
+        WhyStopped = StopReason::AllHalted;
+      else if (std::none_of(Threads.begin(), Threads.end(),
+                            [](const Thread &T) {
+                              return T.State == ThreadState::Ready;
+                            }))
+        WhyStopped = StopReason::Deadlock;
+      else
+        WhyStopped = StopReason::Paused;
       return false;
     }
     // A recording is untrusted input: one naming a thread that cannot

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 using namespace svd;
 using namespace svd::vm;
@@ -276,5 +278,43 @@ loop:
       EXPECT_EQ(M.run(), vm::StopReason::ReplayDiverged);
       EXPECT_EQ(M.stopDiagnostic(), C.Want);
     }
+  }
+}
+
+TEST(ScheduleFile, DeadlockedRecordingReplaysAsDeadlock) {
+  // lock_order_cycle's AB-BA shape deadlocks under seed 1. Its recording
+  // runs out at the decision where the recorder found no thread ready,
+  // and the replay stops there with the same verdict; a recording cut
+  // while a thread can still run stops as Paused.
+  std::ifstream In(SVD_EXAMPLES_ASM_DIR "/lock_order_cycle.asm");
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  isa::Program P = isa::assembleOrDie(SS.str());
+  vm::MachineConfig MC;
+  vm::Machine Recorder(P, MC);
+  ASSERT_EQ(Recorder.run(), vm::StopReason::Deadlock);
+
+  RecordedSchedule R;
+  R.RndSeed = MC.RndSeed;
+  R.Schedule = Recorder.schedule();
+  RecordedSchedule Parsed;
+  std::string Error;
+  ASSERT_TRUE(parseSchedule(serializeSchedule(R), Parsed, Error)) << Error;
+  ASSERT_FALSE(Parsed.Schedule.empty());
+  for (bool Translate : {false, true}) {
+    SCOPED_TRACE(Translate ? "translated" : "interpreter");
+    vm::MachineConfig RC;
+    RC.RndSeed = Parsed.RndSeed;
+    RC.Translate = Translate;
+    vm::Machine Replayed(P, RC);
+    Replayed.setReplaySchedule(Parsed.Schedule);
+    EXPECT_EQ(Replayed.run(), vm::StopReason::Deadlock);
+    EXPECT_EQ(Replayed.steps(), Recorder.steps());
+    EXPECT_EQ(Replayed.schedule(), Recorder.schedule());
+
+    vm::Machine Cut(P, RC);
+    Cut.setReplaySchedule({Parsed.Schedule.front()});
+    EXPECT_EQ(Cut.run(), vm::StopReason::Paused);
+    EXPECT_EQ(Cut.steps(), 1u);
   }
 }

@@ -110,15 +110,15 @@ TEST(ScheduleMutation, ReplayClassifiesEveryMutant) {
     return Rows;
   };
   // The unmutated recordings replay cleanly. lock_order_cycle's recording
-  // ends in a deadlock; its replay stops as Paused, because the schedule
-  // runs out at the decision where the recording found the deadlock.
+  // ends in a deadlock, and so does its replay: the schedule runs out at
+  // the decision where the recording found no thread ready.
   EXPECT_EQ(Render(Originals), "all-halted 11\n"
-                               "replay-exhausted 1\n");
+                               "deadlock 1\n");
   // Almost every flipped byte leaves a token that is not a digit string
   // or a step count that no longer matches the header, and almost every
   // cut drops steps the header declares.
   EXPECT_EQ(Render(Histogram), "all-halted 5\n"
-                               "parse-error 594\n"
-                               "replay-exhausted 1\n")
+                               "deadlock 1\n"
+                               "parse-error 594\n")
       << "over " << Files.size() * MutantsPerFile << " mutants";
 }
