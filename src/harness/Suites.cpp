@@ -1069,3 +1069,9 @@ std::vector<Workload> harness::suiteWorkloads(const std::string &Name) {
     return {};
   return S->Workloads();
 }
+
+std::string harness::noWorkloadSetMessage(const std::string &Name) {
+  if (findSuite(Name))
+    return "suite '" + Name + "' is a paper study and has no workload set";
+  return "unknown suite '" + Name + "'";
+}

@@ -90,6 +90,11 @@ const Suite *findSuite(const std::string &Name);
 /// unknown names and for the paper studies.
 std::vector<workloads::Workload> suiteWorkloads(const std::string &Name);
 
+/// Why suiteWorkloads(\p Name) is empty, as one diagnostic line for the
+/// tools that run a suite's workloads: \p Name is a paper study, which
+/// has no workload set, or no suite at all.
+std::string noWorkloadSetMessage(const std::string &Name);
+
 /// The svd-serve session set over \p Ws (which must outlive it): one
 /// session per (workload, seed) for seeds 1..Seeds, ids in that order,
 /// each machine from machineConfigFor so "seed N" means the same

@@ -197,7 +197,8 @@ int main(int Argc, char **Argv) {
 
   std::vector<workloads::Workload> Ws = harness::suiteWorkloads(SuiteName);
   if (Ws.empty()) {
-    std::fprintf(stderr, "unknown suite '%s'\n", SuiteName.c_str());
+    std::fprintf(stderr, "%s\n",
+                 harness::noWorkloadSetMessage(SuiteName).c_str());
     return P.usageError();
   }
 
