@@ -12,7 +12,6 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <chrono>
 #include <unordered_set>
 
 using namespace svd;
@@ -57,10 +56,12 @@ SampleMetrics harness::runSample(const Workload &W,
   vm::Machine Machine(W.Program, machineConfigFor(C));
   D->attach(Machine);
   SampleMetrics M;
-  auto T0 = std::chrono::steady_clock::now();
-  M.Stop = Machine.run();
-  D->finish(Machine);
-  M.DetectorSeconds = secondsSince(T0);
+  {
+    obs::ScopedTimer Run(
+        C.Obs ? &C.Obs->timer("harness.sample.detector_run") : nullptr);
+    M.Stop = Machine.run();
+    D->finish(Machine);
+  }
 
   const detect::DetectorHealth &H = D->health();
   M.DetectorDegraded = H.Degraded;
@@ -91,16 +92,8 @@ SampleMetrics harness::runSample(const Workload &W,
     R.counter("harness.samples").add(1);
     Machine.exportStats(R);
     D->exportStats(R);
-    R.timer("harness.sample.detector_run")
-        .recordNs(static_cast<uint64_t>(M.DetectorSeconds * 1e9));
   }
   return M;
-}
-
-double harness::secondsSince(std::chrono::steady_clock::time_point T0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       T0)
-      .count();
 }
 
 TextTable::TextTable(std::vector<std::string> Headers) {

@@ -29,7 +29,6 @@
 #include "vm/Machine.h"
 #include "workloads/Workloads.h"
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -107,7 +106,6 @@ struct SampleMetrics : workloads::ReportTally {
   size_t LogEntries = 0;         ///< SVD only (dynamic)
   size_t StaticLogEntries = 0;   ///< SVD only (deduped)
   size_t DetectorBytes = 0;
-  double DetectorSeconds = 0.0;
   /// Static identities of the CU-log entries (for cross-sample unions
   /// in the Table 2 bench), sorted ascending like the report keys.
   std::vector<uint64_t> StaticLogKeys;
@@ -119,9 +117,6 @@ struct SampleMetrics : workloads::ReportTally {
 SampleMetrics runSample(const workloads::Workload &W,
                         const std::string &Detector,
                         const SampleConfig &C);
-
-/// Wall-clock seconds from \p T0 to now.
-double secondsSince(std::chrono::steady_clock::time_point T0);
 
 /// Minimal fixed-width ASCII table printer for the suites' text output.
 class TextTable {

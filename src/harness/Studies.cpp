@@ -31,7 +31,6 @@
 #include "svd/SerializabilityGraph.h"
 #include "trace/Trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -622,8 +621,6 @@ int runBer(const SuiteOptions &O) {
 struct ExactSample {
   size_t TwoPlReports = 0;
   size_t Cycles = 0;
-  double TwoPlSeconds = 0;
-  double ExactSeconds = 0;
 };
 
 ExactSample compareExact(const isa::Program &P, const SampleConfig &C) {
@@ -634,19 +631,13 @@ ExactSample compareExact(const isa::Program &P, const SampleConfig &C) {
   const trace::ProgramTrace &T = Rec.trace();
   pdg::DynamicPdg G = pdg::DynamicPdg::build(T);
   cu::CuPartition CUs = cu::CuPartition::compute(T, G);
-  ExactSample S;
-  auto T0 = std::chrono::steady_clock::now();
-  S.TwoPlReports = detect::detectOffline(T, CUs).size();
-  S.TwoPlSeconds = secondsSince(T0);
-  T0 = std::chrono::steady_clock::now();
-  S.Cycles = detect::SerializabilityGraph::build(T, G, CUs).cycles().size();
-  S.ExactSeconds = secondsSince(T0);
-  return S;
+  return {detect::detectOffline(T, CUs).size(),
+          detect::SerializabilityGraph::build(T, G, CUs).cycles().size()};
 }
 
 // Compares the offline strict-2PL scan (Figure 6) with the exact
 // conflict-serializability test (the CU precedence graph) on identical
-// traces; --perf adds what each test costs.
+// traces.
 int runExact(const SuiteOptions &O) {
   unsigned Seeds = O.Seeds ? O.Seeds : 8;
   std::puts("== Exact serializability vs strict 2PL (Section 3.3) ==\n");
@@ -703,46 +694,24 @@ int runExact(const SuiteOptions &O) {
       {"Random (locked+benign)", workloads::randomWorkload(Benign)},
   };
 
-  std::vector<std::string> Headers = {"Workload",      "Samples",
-                                      "2PL flagged",   "Exact flagged",
-                                      "2PL reports",   "Cycles"};
-  if (O.Perf) {
-    Headers.push_back("2PL time");
-    Headers.push_back("Exact time");
-  }
-  TextTable T(Headers);
-  // Timed runs go serially: a concurrent fan-out would time the fan-out.
-  SuiteOptions Run = O;
-  if (O.Perf)
-    Run.Jobs = 1;
+  TextTable T({"Workload", "Samples", "2PL flagged", "Exact flagged",
+               "2PL reports", "Cycles"});
   for (const auto &[Name, W] : Items) {
     const isa::Program &Prog = W.Program;
-    auto PerSeed =
-        forSeeds<ExactSample>(Run, Seeds, [&](const SampleConfig &C) {
-          return compareExact(Prog, C);
-        });
+    auto PerSeed = forSeeds<ExactSample>(O, Seeds, [&](const SampleConfig &C) {
+      return compareExact(Prog, C);
+    });
     size_t TwoPlFlagged = 0, ExactFlagged = 0, Reports = 0, Cycles = 0;
-    double TwoPlSeconds = 0, ExactSeconds = 0;
     for (const ExactSample &S : PerSeed) {
       TwoPlFlagged += S.TwoPlReports != 0;
       ExactFlagged += S.Cycles != 0;
       Reports += S.TwoPlReports;
       Cycles += S.Cycles;
-      TwoPlSeconds += S.TwoPlSeconds;
-      ExactSeconds += S.ExactSeconds;
     }
-    std::vector<std::string> Row = {
-        Name,
-        formatString("%u", Seeds),
-        formatString("%zu", TwoPlFlagged),
-        formatString("%zu", ExactFlagged),
-        formatString("%zu", Reports),
-        formatString("%zu", Cycles)};
-    if (O.Perf) {
-      Row.push_back(formatString("%.3fs", TwoPlSeconds));
-      Row.push_back(formatString("%.3fs", ExactSeconds));
-    }
-    T.addRow(Row);
+    T.addRow({Name, formatString("%u", Seeds),
+              formatString("%zu", TwoPlFlagged),
+              formatString("%zu", ExactFlagged), formatString("%zu", Reports),
+              formatString("%zu", Cycles)});
   }
   std::fputs(T.render().c_str(), stdout);
   std::puts("\nExpected shape: the micro-scenario splits the two tests\n"

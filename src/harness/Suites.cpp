@@ -177,38 +177,48 @@ std::vector<Workload> shadowSuiteWorkloads() {
 // table1 — Table 1 "Test Programs"
 //===----------------------------------------------------------------------===//
 
-/// One row of the table1 --perf section: deterministic event counts
-/// from a seed-1 run under OnlineSvd with both static proofs wired in.
-struct PerfRow {
+/// The deterministic counts of a seed-1 run of a workload under
+/// OnlineSvd: table1's and shadow's count sections and sec73's
+/// Pruned %. Every field is a pure function of the workload and the
+/// config (shadow pages materialize in touch order).
+struct OnlineCounts {
   uint64_t Events = 0;
   uint64_t PrunedEvents = 0;
   uint64_t FilteredEvents = 0;
-  size_t ProvenCus = 0;
+  uint64_t BudgetEvictions = 0;
+  uint64_t ShadowPages = 0;
+  size_t ShadowBytes = 0;
 
   double prunedPct() const {
     return Events == 0 ? 0.0
                        : 100.0 * static_cast<double>(PrunedEvents) /
                              static_cast<double>(Events);
   }
+  double bytesPerAddr(uint64_t DistinctAddrs) const {
+    return DistinctAddrs == 0 ? 0.0
+                              : static_cast<double>(ShadowBytes) /
+                                    static_cast<double>(DistinctAddrs);
+  }
 };
 
-/// \p Proofs are \p W's CU proofs; their access table filters the run.
-PerfRow measurePerfRow(const Workload &W, const analysis::CuProofs &Proofs) {
-  SampleConfig C;
-  C.Seed = 1;
-  vm::Machine M(W.Program, machineConfigFor(C));
-  detect::OnlineSvdConfig SC;
-  SC.Access = &Proofs.accessTable();
-  SC.Proofs = &Proofs;
+OnlineCounts onlineCounts(const Workload &W,
+                          const detect::OnlineSvdConfig &SC) {
+  vm::Machine M(W.Program, machineConfigFor(SampleConfig()));
   detect::OnlineSvd Svd(W.Program, SC);
   M.addObserver(&Svd);
   M.run();
-  PerfRow R;
-  R.Events = Svd.eventsObserved();
-  R.PrunedEvents = Svd.prunedAccesses();
-  R.FilteredEvents = Svd.filteredAccesses();
-  R.ProvenCus = Proofs.proven().size();
-  return R;
+  return {Svd.eventsObserved(), Svd.prunedAccesses(),
+          Svd.filteredAccesses(), Svd.budgetEvictions(),
+          Svd.shadowPages(),      Svd.shadowBytes()};
+}
+
+/// OnlineSvd with both static proofs wired in: \p Proofs' access table
+/// filters the run and its proven CUs are pruned.
+detect::OnlineSvdConfig provenConfig(const analysis::CuProofs &Proofs) {
+  detect::OnlineSvdConfig SC;
+  SC.Access = &Proofs.accessTable();
+  SC.Proofs = &Proofs;
+  return SC;
 }
 
 int runTable1(const SuiteOptions &O) {
@@ -224,10 +234,13 @@ int runTable1(const SuiteOptions &O) {
   }
   std::vector<SampleMetrics> Ms = ParallelRunner(runnerConfig(O)).run(Specs);
 
-  std::vector<PerfRow> Perf;
-  if (O.Perf)
-    for (const Workload &W : Ws)
-      Perf.push_back(measurePerfRow(W, analysis::proveAtomicCus(W.Program)));
+  std::vector<OnlineCounts> Counts;
+  std::vector<size_t> ProvenCus;
+  for (const Workload &W : Ws) {
+    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
+    Counts.push_back(onlineCounts(W, provenConfig(Proofs)));
+    ProvenCus.push_back(Proofs.proven().size());
+  }
 
   if (O.Json) {
     std::string J = "{\"suite\":\"table1\",\"rows\":[";
@@ -242,18 +255,15 @@ int runTable1(const SuiteOptions &O) {
           W.Program.numInstructions(),
           static_cast<unsigned long long>(Ms[I].Steps),
           W.HasKnownBug ? "true" : "false");
-      if (O.Perf) {
-        const PerfRow &R = Perf[I];
-        J += formatString(
-            ",\"events\":%llu,\"pruned_events\":%llu,"
-            "\"filtered_events\":%llu,\"proven_cus\":%zu,"
-            "\"pruned_pct\":%.4f",
-            static_cast<unsigned long long>(R.Events),
-            static_cast<unsigned long long>(R.PrunedEvents),
-            static_cast<unsigned long long>(R.FilteredEvents), R.ProvenCus,
-            R.prunedPct());
-      }
-      J += "}";
+      const OnlineCounts &R = Counts[I];
+      J += formatString(
+          ",\"events\":%llu,\"pruned_events\":%llu,"
+          "\"filtered_events\":%llu,\"proven_cus\":%zu,"
+          "\"pruned_pct\":%.4f}",
+          static_cast<unsigned long long>(R.Events),
+          static_cast<unsigned long long>(R.PrunedEvents),
+          static_cast<unsigned long long>(R.FilteredEvents), ProvenCus[I],
+          R.prunedPct());
     }
     J += "]}\n";
     std::fputs(J.c_str(), stdout);
@@ -273,24 +283,21 @@ int runTable1(const SuiteOptions &O) {
   }
   std::fputs(T.render().c_str(), stdout);
 
-  if (O.Perf) {
-    std::puts("\n== Table 1 perf: OnlineSvd with static proofs (seed 1) ==\n");
-    TextTable PT({"Name", "Events", "Pruned", "Filtered", "Proven CUs",
-                  "Pruned %"});
-    for (size_t I = 0; I < Ws.size(); ++I) {
-      const PerfRow &R = Perf[I];
-      PT.addRow(
-          {Ws[I].Name,
-           formatString("%llu", static_cast<unsigned long long>(R.Events)),
-           formatString("%llu",
-                        static_cast<unsigned long long>(R.PrunedEvents)),
-           formatString("%llu",
-                        static_cast<unsigned long long>(R.FilteredEvents)),
-           formatString("%zu", R.ProvenCus),
-           formatString("%.2f", R.prunedPct())});
-    }
-    std::fputs(PT.render().c_str(), stdout);
+  std::puts("\n== Table 1 counts: OnlineSvd with static proofs (seed 1) ==\n");
+  TextTable CT({"Name", "Events", "Pruned", "Filtered", "Proven CUs",
+                "Pruned %"});
+  for (size_t I = 0; I < Ws.size(); ++I) {
+    const OnlineCounts &R = Counts[I];
+    CT.addRow(
+        {Ws[I].Name,
+         formatString("%llu", static_cast<unsigned long long>(R.Events)),
+         formatString("%llu", static_cast<unsigned long long>(R.PrunedEvents)),
+         formatString("%llu",
+                      static_cast<unsigned long long>(R.FilteredEvents)),
+         formatString("%zu", ProvenCus[I]),
+         formatString("%.2f", R.prunedPct())});
   }
+  std::fputs(CT.render().c_str(), stdout);
 
   std::puts("\nDescriptions:");
   for (const Workload &W : Ws)
@@ -467,8 +474,8 @@ int runTable2(const SuiteOptions &O) {
 // sec73 — Section 7.3 false-positive scaling
 //===----------------------------------------------------------------------===//
 
-/// The Section 7.3 overhead workloads (sec73 --perf).
-std::vector<Workload> sec73OverheadWorkloads() {
+/// The workloads of the Section 7.3 memory table.
+std::vector<Workload> sec73MemoryWorkloads() {
   workloads::WorkloadParams P;
   P.Threads = 4;
   P.Iterations = 60;
@@ -478,72 +485,65 @@ std::vector<Workload> sec73OverheadWorkloads() {
           workloads::lockedCounters(P), workloads::tidSlab(P)};
 }
 
-/// Section 7.3's time and space overheads on the seed-1 execution of
-/// each workload: per detector configuration its rate, its slowdown
-/// over the paired bare run (the same execution under the registry's
-/// "none" detector, run just before it) and its memory, under a bare
-/// row whose rate is the fastest of those paired bare runs. Serial by
-/// design: rates measured under a concurrent fan-out would only measure
-/// the fan-out.
-void printSec73Perf() {
-  std::puts("\n== Section 7.3 perf: detector overheads (seed 1) ==\n");
-  TextTable T({"Workload", "Configuration", "Insts/s", "Slowdown",
-               "Detector KiB", "Pruned %"});
-  auto Ratio = [](double A, double B) { return B <= 0.0 ? 0.0 : A / B; };
-  for (const Workload &W : sec73OverheadWorkloads()) {
-    analysis::CuProofs Proofs = analysis::proveAtomicCus(W.Program);
-    PerfRow R = measurePerfRow(W, Proofs);
-    detect::OnlineSvdConfig Filtered;
-    Filtered.Access = &Proofs.accessTable();
-    detect::OnlineSvdConfig Pruned = Filtered;
-    Pruned.Proofs = &Proofs;
-    struct Config {
-      const char *Name;
-      const char *Detector;
-      const detect::OnlineSvdConfig *Svd; ///< null = detector defaults
-    };
-    const Config Configs[] = {{"svd", "svd", nullptr},
-                              {"svd+access table", "svd", &Filtered},
-                              {"svd+proofs", "svd", &Pruned},
-                              {"frd", "frd", nullptr},
-                              {"lockset", "lockset", nullptr}};
-    std::vector<std::vector<std::string>> Rows;
-    double FastestBare = 0.0;
-    uint64_t Steps = 0;
+/// Section 7.3's space overhead on the seed-1 execution of each memory
+/// workload: the detector state of each detector configuration, and
+/// the share of events the static proofs prune. The time overhead is
+/// perfbench's (online_paper).
+void printSec73Memory(const SuiteOptions &O) {
+  std::vector<Workload> Ws = sec73MemoryWorkloads();
+  std::vector<analysis::CuProofs> Proofs;
+  for (const Workload &W : Ws)
+    Proofs.push_back(analysis::proveAtomicCus(W.Program));
+
+  struct Config {
+    const char *Name;
+    const char *Detector;
+    bool Access, Prune; ///< svd only: wire in the access table / proofs
+  };
+  const Config Configs[] = {{"svd", "svd", false, false},
+                            {"svd+access table", "svd", true, false},
+                            {"svd+proofs", "svd", true, true},
+                            {"frd", "frd", false, false},
+                            {"lockset", "lockset", false, false}};
+  std::vector<SampleSpec> Specs;
+  for (size_t WI = 0; WI < Ws.size(); ++WI)
     for (const Config &K : Configs) {
-      SampleConfig C;
-      double Bare = runSample(W, "none", C).DetectorSeconds;
-      if (K.Svd)
-        C.Detector = std::make_shared<detect::OnlineSvdDetectorConfig>(*K.Svd);
-      SampleMetrics M = runSample(W, K.Detector, C);
-      if (Rows.empty() || Bare < FastestBare)
-        FastestBare = Bare;
-      Steps = M.Steps;
-      Rows.push_back(
-          {W.Name, K.Name,
-           formatString("%.0f", Ratio(static_cast<double>(M.Steps),
-                                      M.DetectorSeconds)),
-           formatString("%.1fx", Ratio(M.DetectorSeconds, Bare)),
-           // Lockset does not report its memory.
-           M.DetectorBytes == 0
-               ? "-"
-               : formatString("%.1f",
-                              static_cast<double>(M.DetectorBytes) / 1024),
-           K.Svd == &Pruned ? formatString("%.2f", R.prunedPct()) : "-"});
+      SampleSpec S;
+      S.Workload = &Ws[WI];
+      S.Detector = K.Detector;
+      if (K.Access) {
+        detect::OnlineSvdConfig SC = provenConfig(Proofs[WI]);
+        if (!K.Prune)
+          SC.Proofs = nullptr;
+        S.Config.Detector =
+            std::make_shared<detect::OnlineSvdDetectorConfig>(SC);
+      }
+      Specs.push_back(S);
     }
-    T.addRow({W.Name, "bare",
-              formatString("%.0f",
-                           Ratio(static_cast<double>(Steps), FastestBare)),
-              "1.0x", "-", "-"});
-    for (std::vector<std::string> &Row : Rows)
-      T.addRow(std::move(Row));
+  std::vector<SampleMetrics> Ms = ParallelRunner(runnerConfig(O)).run(Specs);
+
+  std::puts("\n== Section 7.3 memory: detector state (seed 1) ==\n");
+  TextTable T({"Workload", "Configuration", "Detector KiB", "Pruned %"});
+  auto M = Ms.begin();
+  for (size_t WI = 0; WI < Ws.size(); ++WI) {
+    double PrunedPct =
+        onlineCounts(Ws[WI], provenConfig(Proofs[WI])).prunedPct();
+    for (const Config &K : Configs) {
+      size_t Bytes = (M++)->DetectorBytes;
+      T.addRow({Ws[WI].Name, K.Name,
+                // Lockset does not report its memory.
+                Bytes == 0 ? "-"
+                           : formatString("%.1f",
+                                          static_cast<double>(Bytes) / 1024),
+                K.Prune ? formatString("%.2f", PrunedPct) : "-"});
+    }
   }
   std::fputs(T.render().c_str(), stdout);
   std::puts("\nsvd+access table skips provably thread-local accesses;\n"
             "svd+proofs also skips the accesses of statically proven\n"
             "atomic CUs (Pruned %). Reports are identical in every SVD\n"
-            "configuration. Insts/s and Slowdown are wall-clock and vary\n"
-            "from run to run; Detector KiB and Pruned % are deterministic.");
+            "configuration. Time overheads are measured by perfbench's\n"
+            "online_paper workload.");
 }
 
 int runSec73(const SuiteOptions &O) {
@@ -610,8 +610,7 @@ int runSec73(const SuiteOptions &O) {
   std::puts("grows roughly linearly with length (a roughly constant");
   std::puts("per-million rate), and FRD stays at zero on the race-free");
   std::puts("program.");
-  if (O.Perf)
-    printSec73Perf();
+  printSec73Memory(O);
   return 0;
 }
 
@@ -805,42 +804,6 @@ int runPredict(const SuiteOptions &O) {
 // shadow — large-footprint heaps over the paged shadow tables
 //===----------------------------------------------------------------------===//
 
-/// One row of the shadow --perf section: OnlineSvd on sparse shadow
-/// tables under a tight CU budget. Every field is deterministic (page
-/// materialization order is touch order).
-struct ShadowPerfRow {
-  uint64_t Events = 0;
-  uint64_t BudgetEvictions = 0;
-  uint64_t ShadowPages = 0;
-  size_t ShadowBytes = 0;
-
-  double bytesPerAddr(uint64_t DistinctAddrs) const {
-    return DistinctAddrs == 0 ? 0.0
-                              : static_cast<double>(ShadowBytes) /
-                                    static_cast<double>(DistinctAddrs);
-  }
-};
-
-ShadowPerfRow measureShadowPerfRow(const Workload &W) {
-  SampleConfig C;
-  C.Seed = 1;
-  vm::Machine M(W.Program, machineConfigFor(C));
-  detect::OnlineSvdConfig SC;
-  // A tight CU budget: millions of addresses must run in O(budget)
-  // live detector state, demonstrating the PR 5 degradation machinery
-  // on the shared shadow layer.
-  SC.MaxCuEntries = 512;
-  detect::OnlineSvd Svd(W.Program, SC);
-  M.addObserver(&Svd);
-  M.run();
-  ShadowPerfRow R;
-  R.Events = Svd.eventsObserved();
-  R.BudgetEvictions = Svd.budgetEvictions();
-  R.ShadowPages = Svd.shadowPages();
-  R.ShadowBytes = Svd.shadowBytes();
-  return R;
-}
-
 int runShadow(const SuiteOptions &O) {
   std::vector<ShadowSpec> Specs = shadowSuiteSpecs();
 
@@ -855,10 +818,13 @@ int runShadow(const SuiteOptions &O) {
   std::vector<SampleMetrics> Ms =
       ParallelRunner(runnerConfig(O)).run(SampleSpecs);
 
-  std::vector<ShadowPerfRow> Perf;
-  if (O.Perf)
-    for (const ShadowSpec &S : Specs)
-      Perf.push_back(measureShadowPerfRow(S.W));
+  // A tight CU budget: millions of addresses must run in O(budget) live
+  // detector state, on the shared shadow layer.
+  detect::OnlineSvdConfig Budget;
+  Budget.MaxCuEntries = 512;
+  std::vector<OnlineCounts> Counts;
+  for (const ShadowSpec &S : Specs)
+    Counts.push_back(onlineCounts(S.W, Budget));
 
   if (O.Json) {
     std::string J = "{\"suite\":\"shadow\",\"rows\":[";
@@ -873,17 +839,14 @@ int runShadow(const SuiteOptions &O) {
           static_cast<unsigned long long>(S.HeapWords),
           static_cast<unsigned long long>(S.DistinctAddrs),
           static_cast<unsigned long long>(Ms[I].Steps));
-      if (O.Perf) {
-        const ShadowPerfRow &R = Perf[I];
-        J += formatString(
-            ",\"events\":%llu,\"budget_evictions\":%llu,"
-            "\"shadow_pages\":%llu,\"bytes_per_addr\":%.4f",
-            static_cast<unsigned long long>(R.Events),
-            static_cast<unsigned long long>(R.BudgetEvictions),
-            static_cast<unsigned long long>(R.ShadowPages),
-            R.bytesPerAddr(S.DistinctAddrs));
-      }
-      J += "}";
+      const OnlineCounts &R = Counts[I];
+      J += formatString(
+          ",\"events\":%llu,\"budget_evictions\":%llu,"
+          "\"shadow_pages\":%llu,\"bytes_per_addr\":%.4f}",
+          static_cast<unsigned long long>(R.Events),
+          static_cast<unsigned long long>(R.BudgetEvictions),
+          static_cast<unsigned long long>(R.ShadowPages),
+          R.bytesPerAddr(S.DistinctAddrs));
     }
     J += "]}\n";
     std::fputs(J.c_str(), stdout);
@@ -905,26 +868,23 @@ int runShadow(const SuiteOptions &O) {
   }
   std::fputs(T.render().c_str(), stdout);
 
-  if (O.Perf) {
-    std::puts("\n== shadow perf: OnlineSvd, sparse tables, 512-CU budget ==\n");
-    TextTable PT({"Name", "Events", "Budget evictions", "Shadow pages",
-                  "Bytes/addr"});
-    for (size_t I = 0; I < Specs.size(); ++I) {
-      const ShadowPerfRow &R = Perf[I];
-      PT.addRow(
-          {Specs[I].W.Name,
-           formatString("%llu", static_cast<unsigned long long>(R.Events)),
-           formatString("%llu",
-                        static_cast<unsigned long long>(R.BudgetEvictions)),
-           formatString("%llu",
-                        static_cast<unsigned long long>(R.ShadowPages)),
-           formatString("%.2f", R.bytesPerAddr(Specs[I].DistinctAddrs))});
-    }
-    std::fputs(PT.render().c_str(), stdout);
-    std::puts("\nUntouched address-space regions cost one pointer compare; "
-              "only touched pages materialize, so bytes/addr stays flat as "
-              "the heap grows and the CU budget caps live detector state.");
+  std::puts("\n== shadow counts: OnlineSvd, sparse tables, 512-CU budget ==\n");
+  TextTable CT({"Name", "Events", "Budget evictions", "Shadow pages",
+                "Bytes/addr"});
+  for (size_t I = 0; I < Specs.size(); ++I) {
+    const OnlineCounts &R = Counts[I];
+    CT.addRow(
+        {Specs[I].W.Name,
+         formatString("%llu", static_cast<unsigned long long>(R.Events)),
+         formatString("%llu",
+                      static_cast<unsigned long long>(R.BudgetEvictions)),
+         formatString("%llu", static_cast<unsigned long long>(R.ShadowPages)),
+         formatString("%.2f", R.bytesPerAddr(Specs[I].DistinctAddrs))});
   }
+  std::fputs(CT.render().c_str(), stdout);
+  std::puts("\nUntouched address-space regions cost one pointer compare; "
+            "only touched pages materialize, so bytes/addr stays flat as "
+            "the heap grows and the CU budget caps live detector state.");
   return 0;
 }
 
@@ -1016,7 +976,7 @@ const std::vector<Suite> &harness::suites() {
          table1SuiteWorkloads},
         {"table2", "Table 2 SVD-vs-FRD evaluation (the headline table)",
          runTable2, table2SuiteWorkloads},
-        {"sec73", "Section 7.3 FP growth vs length (--perf: overheads)",
+        {"sec73", "Section 7.3 FP growth vs length and detector memory",
          runSec73, sec73SuiteWorkloads},
         {"fig1", "Figure 1 benign table-lock race + CU dump", runFig1,
          fig1SuiteWorkloads},

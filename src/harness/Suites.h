@@ -8,10 +8,12 @@
 /// Every paper experiment as a named suite behind one entry point,
 /// svd-bench --suite NAME, so all of them share the same
 /// --jobs/--seeds/--json handling and the same seed derivation
-/// (machineConfigFor). Output is bit-identical for every
-/// Jobs value. The table suites (Suites.cpp) also emit JSON with no
-/// timing or thread-count fields; the paper-study suites (Studies.cpp)
-/// print text only, and svd-bench rejects --json for them.
+/// (machineConfigFor). Every suite prints one output, a pure function
+/// of its options: no field reads a clock, and the output is
+/// bit-identical for every Jobs value. The table suites (Suites.cpp)
+/// also emit JSON; the paper-study suites (Studies.cpp) print text
+/// only, and svd-bench rejects --json for them. Rates come from
+/// perfbench.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,18 +47,6 @@ struct SuiteOptions {
   unsigned Seeds = 0;
   /// Emit a machine-readable JSON document instead of the text tables.
   bool Json = false;
-  /// table1, shadow, sec73 and exact: add a performance section.
-  /// table1's holds the event, pruned-event and filtered-event counts of
-  /// a seed-1 run under the online detector with both static proofs
-  /// wired in (access table + CU atomicity proofs); shadow's holds the
-  /// shadow-page and budget-eviction counts. Both are pure functions of
-  /// the workload, pinned by goldens (tests/golden/bench_*_perf.json).
-  /// sec73's is the Section 7.3 overhead table (text only, wall-clock:
-  /// each detector configuration's run is timed against a run of the
-  /// same execution under the "none" detector just before it); exact's
-  /// adds the wall-clock cost of each test. Rates outside those
-  /// two paper tables are measured by perfbench only.
-  bool Perf = false;
   /// Observability sink for the sample fan-out (svd-bench
   /// --metrics-json); counters are bit-identical at any Jobs. Not owned.
   obs::Registry *Obs = nullptr;

@@ -17,6 +17,11 @@ using support::formatString;
 
 namespace {
 
+/// Bound on a data symbol's size and on the whole data image, in words.
+/// Machine allocates the image up front, so the bound caps what an
+/// untrusted .asm can make it allocate.
+constexpr uint64_t MaxDataWords = uint64_t(1) << 24;
+
 /// A memory operand before symbol/layout resolution.
 struct MemRef {
   Reg Base = ZeroReg;
@@ -228,7 +233,7 @@ void Parser::parseDirective(const std::string &Line) {
     uint32_t Size = 1;
     if (Toks.size() == 3) {
       std::optional<int64_t> V = parseImm(Toks[2]);
-      if (!V || *V <= 0 || *V > (1 << 24)) {
+      if (!V || *V <= 0 || static_cast<uint64_t>(*V) > MaxDataWords) {
         error("invalid size '" + Toks[2] + "'");
         return;
       }
@@ -561,21 +566,26 @@ bool Parser::layout(Program &Out) {
   for (const PendingThread &PT : ThreadSections)
     NumThreads += PT.Replicas;
 
-  // Layout: shared globals first, then thread-local regions.
-  Addr Next = 0;
-  for (const PendingSymbol &PS : Symbols) {
-    if (PS.IsThreadLocal)
-      continue;
-    Out.Symbols.push_back({PS.Name, Next, PS.Size, false});
-    Next += PS.Size;
-  }
-  for (const PendingSymbol &PS : Symbols) {
-    if (!PS.IsThreadLocal)
-      continue;
-    Out.Symbols.push_back({PS.Name, Next, PS.Size, true});
-    Next += PS.Size * NumThreads;
-  }
-  Out.MemoryWords = Next;
+  // Layout: shared globals first, then thread-local regions. Sizes add
+  // up in 64 bits, so an oversized image is rejected, not wrapped.
+  uint64_t Next = 0;
+  for (bool Local : {false, true})
+    for (const PendingSymbol &PS : Symbols) {
+      if (PS.IsThreadLocal != Local)
+        continue;
+      Out.Symbols.push_back(
+          {PS.Name, static_cast<Addr>(Next), PS.Size, Local});
+      Next += uint64_t(PS.Size) * (Local ? NumThreads : 1);
+      if (Next > MaxDataWords) {
+        CurLine = PS.Line;
+        error(formatString("data image of %llu words exceeds the bound of "
+                           "%llu words",
+                           static_cast<unsigned long long>(Next),
+                           static_cast<unsigned long long>(MaxDataWords)));
+        return false;
+      }
+    }
+  Out.MemoryWords = static_cast<Addr>(Next);
 
   // Resolve each replica.
   ThreadId Tid = 0;

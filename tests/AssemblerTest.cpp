@@ -58,6 +58,33 @@ TEST(Assembler, GlobalsAndLocalsLayout) {
   EXPECT_EQ(P.MemoryWords, 11u);
 }
 
+// The data image is laid out in 64 bits and bounded at 2^24 words, the
+// per-symbol bound: a thread-local region times its replica count can
+// neither ask a Machine for gigabytes nor wrap the 32-bit address
+// space. These assemble only and never build a Machine.
+TEST(Assembler, ErrorDataImageOverBound) {
+  std::vector<AsmError> E =
+      mustFail(".local buf 16777216\n.thread t x200\n  halt\n");
+  ASSERT_EQ(E.size(), 1u);
+  EXPECT_EQ(E[0].Line, 1u);
+  EXPECT_EQ(E[0].Message, "data image of 3355443200 words exceeds the bound "
+                          "of 16777216 words");
+}
+
+TEST(Assembler, ErrorDataImageWouldWrap) {
+  // 2^24 words times 256 replicas is 2^32: a 32-bit sum wraps to 0.
+  std::vector<AsmError> E =
+      mustFail(".local buf 16777216\n.thread t x256\n  halt\n");
+  ASSERT_EQ(E.size(), 1u);
+  EXPECT_EQ(E[0].Line, 1u);
+  EXPECT_EQ(E[0].Message, "data image of 4294967296 words exceeds the bound "
+                          "of 16777216 words");
+  // The bound itself still assembles.
+  EXPECT_EQ(mustAssemble(".local buf 16777216\n.thread t\n  halt\n")
+                .MemoryWords,
+            16777216u);
+}
+
 TEST(Assembler, DescribeAddress) {
   Program P = mustAssemble(R"(
 .global g 2

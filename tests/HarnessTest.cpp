@@ -2,6 +2,7 @@
 
 #include "harness/Harness.h"
 #include "harness/Runner.h"
+#include "obs/Obs.h"
 #include "support/StringUtils.h"
 #include "svd/OnlineSvd.h"
 
@@ -140,13 +141,18 @@ TEST(Harness, OverheadMeasurementProducesTimes) {
   P.Threads = 2;
   P.Iterations = 30;
   Workload W = workloads::pgsqlOltp(P);
+  obs::Registry R;
   SampleConfig C;
   C.Seed = 1;
+  C.Obs = &R;
   SampleMetrics M = runSample(W, "svd", C);
-  EXPECT_GT(M.DetectorSeconds, 0.0);
   EXPECT_GT(M.DetectorBytes, 0u);
-  // sec73 --perf times each configuration against this bare twin.
-  EXPECT_GT(runSample(W, "none", C).DetectorSeconds, 0.0);
+  // The detector run is timed into the registry, once per sample.
+  auto Timers = R.timers();
+  ASSERT_EQ(Timers.size(), 1u);
+  EXPECT_EQ(Timers[0].first, "harness.sample.detector_run");
+  EXPECT_EQ(Timers[0].second.Count, 1u);
+  EXPECT_GT(Timers[0].second.TotalNs, 0u);
 }
 
 TEST(Harness, TextTableRendersAligned) {

@@ -7,12 +7,13 @@
 //             [--metrics-json FILE] [--trace-out FILE]
 //   svd-bench --list
 //
-// Output is bit-identical for every --jobs value (the runner collects
-// samples in submission order), and --json output carries no timing or
-// thread-count fields, so `--jobs 1` and `--jobs N` diff clean. The
-// same invariant holds for the "counters" section of --metrics-json;
-// its "timings" section and the whole --trace-out file are wall-clock
-// and excluded from comparisons (DESIGN.md section 10).
+// Every suite prints one output, text or --json, and it is a pure
+// function of the suite's options: no field reads a clock, and the
+// runner collects samples in submission order, so `--jobs 1` and
+// `--jobs N` diff clean. Rates come from perfbench. The same invariant
+// holds for the "counters" section of --metrics-json; its "timings"
+// section and the whole --trace-out file are wall-clock and excluded
+// from comparisons (DESIGN.md section 10).
 //
 // Exit status: 0 on success, 1 when fig2/fig3 find no erroneous seed,
 // 2 on usage errors (including --json for a text-only suite), an
@@ -44,9 +45,6 @@ const char *Usage =
     "  --seeds N            seeds per table row (default: the suite's\n"
     "                       paper-default count)\n"
     "  --json               emit a JSON document instead of the text tables\n"
-    "  --perf               table1, shadow: add the deterministic event /\n"
-    "                       shadow-page counts; sec73: add the Section 7.3\n"
-    "                       overhead table; exact: add each test's cost\n"
     "  --metrics-json FILE  write the obs registry (deterministic counters\n"
     "                       + timing stats) as svd-metrics-v1 JSON\n"
     "  --trace-out FILE     write a Chrome trace_event JSON of the run\n"
@@ -66,7 +64,6 @@ int main(int Argc, char **Argv) {
   P.value("--jobs", &Jobs);
   P.value("--seeds", &Seeds);
   P.flag("--json", &O.Json);
-  P.flag("--perf", &O.Perf);
   P.flag("--list", &List);
   P.value("--metrics-json", &MetricsPath);
   P.value("--trace-out", &TracePath);
